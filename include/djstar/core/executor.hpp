@@ -31,7 +31,7 @@ struct ExecutorStats {
   std::atomic<std::uint64_t> nodes_executed{0};
   std::atomic<std::uint64_t> busy_wait_spins{0};  ///< dependency re-checks
   std::atomic<std::uint64_t> sleeps{0};           ///< cv waits entered
-  std::atomic<std::uint64_t> wakeups{0};          ///< cv notifies sent
+  std::atomic<std::uint64_t> wakeups{0};          ///< cv notifies to sleepers
   std::atomic<std::uint64_t> steals{0};           ///< successful thefts
   std::atomic<std::uint64_t> steal_failures{0};   ///< empty/contended probes
 

@@ -78,7 +78,6 @@ class Deck {
   audio::AudioBuffer tc_buf_{2, audio::kBlockSize};
   audio::AudioBuffer raw_{2, audio::kBlockSize};
   audio::AudioBuffer input_{2, audio::kBlockSize};
-  std::array<float, audio::kBlockSize> chan_tmp_{};
 };
 
 }  // namespace djstar::engine

@@ -27,6 +27,11 @@ struct WsolaConfig {
 /// rate > 1 plays faster (shorter output), rate < 1 slower.
 class Wsola {
  public:
+  /// push() and pull() allocate nothing after construction while each
+  /// push() carries at most this many samples and the caller pulls until
+  /// fewer than this many are available before pushing again.
+  static constexpr std::size_t kStreamBlock = 1024;
+
   explicit Wsola(const WsolaConfig& cfg = {});
 
   void set_rate(double rate) noexcept;
@@ -49,7 +54,7 @@ class Wsola {
 
  private:
   void produce_frames();
-  std::size_t best_offset(std::size_t ideal) const noexcept;
+  std::size_t best_offset(std::size_t ideal) noexcept;
 
   WsolaConfig cfg_;
   double rate_ = 1.0;
@@ -59,6 +64,7 @@ class Wsola {
   std::size_t out_read_ = 0;
   double in_pos_ = 0.0;             // analysis position in input_
   std::vector<float> prev_tail_;    // previous frame's overlap region
+  std::vector<double> search_;      // best_offset()'s window, as doubles
   bool primed_ = false;
 };
 

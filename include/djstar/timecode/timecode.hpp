@@ -96,7 +96,6 @@ class TimecodeDecoder {
   float prev_l_ = 0.0f;
   double samples_since_crossing_ = 0.0;
   float cycle_peak_ = 0.0f;
-  float right_at_crossing_ = 0.0f;
   double pitch_smooth_ = 0.0;
   std::uint64_t bit_shift_ = 0;  // most recent bits, LSB = newest
   unsigned bits_seen_ = 0;

@@ -105,6 +105,7 @@ void WorkStealingExecutor::on_unit_ready(unsigned w, UnitId u) {
   if (idlers_.load(std::memory_order_acquire) > 0) {
     idle_epoch_.fetch_add(1, std::memory_order_release);
     idle_cv_.notify_one();
+    stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -256,6 +257,9 @@ void WorkStealingExecutor::worker_body(unsigned w) {
       // Everyone still parked must observe completion promptly.
       idle_epoch_.fetch_add(1, std::memory_order_release);
       idle_cv_.notify_all();
+      if (idlers_.load(std::memory_order_acquire) > 0) {
+        stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
 }

@@ -10,8 +10,9 @@ Deck::Deck(unsigned index, const audio::TrackSpec& spec)
   // Stagger deck positions so the four decks don't play in unison.
   track_.seek(index * 4096);
   for (auto& w : wsola_) {
-    // Paper-faithful preprocessing weight: a wider similarity search
-    // makes GP the second-largest APC phase, as in the paper's profile.
+    // A wider similarity search than the default (289 candidates of 192
+    // taps) is GP's main cost: about a quarter of the sequential APC on
+    // the 4-vCPU host (bench/sec3_hotspots), against 33 % in the paper.
     w = stretch::Wsola{{.frame_size = 512, .overlap = 192, .tolerance = 144}};
   }
 }

@@ -43,17 +43,34 @@ void Fft::transform(std::span<std::complex<float>> data,
     const std::size_t j = rev_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
-  const auto& tw = inverse ? twiddle_inv_ : twiddle_;
+  // Butterflies on the (re, im) float pairs std::complex<float> is laid
+  // out as. The product b*w is spelled out in the operation order of the
+  // std::complex multiply (re = br*wr - bi*wi, im = br*wi + bi*wr), so
+  // finite inputs give the same bits, without its NaN-recovery branch and
+  // the store/reload of the product that stall the loop. Audio reaching
+  // the FFT is always finite.
+  float* const d = reinterpret_cast<float*>(data.data());
+  const float* const tw = reinterpret_cast<const float*>(
+      (inverse ? twiddle_inv_ : twiddle_).data());
   for (std::size_t len = 2; len <= n_; len <<= 1) {
     const std::size_t half = len / 2;
     const std::size_t step = n_ / len;
     for (std::size_t i = 0; i < n_; i += len) {
+      float* const a = d + 2 * i;
+      float* const b = a + 2 * half;
       for (std::size_t k = 0; k < half; ++k) {
-        const std::complex<float> w = tw[k * step];
-        const std::complex<float> u = data[i + k];
-        const std::complex<float> v = data[i + k + half] * w;
-        data[i + k] = u + v;
-        data[i + k + half] = u - v;
+        const float wr = tw[2 * k * step];
+        const float wi = tw[2 * k * step + 1];
+        const float br = b[2 * k];
+        const float bi = b[2 * k + 1];
+        const float vr = br * wr - bi * wi;
+        const float vi = br * wi + bi * wr;
+        const float ur = a[2 * k];
+        const float ui = a[2 * k + 1];
+        a[2 * k] = ur + vr;
+        a[2 * k + 1] = ui + vi;
+        b[2 * k] = ur - vr;
+        b[2 * k + 1] = ui - vi;
       }
     }
   }

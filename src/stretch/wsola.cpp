@@ -2,11 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "djstar/support/assert.hpp"
 
 namespace djstar::stretch {
+namespace {
+/// Candidates scored per pass of best_offset(): four f64x2 of two each.
+constexpr std::size_t kSearchBlock = 8;
+/// Consumed input kept beyond the search slack before compacting.
+constexpr std::size_t kInputSlack = 4096;
+
+/// Two doubles (GCC/Clang vector extension); arithmetic is lane-wise.
+using f64x2 = double __attribute__((vector_size(16)));
+
+f64x2 load2(const double* p) noexcept {
+  f64x2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+}  // namespace
 
 Wsola::Wsola(const WsolaConfig& cfg) : cfg_(cfg) {
   DJSTAR_ASSERT_MSG(cfg_.overlap < cfg_.frame_size,
@@ -18,6 +34,17 @@ Wsola::Wsola(const WsolaConfig& cfg) : cfg_(cfg) {
                                    std::numbers::pi * static_cast<double>(i) /
                                    static_cast<double>(cfg_.overlap)));
   }
+  // The last search block may run up to kSearchBlock - 1 lanes past the
+  // 2 * tolerance + 1 candidates, each lane reading `overlap` samples.
+  search_.resize(2 * cfg_.tolerance + kSearchBlock + cfg_.overlap);
+  // Streaming capacity (see kStreamBlock). produce_frames() leaves less
+  // than the compaction slack plus two (frame + tolerance) spans of input
+  // before the next push. The output holds under a frame of read samples,
+  // what the caller left (< kStreamBlock), and one push's frames: at most
+  // 4 * (kStreamBlock + 1) samples at rate 0.25, plus one frame.
+  const std::size_t span = cfg_.frame_size + cfg_.tolerance;
+  input_.reserve(2 * span + kInputSlack + kStreamBlock);
+  output_.reserve(2 * cfg_.frame_size + 5 * kStreamBlock + 4);
   reset();
 }
 
@@ -47,8 +74,9 @@ std::size_t Wsola::pull(std::span<float> out) {
   const std::size_t n = std::min(out.size(), available());
   for (std::size_t i = 0; i < n; ++i) out[i] = output_[out_read_ + i];
   out_read_ += n;
-  // Periodically compact the output FIFO.
-  if (out_read_ > 1 << 15) {
+  // Compact once a frame's worth has been read: the FIFO then stays
+  // within the capacity reserved at construction.
+  if (out_read_ >= cfg_.frame_size) {
     output_.erase(output_.begin(),
                   output_.begin() + static_cast<std::ptrdiff_t>(out_read_));
     out_read_ = 0;
@@ -56,27 +84,48 @@ std::size_t Wsola::pull(std::span<float> out) {
   return n;
 }
 
-std::size_t Wsola::best_offset(std::size_t ideal) const noexcept {
+std::size_t Wsola::best_offset(std::size_t ideal) noexcept {
   // Search [ideal - tol, ideal + tol] for the start that maximizes
   // normalized cross-correlation between the previous tail and the
-  // overlap region of the candidate frame.
-  const std::size_t tol = cfg_.tolerance;
-  const std::size_t lo = ideal > tol ? ideal - tol : 0;
-  const std::size_t hi = ideal + tol;
+  // overlap region of the candidate frame. Candidates whose frame would
+  // run past the input are skipped.
+  const std::size_t overlap = cfg_.overlap;
+  const std::size_t lo = ideal > cfg_.tolerance ? ideal - cfg_.tolerance : 0;
+  if (lo + cfg_.frame_size > input_.size()) return ideal;
+  const std::size_t count =
+      std::min(ideal + cfg_.tolerance, input_.size() - cfg_.frame_size) - lo +
+      1;
+  double* const x = search_.data();
+  for (std::size_t j = 0; j + 1 < count + overlap; ++j) x[j] = input_[lo + j];
+
+  // Each lane sums one candidate's corr and energy over i = 0..overlap-1
+  // in order, from 0 and 1e-9; a float x float product is exact in
+  // double. So every score has the bits of the one-candidate-at-a-time
+  // loop, and the first strictly greater score still wins.
   std::size_t best = ideal;
   double best_score = -1e30;
-  for (std::size_t cand = lo; cand <= hi; ++cand) {
-    if (cand + cfg_.frame_size > input_.size()) break;
-    double corr = 0.0, energy = 1e-9;
-    for (std::size_t i = 0; i < cfg_.overlap; ++i) {
-      const double x = input_[cand + i];
-      corr += static_cast<double>(prev_tail_[i]) * x;
-      energy += x * x;
+  for (std::size_t c = 0; c < count; c += kSearchBlock) {
+    f64x2 corr[kSearchBlock / 2];
+    f64x2 energy[kSearchBlock / 2];
+    for (std::size_t v = 0; v < kSearchBlock / 2; ++v) {
+      corr[v] = f64x2{0.0, 0.0};
+      energy[v] = f64x2{1e-9, 1e-9};
     }
-    const double score = corr / std::sqrt(energy);
-    if (score > best_score) {
-      best_score = score;
-      best = cand;
+    for (std::size_t i = 0; i < overlap; ++i) {
+      const double t = prev_tail_[i];
+      for (std::size_t v = 0; v < kSearchBlock / 2; ++v) {
+        const f64x2 s = load2(x + c + i + 2 * v);
+        corr[v] += t * s;
+        energy[v] += s * s;
+      }
+    }
+    const std::size_t lanes = std::min(kSearchBlock, count - c);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const double score = corr[j / 2][j % 2] / std::sqrt(energy[j / 2][j % 2]);
+      if (score > best_score) {
+        best_score = score;
+        best = lo + c + j;
+      }
     }
   }
   return best;
@@ -123,8 +172,10 @@ void Wsola::produce_frames() {
   // Compact consumed input, keeping the search slack behind in_pos_.
   const std::size_t keep_behind = cfg_.tolerance + frame;
   const auto ipos = static_cast<std::size_t>(in_pos_);
-  if (ipos > keep_behind + 4096) {
-    const std::size_t drop = ipos - keep_behind;
+  if (ipos > keep_behind + kInputSlack) {
+    // A hop at rate 4 can carry the analysis position past the buffered
+    // input when frame + tolerance is small; drop at most what is there.
+    const std::size_t drop = std::min(ipos - keep_behind, input_.size());
     input_.erase(input_.begin(),
                  input_.begin() + static_cast<std::ptrdiff_t>(drop));
     in_pos_ -= static_cast<double>(drop);

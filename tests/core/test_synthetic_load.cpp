@@ -123,6 +123,30 @@ TEST(StrategyStats, BusyCountsSpinsOnAChain) {
   EXPECT_EQ(sleeper.stats().busy_wait_spins.load(), 0u);
 }
 
+TEST(StrategyStats, WorkStealingCountsWakeupsOfParkedWorkers) {
+  // A chain leaves one of two workers idle; parking after one failed
+  // steal round makes it park, and the release of each next link (or the
+  // completion notify) wakes it.
+  dc::TaskGraph g;
+  dc::NodeId prev = g.add_node("n0", [] { su::spin_for_us(200); });
+  for (int i = 1; i < 6; ++i) {
+    const auto n = g.add_node("n", [] { su::spin_for_us(200); });
+    g.add_edge(prev, n);
+    prev = n;
+  }
+  dc::CompiledGraph cg(g);
+  dc::ExecOptions opts;
+  opts.threads = 2;
+  dc::WorkStealingOptions wso;
+  wso.steal_rounds_before_park = 1;
+  dc::WorkStealingExecutor ws(cg, opts, wso);
+  for (int i = 0; i < 5; ++i) ws.run_cycle();
+  const auto sleeps = ws.stats().sleeps.load();
+  const auto wakeups = ws.stats().wakeups.load();
+  if (sleeps > 0) EXPECT_GT(wakeups, 0u) << "sleeps " << sleeps;
+  EXPECT_LE(wakeups, 5u * 6u) << "at most one per release plus completion";
+}
+
 TEST(StrategyStats, WorkStealingStealsWhenImbalanced) {
   // All work seeded into one section -> one deque; other threads must
   // steal to participate.
