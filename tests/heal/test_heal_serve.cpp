@@ -1,10 +1,12 @@
 // Serve-layer circuit-breaker integration (DESIGN.md §12): a session
-// that keeps blowing its deadline trips, is torn down and snapshot, and
-// is restored via a half-open probe — without disturbing co-hosted
-// realtime sessions or the admission log's replayability.
+// whose cycles keep failing (deadline misses, faults) trips, is torn
+// down and snapshot, and is restored via a half-open probe — without
+// disturbing co-hosted realtime sessions or the admission log's
+// replayability.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "djstar/serve/host.hpp"
@@ -184,34 +186,84 @@ TEST(ServeBreaker, DisabledBreakerNeverTrips) {
 }
 
 TEST(ServeBreaker, SnapshotRestoresDegradationLevelAndCost) {
+  using djstar::engine::DegradationLevel;
   dt::Watchdog watchdog(dt::scaled_timeout(120), "breaker snapshot");
-  ds::HostConfig cfg = breaker_host(/*k=*/4, /*backoff_ms=*/5.0);
-  // With K=4 the doomed session's EWMA cost estimate climbs well past
-  // the deadline before the trip, and a probe is admitted against that
-  // learned cost — at the default utilization bound every probe would be
-  // rejected and the restore could never happen. This test exercises the
-  // snapshot/restore semantics, not probe admission (covered elsewhere),
-  // so admit probes unconditionally.
+  // K faulted cycles trip the breaker, and each one also steps the ladder
+  // one rung (SupervisorConfig::fault_trip == 1). With K = 3 the snapshot
+  // holds kSequentialFallback, an interior rung: a restore that skipped
+  // the ladder walk (kFull) or ran it to the floor (kSafeMode) both show.
+  constexpr unsigned kTrip = 3;
+  ds::HostConfig cfg = breaker_host(kTrip, /*backoff_ms=*/5.0);
+  // A 20 ms fleet tick (the slo tests' idiom): a cycle of a few
+  // microseconds, preempted by test load, stays far inside it, so only
+  // the fault plan fails cycles. The session's deadline spans two ticks,
+  // so the tick that restores it does not run it, and the checks below
+  // see the state the restore left.
+  constexpr double kTickUs = 20'000.0;
+  cfg.default_tick_us = kTickUs;
+  // The probe is admitted against the recalibrated (measured) cost. A
+  // p99 inflated by load may pass the default density bound; probe
+  // admission is not what this test checks, so relax the bound.
   cfg.admission.utilization_bound = 50.0;
   ds::EngineHost host(cfg);
-  const ds::SessionId id = host.submit(doomed_session());
 
-  // Let the session run long enough that its own ladder degrades it,
-  // then trip + restore; the restored session must come back degraded
-  // (not at full quality, where it would instantly fault again).
-  bool restored = false;
-  // Generous budget: the trip needs K consecutive wall-clock misses and
-  // the backoff probe lands on virtual time, so a loaded or sanitized
-  // run can need far more cycles than a quiet one.
-  for (int i = 0; i < dt::scaled(600) && !restored; ++i) {
+  ds::SyntheticSpec spec;
+  spec.name = "snapshot";
+  spec.deadline_us = 2.0 * kTickUs;
+  spec.width = 2;
+  spec.depth = 2;
+  spec.node_cost_us = 0.5;
+  ds::SessionSpec session = ds::make_synthetic_session(spec);
+  const double declared_cost_us = 0.1 * spec.deadline_us;
+  session.cost_estimate_us = declared_cost_us;
+  const ds::SessionId id = host.submit(std::move(session));
+
+  // Hang guard only: every phase below ends on a state the virtual
+  // schedule reaches in well under a hundred ticks.
+  constexpr int kMaxTicks = 1000;
+
+  // recalibrate() replaces the declared cost with the measured p99 only
+  // once the session has 32 cycles of samples.
+  for (int i = 0; i < kMaxTicks; ++i) {
+    const ds::Session* s = host.session(id);
+    if (s != nullptr && s->counters().cycles >= 32) break;
     host.run_fleet_cycle();
-    for (const dj::Event& e : host.journal().drain_all()) {
-      if (e.kind == dj::EventKind::kSessionRestored) restored = true;
-    }
   }
-  ASSERT_TRUE(restored);
+  ds::Session* live = host.session(id);
+  ASSERT_NE(live, nullptr);
+  ASSERT_GE(live->counters().cycles, 32u);
+  ASSERT_EQ(live->supervisor().level(), DegradationLevel::kFull);
+  host.recalibrate();
+  const double cost_us = live->cost_estimate_us();
+  ASSERT_NE(cost_us, declared_cost_us);
+
+  // Every cycle from here throws at the source (node 0, which no rung
+  // masks). The plan is armed on the live compiled graph, not the spec,
+  // so the session rebuilt by the probe runs without it.
+  djstar::core::chaos::FaultPlan plan;
+  plan.throw_permille = 1000;
+  plan.targets = {0};
+  live->arm_faults(plan);
+
+  for (int i = 0;
+       i < kMaxTicks && host.session_state(id) != ds::SessionState::kTripped;
+       ++i) {
+    host.run_fleet_cycle();
+  }
+  ASSERT_EQ(host.session_state(id), ds::SessionState::kTripped);
+
+  for (int i = 0;
+       i < kMaxTicks && host.session_state(id) != ds::SessionState::kActive;
+       ++i) {
+    host.run_fleet_cycle();
+  }
+  ASSERT_EQ(host.session_state(id), ds::SessionState::kActive);
   const ds::Session* s = host.session(id);
-  if (s != nullptr) {  // may have re-tripped already; both are fine
-    EXPECT_GT(s->supervisor().level(), djstar::engine::DegradationLevel::kFull);
-  }
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->counters().cycles, 0u) << "a probe cycle ran before the checks";
+  EXPECT_EQ(s->supervisor().level(), DegradationLevel::kSequentialFallback)
+      << "restored at " << djstar::engine::to_string(s->supervisor().level())
+      << "; the level at the trip is " << kTrip << " rungs below kFull";
+  EXPECT_EQ(s->cost_estimate_us(), cost_us);
+  EXPECT_DOUBLE_EQ(host.active_density(), cost_us / s->deadline_us());
 }
