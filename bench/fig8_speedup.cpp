@@ -3,7 +3,6 @@
 // sequential execution, 1..4 threads. Paper: speedup rises to ~2.40 on
 // four cores (linear speedup impossible due to the dependency structure).
 #include "bench_common.hpp"
-#include "djstar/core/graph_opt.hpp"
 
 int main() {
   using namespace djstar;
@@ -41,39 +40,6 @@ int main() {
     }
     std::printf("\n");
     ++row;
-  }
-
-  // Beyond-paper column: the graph-opt pipeline (fuse + cached static
-  // schedule, DESIGN.md §11) replayed over the fused unit graph.
-  {
-    core::graph_opt::CostModel costs(ref.graph.graph().node_count());
-    costs.seed(ref.graph.reference_durations());
-    const auto plan = core::graph_opt::plan_fusion(ref.graph.graph(), costs);
-    core::CompiledGraph fused(ref.graph.graph(), plan);
-    const sim::SimGraph unit_ref =
-        sim::SimGraph::from_compiled_units(fused, ref.graph.reference_durations());
-    sim::DurationSampler sampler(ref.sim.duration_us);
-    std::vector<double> node_us;
-    std::printf("  %-6s", "OPT");
-    for (unsigned t = 1; t <= 4; ++t) {
-      sim::SimGraph g = unit_ref;
-      support::OnlineStats s;
-      for (std::size_t i = 0; i < iters; ++i) {
-        sampler.sample(node_us);
-        g.duration_us.assign(g.node_count(), 0.0);
-        for (core::UnitId u = 0; u < fused.unit_count(); ++u) {
-          for (core::NodeId m : fused.unit_members(u)) {
-            g.duration_us[u] += node_us[m];
-          }
-        }
-        s.add(sim::simulate_static(g, t).makespan_us);
-      }
-      const double speedup = seq_ms / (s.mean() / 1000.0);
-      std::printf(" %8.2f", speedup);
-      csv.cells("graph-opt", t, speedup);
-      if (t == 4) bars.push_back({"OPT @4", speedup});
-    }
-    std::printf("\n");
   }
 
   std::printf("\n%s\n",

@@ -1,16 +1,15 @@
 // bench/graph_opt.cpp
 // Graph-optimizer evaluation + CI regression gate.
 //
-// Simulated on the virtual 4-core machine (DESIGN.md §2): the host of
-// record has one core, so the fusion/static-schedule win is demonstrated
-// the same way the paper demonstrated schedule quality — in virtual time
-// with the calibrated overhead model. Three modes are compared:
-//   off         dynamic BUSY dispatch over the node graph
-//   fuse        dynamic BUSY dispatch over the fused unit graph
-//   fuse+static cached static replay over the fused unit graph
+// Simulated on the virtual 4-core machine (DESIGN.md §2): the fusion win
+// is demonstrated the same way the paper demonstrated schedule quality —
+// in virtual time with the calibrated overhead model. Two modes are
+// compared:
+//   off   dynamic BUSY dispatch over the node graph
+//   fuse  dynamic BUSY dispatch over the fused unit graph
 //
-// `--smoke` runs the CI gate: fuse and fuse+static must never be slower
-// than off beyond a noise margin at 4 threads (exit 1 on regression).
+// `--smoke` runs the CI gate: fuse must never be slower than off beyond
+// a noise margin at 4 threads (exit 1 on regression).
 #include <cstring>
 
 #include "bench_common.hpp"
@@ -44,9 +43,9 @@ struct UnitSampler {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bench::banner(
-      "graph-opt — node fusion + cached static schedules (DESIGN.md §11)",
+      "graph-opt — node fusion (DESIGN.md §11)",
       "dispatch overhead, not compute, limits speedup; fusing cheap nodes "
-      "and caching the schedule removes it");
+      "removes some of it");
 
   const std::size_t iters = smoke ? 2000 : bench::sim_iters();
   bench::ReferenceSetup ref;
@@ -66,8 +65,9 @@ int main(int argc, char** argv) {
   support::CsvWriter csv;
   csv.cells("mode", "threads", "mean_us", "speedup_vs_off");
 
-  const char* mode_names[] = {"off", "fuse", "fuse+static"};
-  double mean_us[3][4];  // [mode][threads-1]
+  const char* mode_names[] = {"off", "fuse"};
+  constexpr int kModes = 2;
+  double mean_us[kModes][4];  // [mode][threads-1]
 
   for (unsigned t = 1; t <= 4; ++t) {
     // off: dynamic BUSY over the node graph.
@@ -81,24 +81,22 @@ int main(int argc, char** argv) {
       }
       mean_us[0][t - 1] = s.mean();
     }
-    // fuse / fuse+static: over the unit graph.
+    // fuse: over the unit graph.
     {
       UnitSampler us(durations, fused);
       sim::SimGraph g = unit_sim;
-      support::OnlineStats dyn, rep;
+      support::OnlineStats dyn;
       for (std::size_t i = 0; i < iters; ++i) {
         us.fill(g.duration_us);
         dyn.add(sim::simulate_busy(g, t).makespan_us);
-        rep.add(sim::simulate_static(g, t).makespan_us);
       }
       mean_us[1][t - 1] = dyn.mean();
-      mean_us[2][t - 1] = rep.mean();
     }
   }
 
   std::printf("simulated mean cycle time (us), virtual machine:\n\n");
   std::printf("  %-12s %9s %9s %9s %9s\n", "mode", "T=1", "T=2", "T=3", "T=4");
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < kModes; ++m) {
     std::printf("  %-12s", mode_names[m]);
     for (unsigned t = 1; t <= 4; ++t) {
       std::printf(" %9.1f", mean_us[m][t - 1]);
@@ -109,7 +107,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<support::Bar> bars;
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < kModes; ++m) {
     bars.push_back({mode_names[m], mean_us[0][3] / mean_us[m][3]});
   }
   std::printf("\n%s\n",
@@ -123,7 +121,7 @@ int main(int argc, char** argv) {
     // CI gate: the optimizer must never lose to off beyond noise.
     constexpr double kNoise = 1.02;
     bool ok = true;
-    for (int m = 1; m < 3; ++m) {
+    for (int m = 1; m < kModes; ++m) {
       const double ratio = mean_us[m][3] / mean_us[0][3];
       std::printf("smoke: %s / off at 4 threads = %.3f (gate < %.2f) %s\n",
                   mode_names[m], ratio, kNoise,

@@ -108,7 +108,7 @@ BENCHMARK(BM_CondvarWakeRoundTrip)->UseRealTime();
 void BM_TeamCycleOverhead(benchmark::State& state) {
   // Fixed cost of dispatching one (empty) cycle across the team.
   const auto threads = static_cast<unsigned>(state.range(0));
-  core::Team team(threads, core::StartMode::kSpin, {}, [](unsigned) {});
+  core::Team team(threads, core::StartMode::kSpin, [](unsigned) {});
   for (auto _ : state) {
     team.run_cycle();
   }

@@ -13,36 +13,11 @@
 // check-vs-resolve race; see core/chaos.hpp.
 #pragma once
 
-#include <memory>
-
-#include "djstar/core/executor.hpp"
-#include "djstar/core/team.hpp"
-#include "djstar/support/time.hpp"
+#include "djstar/core/loop_executor.hpp"
 
 namespace djstar::core {
 
-/// Round-robin assignment + spin on unmet dependencies.
-class BusyWaitExecutor final : public Executor {
- public:
-  explicit BusyWaitExecutor(CompiledGraph& graph, ExecOptions opts = {});
-
-  void run_cycle() override;
-  std::string_view name() const noexcept override { return "busy"; }
-  unsigned threads() const noexcept override { return opts_.threads; }
-  const Team* team() const noexcept override { return team_.get(); }
-
- private:
-  void worker_body(unsigned w);
-  void heal_body(unsigned w);
-
-  CompiledGraph& graph_;
-  ExecOptions opts_;
-  support::Clock::time_point cycle_start_{};
-  // Replay the cached static plan this cycle? Decided in run_cycle();
-  // the team's generation bump (release/acquire) publishes it to the
-  // workers along with the rest of the cycle state.
-  bool use_plan_ = false;
-  std::unique_ptr<Team> team_;  // constructed last: workers use members above
-};
+/// Round-robin lanes + spin on unmet dependencies.
+using BusyWaitExecutor = LoopExecutor<Strategy::kBusyWait>;
 
 }  // namespace djstar::core

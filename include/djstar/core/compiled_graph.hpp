@@ -116,7 +116,7 @@ class CompiledGraph {
   /// the unit's members, and for the first member whose decision is a
   /// worker kind wins a per-node one-shot CAS so exactly one caller per
   /// cycle receives the kind (everyone else gets kNone — re-decisions
-  /// after a quarantine republish see the consumed flag). Counts into
+  /// after a quarantine adoption see the consumed flag). Counts into
   /// faults_injected() and journals like any node fault. Called by the
   /// healing executors before running a claimed unit; execute() consults
   /// the same one-shot flag, so a kind consumed here never fires again
@@ -266,10 +266,10 @@ class CompiledGraph {
   //
   // The healing strategy paths gate every unit execution behind a CAS on
   // the unit's claim flag (0 free -> 1 running -> 2 done). A unit that
-  // reaches two workers — a quarantined worker's lane adopted by several
-  // survivors, a duplicate republish into the shared ring or the orphan
-  // buffer — still runs exactly once: the claim loser just moves on, and
-  // only the winner resolves successors. units_done() is the heal paths'
+  // reaches two workers — a stranded unit adopted by several survivors,
+  // an adopted unit still queued in a lane, ring or deque — still runs
+  // exactly once: the claim loser just moves on, and only the winner
+  // resolves successors. units_done() is the heal paths'
   // cycle-completion condition (it also advances on drained cycles, so
   // cancellation still terminates every worker).
 

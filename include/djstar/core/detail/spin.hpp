@@ -1,15 +1,22 @@
 // djstar/core/detail/spin.hpp
 // CPU pause primitive and the escalating spin-wait loop shared by the
-// busy-waiting and work-stealing strategies.
+// busy-waiting strategy and the spin-mode team start.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
 
-#include "djstar/core/executor.hpp"
-
 namespace djstar::core::detail {
+
+/// Hardware pauses between re-checks before a waiter escalates to yield.
+inline constexpr std::uint64_t kPauseIterations = 64;
+/// Yields before a waiter escalates to 1 us sleeps. At ~0.34 us per
+/// yield (4-vCPU Xeon VM) this is ~1.4 ms, so in a paced loop (one cycle
+/// per 2.9 ms) a team parked between cycles reaches the sleep tier every
+/// cycle.
+inline constexpr std::uint64_t kYieldsBeforeSleep = 4096;
 
 /// One architectural pause/yield hint inside a spin loop.
 inline void cpu_pause() noexcept {
@@ -22,19 +29,16 @@ inline void cpu_pause() noexcept {
 #endif
 }
 
-/// Escalating waiter: `pause_iterations` hardware pauses, then
-/// std::this_thread::yield(), then (defensively) a 1 us sleep after
-/// `yields_before_sleep` yields. Reset after the awaited condition holds.
+/// Escalating waiter: kPauseIterations hardware pauses, then
+/// std::this_thread::yield(), then a 1 us sleep after kYieldsBeforeSleep
+/// yields. Reset after the awaited condition holds.
 class SpinWaiter {
  public:
-  explicit SpinWaiter(const SpinPolicy& p) noexcept : policy_(p) {}
-
   /// One wait step; call in a loop around the condition re-check.
-  /// Returns the number of spins performed so far (for stats).
   void step() noexcept {
-    if (count_ < policy_.pause_iterations) {
+    if (count_ < kPauseIterations) {
       cpu_pause();
-    } else if (count_ < policy_.pause_iterations + policy_.yields_before_sleep) {
+    } else if (count_ < kPauseIterations + kYieldsBeforeSleep) {
       std::this_thread::yield();
     } else {
       std::this_thread::sleep_for(std::chrono::microseconds(1));
@@ -42,11 +46,11 @@ class SpinWaiter {
     ++count_;
   }
 
+  /// Steps performed so far (for stats).
   std::uint64_t spins() const noexcept { return count_; }
   void reset() noexcept { count_ = 0; }
 
  private:
-  SpinPolicy policy_;
   std::uint64_t count_ = 0;
 };
 

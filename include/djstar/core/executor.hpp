@@ -15,15 +15,20 @@ namespace djstar::core {
 
 class Team;  // team.hpp (includes this header)
 
-/// How a thread waits for an unmet dependency or an empty queue.
-struct SpinPolicy {
-  /// Hardware pauses between re-checks before escalating to yield.
-  std::uint32_t pause_iterations = 64;
-  /// After this many yields, sleep 1 us (defensive against priority
-  /// inversion on oversubscribed machines; effectively never reached on
-  /// the paper's setup).
-  std::uint32_t yields_before_sleep = 4096;
+/// The paper's three parallelization strategies, the sequential
+/// baseline, and the shared-ready-queue variant the paper sketches as
+/// the improvement over thread-sleeping (§V-B, see shared_queue.hpp).
+/// Each is one configuration of the worker loop (loop_executor.hpp).
+enum class Strategy {
+  kSequential,
+  kBusyWait,
+  kSleep,
+  kWorkStealing,
+  kSharedQueue,
 };
+
+/// Canonical short name ("sequential", "busy", "sleep", "ws", "shared").
+std::string_view to_string(Strategy s) noexcept;
 
 /// Per-run counters, aggregated over all workers since construction or the
 /// last stats_reset(). Loads are relaxed: values are for reporting only.
@@ -73,7 +78,6 @@ struct ExecOptions {
   /// fixes this to 4 ("increasing the thread count above four does not
   /// accelerate the computations any further", §VI).
   unsigned threads = 4;
-  SpinPolicy spin{};
   /// Optional schedule tracing (arm the recorder with `threads` lanes to
   /// capture Fig.-11-style realizations). May be nullptr.
   support::TraceRecorder* trace = nullptr;
@@ -81,21 +85,24 @@ struct ExecOptions {
   /// Unlike `trace` it overwrites instead of filling up, so it can stay
   /// enabled for the life of the engine. May be nullptr.
   support::FlightRecorder* flight = nullptr;
-  /// Optional cached static schedule (graph_opt::build_static_plan) over
-  /// the bound graph's units. When non-null, valid() and built for the
-  /// same thread count, the parallel executors replay it instead of
-  /// scheduling dynamically; the decision is re-made at every cycle
-  /// start, so invalidating the plan between cycles falls back to the
-  /// dynamic path on the next cycle. Must outlive the executor. The
-  /// sequential strategy ignores it. May be nullptr.
-  const graph_opt::StaticPlan* static_plan = nullptr;
   /// Worker self-healing (DESIGN.md §12). With mode != kOff the parallel
   /// executors build their Team with a medic, run every unit through the
-  /// claim-gated heal path, and install a rescue hook that republishes a
-  /// quarantined worker's units. Forces dynamic scheduling: a cached
-  /// static plan assumes a fixed healthy team, so plan replay is skipped
-  /// while healing is armed (detail::plan_active).
+  /// claim gate, and adopt ready units a quarantined worker left behind.
   TeamHealConfig heal{};
+};
+
+/// How the work-stealing configuration distributes source nodes at
+/// cycle start.
+enum class SeedMode {
+  kBySection,   ///< paper default: same section -> same thread
+  kRoundRobin,  ///< ablation: ignore sections
+};
+
+/// Work-stealing specific options.
+struct WorkStealingOptions {
+  SeedMode seed = SeedMode::kBySection;
+  /// Failed full steal rounds before a worker parks on the idle cv.
+  std::uint32_t steal_rounds_before_park = 16;
 };
 
 /// A scheduling strategy bound to one compiled graph. run_cycle()
@@ -112,7 +119,8 @@ class Executor {
   /// Execute one audio processing cycle of the bound graph.
   virtual void run_cycle() = 0;
 
-  /// Strategy name ("sequential", "busy", "sleep", "ws").
+  /// Strategy name: "sequential", "busy", "sleep", "ws" or "shared"
+  /// (to_string() of the configuration's Strategy).
   virtual std::string_view name() const noexcept = 0;
 
   /// Worker count (including the calling thread).

@@ -12,20 +12,6 @@
 
 namespace djstar::core {
 
-/// The paper's three parallelization strategies, the sequential
-/// baseline, and the shared-ready-queue variant the paper sketches as
-/// the improvement over thread-sleeping (§V-B, see shared_queue.hpp).
-enum class Strategy {
-  kSequential,
-  kBusyWait,
-  kSleep,
-  kWorkStealing,
-  kSharedQueue,
-};
-
-/// Canonical short name ("sequential", "busy", "sleep", "ws").
-std::string_view to_string(Strategy s) noexcept;
-
 /// Parse a short name; nullopt for unknown strings.
 std::optional<Strategy> parse_strategy(std::string_view name) noexcept;
 

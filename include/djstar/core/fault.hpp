@@ -44,8 +44,8 @@ enum class FaultKind : std::uint8_t {
   // Worker faults (DESIGN.md §12): these target the *thread* that picked
   // the node up, not the node. With a healing team (HealMode != kOff,
   // parallel strategy) they fire pre-execution at unit granule — the
-  // worker wedges with no heartbeat / dies, and the medic quarantines it
-  // and republishes the unit. Without a medic CompiledGraph::execute()
+  // worker wedges with no heartbeat / dies, the medic quarantines it,
+  // and a survivor adopts the unit. Without a medic CompiledGraph::execute()
   // degrades them so no configuration can hang: kStallForever becomes a
   // bounded kStall of stall_us, kWorkerAbort a no-op (the node still
   // runs; there is no thread-level recovery to exercise).

@@ -7,34 +7,21 @@
 // Star nodes run in well under a microsecond while every dynamic
 // dispatch costs a dependency check plus a ready-queue operation
 // (support/cost_table.hpp: ~1.2 us). This pass attacks that overhead at
-// compile time, in two stages:
-//
-//  1. FUSION — a legality-checked pass that collapses linear chains,
-//     single-use fan-in clusters, and batches of independent sinks of
-//     cheap nodes into fused *units*. A
-//     unit is the executors' new scheduling granule: one dependency
-//     counter, one queue entry, members executed back to back in
-//     topological order. Fusion never crosses the cost budget that would
-//     serialize the critical path, and it preserves:
-//       - precedence (units are convex: no path leaves and re-enters),
-//       - exactly-once semantics (each member still executes once),
-//       - fault-injection identity (faults keep targeting ORIGINAL node
-//         ids — CompiledGraph::execute() is still per-node),
-//       - per-node observability (executors emit one kRun span per
-//         member, nested inside a kFused envelope span).
-//
-//  2. STATIC SCHEDULE — for graphs whose measured variance is low, a
-//     critical-path-first (longest-path-first, He et al.'s "Longer Is
-//     Shorter" shaping) list schedule over the fused units, cached as a
-//     per-worker replay list. Executors replay it with near-zero queue
-//     traffic: each worker walks its own list, spin-checks the unit's
-//     dependency counter, runs it, resolves successors. The plan carries
-//     an atomic validity flag so the engine can invalidate it between
-//     cycles (EWMA drift, supervisor level change) and executors fall
-//     back to their dynamic path on the very next cycle.
+// compile time: a legality-checked FUSION pass collapses linear chains,
+// single-use fan-in clusters, and batches of independent sinks of cheap
+// nodes into fused *units*. A unit is the executors' scheduling granule:
+// one dependency counter, one queue entry, members executed back to back
+// in topological order. Fusion never crosses the cost budget that would
+// serialize the critical path, and it preserves:
+//   - precedence (units are convex: no path leaves and re-enters),
+//   - exactly-once semantics (each member still executes once),
+//   - fault-injection identity (faults keep targeting ORIGINAL node
+//     ids — CompiledGraph::execute() is still per-node),
+//   - per-node observability (executors emit one kRun span per member,
+//     nested inside a kFused envelope span).
+// Fusion plans once, at construction, from seeded costs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -44,39 +31,28 @@
 #include "djstar/core/graph.hpp"
 #include "djstar/support/cost_table.hpp"
 
-namespace djstar::core {
+namespace djstar::core::graph_opt {
 
-class CompiledGraph;
-
-namespace graph_opt {
-
-/// Pipeline stage selection (DJSTAR_GRAPH_OPT=off|fuse|fuse+static).
+/// Pipeline stage selection (DJSTAR_GRAPH_OPT=off|fuse).
 enum class Mode {
-  kOff,         ///< compile the graph as-is (one unit per node)
-  kFuse,        ///< run the fusion pass
-  kFuseStatic,  ///< fusion + cached static schedule replay
+  kOff,   ///< compile the graph as-is (one unit per node)
+  kFuse,  ///< run the fusion pass
 };
 
 std::string_view to_string(Mode m) noexcept;
 std::optional<Mode> parse_mode(std::string_view name) noexcept;
 
 /// Hardened DJSTAR_GRAPH_OPT parsing: unset returns nullopt, a value
-/// that is empty after trimming or not in {off, fuse, fuse+static}
+/// that is empty after trimming or not in {off, fuse}
 /// throws std::invalid_argument (a misspelled mode must not silently
 /// disable the optimizer).
 std::optional<Mode> mode_from_env();
 
 // ---- cost model -------------------------------------------------------------
 
-/// Per-node execution-cost estimates in microseconds.
-///
-/// Seeded once from offline measurements (bench/node_profile's per-node
-/// means, or DjStarGraph::reference_durations() for the paper graph) and
-/// refined online through observe(): an EWMA of subsequent measurements
-/// (executor span timings, re-measurement sweeps). The model also tracks
-/// an EWMA of the absolute deviation per node, which is what the static
-/// schedule pass consults — a plan is only worth caching when the
-/// measured variance is low.
+/// Per-node execution-cost estimates in microseconds, seeded once from
+/// offline measurements (bench/node_profile's per-node means, or
+/// DjStarGraph::reference_durations() for the paper graph).
 ///
 /// Thread safety: none. Mutate from the controlling thread between
 /// cycles, like every other compile-time structure.
@@ -85,45 +61,15 @@ class CostModel {
   /// `n` nodes, all starting at `default_cost_us`.
   explicit CostModel(std::size_t n, double default_cost_us = 1.0);
 
-  /// Replace every estimate (deviations reset to zero). `costs.size()`
-  /// must equal node_count().
+  /// Replace every estimate. `costs.size()` must equal node_count().
   void seed(std::span<const double> costs);
-
-  /// Fold one measurement of node `n` into the EWMA estimate.
-  void observe(NodeId n, double us) noexcept;
-
-  /// Fold one whole-cycle graph time into the cycle-level EWMA (drives
-  /// the engine's drift detection; see drift_ratio()).
-  void observe_cycle(double graph_us) noexcept;
 
   std::size_t node_count() const noexcept { return cost_.size(); }
   double cost(NodeId n) const noexcept { return cost_[n]; }
   std::span<const double> costs() const noexcept { return cost_; }
-  /// EWMA of |measurement - estimate| for node `n` (0 until observed).
-  double deviation(NodeId n) const noexcept { return dev_[n]; }
-  std::uint64_t observations() const noexcept { return observations_; }
-
-  /// Largest per-node coefficient of variation (deviation / cost) over
-  /// nodes whose cost is non-negligible. The static-schedule pass caches
-  /// a plan only when this is at most its variance gate.
-  double max_cv() const noexcept;
-
-  /// Cycle-level EWMA of graph time (0 until observe_cycle() was called).
-  double cycle_ewma_us() const noexcept { return cycle_ewma_us_; }
-  /// Ratio of the current cycle EWMA to `baseline_us` (1.0 when either
-  /// is zero) — the engine's staleness test for cached static plans.
-  double drift_ratio(double baseline_us) const noexcept;
-
-  /// EWMA smoothing factor (weight of the newest sample).
-  double alpha() const noexcept { return alpha_; }
-  void set_alpha(double a) noexcept { alpha_ = a; }
 
  private:
   std::vector<double> cost_;
-  std::vector<double> dev_;
-  double alpha_ = 0.1;
-  double cycle_ewma_us_ = 0.0;
-  std::uint64_t observations_ = 0;
 };
 
 // ---- fusion pass ------------------------------------------------------------
@@ -187,78 +133,4 @@ struct Plan {
 Plan plan_fusion(const TaskGraph& g, const CostModel& costs,
                  const FusionOptions& opt = {});
 
-// ---- cached static schedule -------------------------------------------------
-
-/// A cached critical-path-first schedule over a compiled graph's units:
-/// per-worker replay lists, ordered by scheduled start time. Executors
-/// given a plan via ExecOptions replay it when valid() and fall back to
-/// their dynamic scheduling when not. The flag is the only field ever
-/// touched concurrently (engine writes between cycles, executors read at
-/// cycle start).
-class StaticPlan {
- public:
-  StaticPlan(unsigned threads,
-             std::vector<std::vector<std::uint32_t>> assignment,
-             double predicted_makespan_us)
-      : threads_(threads),
-        assignment_(std::move(assignment)),
-        predicted_makespan_us_(predicted_makespan_us) {}
-
-  // Movable so build_static_plan() can return by value (the atomic flag
-  // needs a manual transfer); not copyable.
-  StaticPlan(StaticPlan&& o) noexcept
-      : threads_(o.threads_),
-        assignment_(std::move(o.assignment_)),
-        predicted_makespan_us_(o.predicted_makespan_us_),
-        valid_(o.valid_.load(std::memory_order_relaxed)) {}
-  StaticPlan& operator=(StaticPlan&&) = delete;
-
-  /// Swap in a freshly built schedule and revalidate. Call only between
-  /// cycles — executors hold a pointer to this object and read it while
-  /// a cycle is in flight.
-  void replace(StaticPlan&& fresh) noexcept {
-    threads_ = fresh.threads_;
-    assignment_ = std::move(fresh.assignment_);
-    predicted_makespan_us_ = fresh.predicted_makespan_us_;
-    valid_.store(true, std::memory_order_release);
-  }
-
-  unsigned threads() const noexcept { return threads_; }
-  /// Unit ids worker `w` replays, in start order.
-  std::span<const std::uint32_t> worker_units(unsigned w) const noexcept {
-    return assignment_[w];
-  }
-  double predicted_makespan_us() const noexcept {
-    return predicted_makespan_us_;
-  }
-
-  bool valid() const noexcept {
-    return valid_.load(std::memory_order_acquire);
-  }
-  /// Engine-side staleness lever; call only between cycles.
-  void invalidate() noexcept {
-    valid_.store(false, std::memory_order_release);
-  }
-  void revalidate() noexcept {
-    valid_.store(true, std::memory_order_release);
-  }
-
- private:
-  unsigned threads_;
-  std::vector<std::vector<std::uint32_t>> assignment_;
-  double predicted_makespan_us_;
-  std::atomic<bool> valid_{true};
-};
-
-/// Build a static plan for `threads` workers over `cg`'s units with
-/// longest-path-first list scheduling (HLF / He et al.): ready units are
-/// started in decreasing upward-rank order on the earliest-free worker.
-/// Unit costs are the sums of `costs` over members. The per-worker
-/// order is the simulated start order, which makes lock-step replay
-/// deadlock-free (every unit's predecessors appear strictly earlier in
-/// the simulated schedule).
-StaticPlan build_static_plan(const CompiledGraph& cg, const CostModel& costs,
-                             unsigned threads);
-
-}  // namespace graph_opt
-}  // namespace djstar::core
+}  // namespace djstar::core::graph_opt

@@ -15,18 +15,19 @@
 //    threads at a cycle boundary.
 //  - The Team's medic thread (team.cpp) scans the board mid-cycle; a
 //    worker whose heartbeat stops longer than the budget is quarantined:
-//    its unfinished work is republished to the survivors (per-strategy
-//    rescue hooks, deduplicated by the graph's unit claims) and its
+//    the survivors adopt every ready unit it left unclaimed (the worker
+//    loop's rescue path, deduplicated by the graph's unit claims) and its
 //    barrier slot is credited so the cycle completes on N-1 workers.
 //  - With HealMode::kRespawn the Team joins the dead thread and spawns a
 //    replacement at the next cycle boundary; kQuarantine leaves the team
-//    permanently one worker down (still correct — the round-robin
-//    strategies adopt the dead lane every cycle).
+//    permanently one worker down (still correct — survivors adopt the
+//    dead worker's share every cycle).
 //
 // Exactly-once under quarantine relies on CompiledGraph's unit claims
 // (compiled_graph.hpp): every heal-path execution is gated by a CAS on
 // the unit's claim flag, so a unit that reaches two workers (a false
-// positive quarantine, a duplicate republish) still runs once.
+// positive quarantine, an adopted unit still queued elsewhere) still
+// runs once.
 #pragma once
 
 #include <atomic>
@@ -96,7 +97,7 @@ const char* to_string(WorkerState s) noexcept;
 struct HealStats {
   std::uint64_t quarantines = 0;    ///< workers quarantined by the medic
   std::uint64_t respawns = 0;       ///< replacement threads spawned
-  std::uint64_t rescues = 0;        ///< units republished from dead workers
+  std::uint64_t rescues = 0;        ///< units adopted from dead workers
   std::uint64_t worker_faults = 0;  ///< kStallForever/kWorkerAbort fired
   unsigned live = 0;                ///< workers currently not quarantined
   unsigned threads = 0;             ///< configured team width
@@ -149,7 +150,7 @@ class HealthBoard {
   }
 
   /// Number of currently quarantined workers (maintained by the medic /
-  /// team maintenance, read by the strategies' adoption scans).
+  /// team maintenance, read by the worker loop's adoption scan).
   unsigned dead() const noexcept {
     return dead_.load(std::memory_order_acquire);
   }
@@ -166,7 +167,7 @@ class HealthBoard {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Units republished from quarantined workers (rescue hooks).
+  /// Units survivors adopted while a worker was quarantined.
   void note_rescued(std::uint64_t n) noexcept {
     rescued_units_.fetch_add(n, std::memory_order_relaxed);
   }

@@ -3,23 +3,11 @@
 // dependency-sorted node queue (paper §IV, last paragraph).
 #pragma once
 
-#include "djstar/core/executor.hpp"
-#include "djstar/support/time.hpp"
+#include "djstar/core/loop_executor.hpp"
 
 namespace djstar::core {
 
 /// Executes the levelized queue front to back on the calling thread.
-class SequentialExecutor final : public Executor {
- public:
-  explicit SequentialExecutor(CompiledGraph& graph, ExecOptions opts = {});
-
-  void run_cycle() override;
-  std::string_view name() const noexcept override { return "sequential"; }
-  unsigned threads() const noexcept override { return 1; }
-
- private:
-  CompiledGraph& graph_;
-  ExecOptions opts_;
-};
+using SequentialExecutor = LoopExecutor<Strategy::kSequential>;
 
 }  // namespace djstar::core

@@ -8,60 +8,19 @@
 // start times for node computations. At the same time, this aspect
 // raises the queue management overhead."
 //
-// This executor implements exactly that trade-off in its plainest form:
-// one shared, mutex-protected queue of *ready* nodes. Every thread pulls
-// whatever is executable; nobody ever waits for a specific node. The
-// price is a lock acquisition per pop and per push — the "queue
+// This configuration implements exactly that trade-off in its plainest
+// form: one shared, mutex-protected ring of *ready* nodes. Every thread
+// pulls whatever is executable; nobody ever waits for a specific node.
+// The price is a lock acquisition per pop and per push — the "queue
 // management overhead" the paper warns about, measurable against the
 // lock-free work-stealing deques in bench/ablation_strategies.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-#include "djstar/core/executor.hpp"
-#include "djstar/core/team.hpp"
-#include "djstar/support/time.hpp"
+#include "djstar/core/loop_executor.hpp"
 
 namespace djstar::core {
 
 /// Shared ready-queue scheduling (a centralized-queue greedy scheduler).
-class SharedQueueExecutor final : public Executor {
- public:
-  explicit SharedQueueExecutor(CompiledGraph& graph, ExecOptions opts = {});
-
-  void run_cycle() override;
-  std::string_view name() const noexcept override { return "shared"; }
-  unsigned threads() const noexcept override { return opts_.threads; }
-  const Team* team() const noexcept override { return team_.get(); }
-
- private:
-  void worker_body(unsigned w);
-  void heal_body(unsigned w);
-  void heal_rescue();
-
-  CompiledGraph& graph_;
-  ExecOptions opts_;
-  // Self-healing (DESIGN.md §12): decided per cycle like use_plan_ and
-  // published by the team's generation bump.
-  bool heal_armed_ = false;
-
-  // The shared ready queue (CP.50: data and its mutex live together).
-  // Preallocated ring so pushes on the audio path never allocate.
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<UnitId> ring_;
-  std::size_t head_ = 0, tail_ = 0;  // guarded by mutex_
-  std::size_t executed_ = 0;          // guarded by mutex_
-
-  support::Clock::time_point cycle_start_{};
-  // Static-plan replay decision for the cycle (published by the team's
-  // generation bump; replay bypasses the shared queue entirely).
-  bool use_plan_ = false;
-  std::unique_ptr<Team> team_;
-};
+using SharedQueueExecutor = LoopExecutor<Strategy::kSharedQueue>;
 
 }  // namespace djstar::core

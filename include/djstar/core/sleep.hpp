@@ -14,49 +14,11 @@
 // dependency and the notify (kBeforeNotify); see core/chaos.hpp.
 #pragma once
 
-#include <condition_variable>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-#include "djstar/core/executor.hpp"
-#include "djstar/core/team.hpp"
-#include "djstar/support/time.hpp"
+#include "djstar/core/loop_executor.hpp"
 
 namespace djstar::core {
 
-/// Round-robin assignment + waiter registration + successor signalling.
-class SleepExecutor final : public Executor {
- public:
-  explicit SleepExecutor(CompiledGraph& graph, ExecOptions opts = {});
-
-  void run_cycle() override;
-  std::string_view name() const noexcept override { return "sleep"; }
-  unsigned threads() const noexcept override { return opts_.threads; }
-  const Team* team() const noexcept override { return team_.get(); }
-
- private:
-  void worker_body(unsigned w);
-  void heal_body(unsigned w);
-
-  /// One park slot per worker: a worker only ever sleeps on its own slot,
-  /// and only one node at a time can have it registered as waiter
-  /// (CP.50: the mutex lives with the condition it guards).
-  struct alignas(64) Slot {
-    std::mutex m;
-    std::condition_variable cv;
-  };
-
-  CompiledGraph& graph_;
-  ExecOptions opts_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  support::Clock::time_point cycle_start_{};
-  // Static-plan replay decision for the cycle (published by the team's
-  // generation bump). Replay spin-waits instead of parking: the plan
-  // already minimizes dependency stalls, so waits are too short to be
-  // worth a sleep/wake round trip.
-  bool use_plan_ = false;
-  std::unique_ptr<Team> team_;
-};
+/// Round-robin lanes + waiter registration + successor signalling.
+using SleepExecutor = LoopExecutor<Strategy::kSleep>;
 
 }  // namespace djstar::core

@@ -24,8 +24,8 @@
 // Self-healing (DESIGN.md §12): a team built with a TeamHealConfig whose
 // mode is not kOff runs a medic thread that scans the HealthBoard while
 // a cycle is in flight. A worker whose heartbeat goes silent past the
-// budget is quarantined: the strategy's rescue hook republishes its
-// unfinished units to the survivors, and the medic credits the dead
+// budget is quarantined: the survivors adopt the ready units it left
+// unclaimed (the executors' worker loop), and the medic credits the dead
 // worker's barrier slot so dispatch_cycle() still returns. The credit is
 // arbitrated by a CAS on the worker's state (kActive -> kFinished by the
 // worker itself vs kActive/kAborted -> kQuarantined by the medic), so a
@@ -53,7 +53,7 @@ namespace djstar::core {
 
 /// How parked workers wait for the next cycle.
 enum class StartMode {
-  kSpin,     ///< spin+yield on the generation counter (lowest latency)
+  kSpin,     ///< detail::SpinWaiter on the generation counter
   kCondvar,  ///< sleep on a condition variable (no idle CPU burn)
 };
 
@@ -62,20 +62,15 @@ class Team {
  public:
   /// The per-cycle body; `worker` in [0, threads).
   using WorkerFn = std::function<void(unsigned worker)>;
-  /// Rescue hook: called from the medic thread, mid-cycle, after worker
-  /// `victim` was quarantined. The strategy republishes the victim's
-  /// unfinished units to the survivors and kicks any parked workers.
-  using RescueFn = std::function<void(unsigned victim)>;
 
   /// Spawns `threads - 1` OS threads (thread 0 is the caller).
-  Team(unsigned threads, StartMode mode, SpinPolicy spin, WorkerFn fn,
+  Team(unsigned threads, StartMode mode, WorkerFn fn,
        TeamHealConfig heal = {});
 
   /// External-submission team: no owned body; every cycle's body is
   /// passed to run_cycle(fn). Used by serve::EngineHost to share one
   /// worker pool between many hosted executors.
-  Team(unsigned threads, StartMode mode, SpinPolicy spin,
-       TeamHealConfig heal = {});
+  Team(unsigned threads, StartMode mode, TeamHealConfig heal = {});
 
   /// Requests stop and joins all workers.
   ~Team();
@@ -92,14 +87,6 @@ class Team {
   /// worker has finished). Callable in either mode; the owned body, if
   /// any, is restored afterwards.
   void run_cycle(const WorkerFn& fn);
-
-  /// Hosted variant with a per-cycle rescue hook (serve: the hook belongs
-  /// to the session's executor, which changes every cycle).
-  void run_cycle(const WorkerFn& fn, const RescueFn& rescue);
-
-  /// Owned-body teams install their rescue hook once, after construction
-  /// and before the first healing cycle.
-  void set_rescue(RescueFn rescue);
 
   unsigned threads() const noexcept { return threads_; }
 
@@ -156,7 +143,6 @@ class Team {
 
   unsigned threads_;
   StartMode mode_;
-  SpinPolicy spin_;
   WorkerFn fn_;
   // Body for the cycle in flight: &fn_ (owned mode) or the caller's
   // submitted body. Written by the dispatching thread before the
@@ -182,11 +168,6 @@ class Team {
   // ---- self-healing state ----
   TeamHealConfig heal_{};
   HealthBoard health_;
-  // Rescue hook for the cycle in flight. The owned hook is stable; the
-  // hosted hook is published for the duration of one run_cycle(fn,
-  // rescue) call (the medic only dereferences it while in_cycle_).
-  RescueFn rescue_owned_;
-  std::atomic<const RescueFn*> rescue_{nullptr};
   // True between the generation bump and the barrier return; the medic
   // only quarantines mid-cycle (between cycles a silent worker is just
   // parked).

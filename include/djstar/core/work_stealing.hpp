@@ -6,7 +6,8 @@
 // steal from the top (FIFO, oldest node — most likely to fan out new
 // work). At cycle start, the main thread seeds the deques with the
 // source nodes, grouped by graph section (Deck A/B/C/D, Master) so nodes
-// touching the same audio data land on the same thread.
+// touching the same audio data land on the same thread
+// (WorkStealingOptions in executor.hpp).
 //
 // Schedule fuzzing: chaos::maybe_perturb() sites cover the push-vs-park
 // race (kNodeReady after the push, kBeforeWait between the epoch read
@@ -14,98 +15,11 @@
 // inside ChaseLevDeque. See core/chaos.hpp.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-#include "djstar/core/chase_lev_deque.hpp"
-#include "djstar/core/executor.hpp"
-#include "djstar/core/team.hpp"
-#include "djstar/support/time.hpp"
+#include "djstar/core/loop_executor.hpp"
 
 namespace djstar::core {
 
-/// How the main thread distributes source nodes at cycle start.
-enum class SeedMode {
-  kBySection,   ///< paper default: same section -> same thread
-  kRoundRobin,  ///< ablation: ignore sections
-};
-
-/// Work-stealing specific options.
-struct WorkStealingOptions {
-  SeedMode seed = SeedMode::kBySection;
-  /// Failed full steal rounds before a worker parks on the idle cv.
-  std::uint32_t steal_rounds_before_park = 16;
-};
-
 /// Per-thread deques with stealing; see header comment.
-class WorkStealingExecutor final : public Executor {
- public:
-  explicit WorkStealingExecutor(CompiledGraph& graph, ExecOptions opts = {},
-                                WorkStealingOptions ws = {});
-
-  /// Hosted variant: run on `shared_team` (external-submission mode)
-  /// instead of owning a worker pool. The serve layer uses this to
-  /// multiplex many session graphs over one team; opts.threads must
-  /// equal shared_team.threads(). The team must outlive the executor.
-  WorkStealingExecutor(CompiledGraph& graph, Team& shared_team,
-                       ExecOptions opts = {}, WorkStealingOptions ws = {});
-
-  void run_cycle() override;
-  std::string_view name() const noexcept override { return "ws"; }
-  unsigned threads() const noexcept override { return opts_.threads; }
-  const Team* team() const noexcept override {
-    return shared_ != nullptr ? shared_ : team_.get();
-  }
-
- private:
-  void worker_body(unsigned w);
-  void seed_inboxes();
-  void on_unit_ready(unsigned w, UnitId u);
-  // `stolen_from` reports the victim worker when the unit came from a
-  // steal (attribution wants the span stamped); -1 for own-deque pops
-  // and orphan adoptions (the original owner is quarantined/unknown).
-  bool try_get_unit(unsigned w, UnitId& out, std::int32_t& stolen_from);
-  void heal_rescue(unsigned victim);
-
-  struct alignas(64) PerWorker {
-    std::unique_ptr<ChaseLevDeque> deque;
-    // Seeded by the main thread before the cycle's generation bump
-    // (which publishes it with release/acquire), drained by the worker.
-    std::vector<UnitId> inbox;
-  };
-
-  CompiledGraph& graph_;
-  ExecOptions opts_;
-  WorkStealingOptions ws_;
-  std::vector<PerWorker> per_worker_;
-
-  alignas(64) std::atomic<std::size_t> executed_{0};
-  // Idle parking: workers that fail repeated steal rounds sleep here and
-  // are woken when new work is pushed (paper: WS only sleeps when solely
-  // blocked nodes remain).
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-  std::atomic<std::uint32_t> idle_epoch_{0};
-  std::atomic<std::uint32_t> idlers_{0};
-
-  support::Clock::time_point cycle_start_{};
-  // Static-plan replay decision for the cycle (published by the team's
-  // generation bump; replay skips seeding, deques, and parking).
-  bool use_plan_ = false;
-  // Self-healing (DESIGN.md §12): decided per cycle like use_plan_. The
-  // orphan buffer receives a quarantined worker's drained deque plus the
-  // republish scan's findings; survivors poll it between their own pop
-  // and the steal round. Claims make duplicates harmless.
-  bool heal_armed_ = false;
-  std::mutex orphan_mutex_;
-  std::vector<UnitId> orphan_;
-  std::unique_ptr<Team> team_;   // owned pool (classic mode)
-  Team* shared_ = nullptr;       // borrowed pool (hosted mode)
-  Team::WorkerFn body_;          // submitted per cycle in hosted mode
-  Team::RescueFn rescue_fn_;     // submitted alongside body_ when hosted
-};
+using WorkStealingExecutor = LoopExecutor<Strategy::kWorkStealing>;
 
 }  // namespace djstar::core

@@ -38,24 +38,16 @@ struct EngineConfig {
   core::WorkStealingOptions ws{};
 
   /// Graph compilation pipeline stage (core/graph_opt, DESIGN.md §11).
-  /// Overridden by DJSTAR_GRAPH_OPT=off|fuse|fuse+static when set.
+  /// Overridden by DJSTAR_GRAPH_OPT=off|fuse when set.
   core::graph_opt::Mode graph_opt = core::graph_opt::Mode::kOff;
   /// Fusion pass tuning (used when graph_opt != kOff).
   core::graph_opt::FusionOptions fusion{};
-  /// Invalidate the cached static plan when the cycle-level graph-time
-  /// EWMA drifts beyond this factor from its value at plan build (in
-  /// either direction).
-  double plan_drift_ratio = 1.5;
-  /// Variance gate: a freshly built static plan starts invalid when the
-  /// cost model's max coefficient of variation exceeds this.
-  double plan_max_cv = 0.25;
 
   /// Worker self-healing (DESIGN.md §12). Overridden by
   /// DJSTAR_HEAL=off|quarantine|respawn when set. With mode != kOff the
-  /// parallel executors run their team with heartbeats and a medic, the
-  /// engine polls quarantine/respawn counters into the supervisor and
-  /// telemetry after every cycle, and static-plan replay is disabled
-  /// (the cached schedule assumes a fixed healthy team).
+  /// parallel executors run their team with heartbeats and a medic, and
+  /// the engine polls quarantine/respawn counters into the supervisor
+  /// and telemetry after every cycle.
   core::TeamHealConfig heal{};
 
   /// Cycle attribution profiler (engine/profiler, DESIGN.md §14). Mode
@@ -180,32 +172,13 @@ class AudioEngine {
 
   // ---- graph optimization (core/graph_opt, DESIGN.md §11) ----
 
+  /// The fusion plan is computed once, at construction, from the graph's
+  /// reference durations.
   core::graph_opt::Mode graph_opt_mode() const noexcept {
     return cfg_.graph_opt;
   }
-  /// Per-node cost model: seeded from the graph's reference durations at
-  /// construction, refined online via observe_spans() / observe().
-  core::graph_opt::CostModel& cost_model() noexcept { return *cost_model_; }
-  const core::graph_opt::CostModel& cost_model() const noexcept {
-    return *cost_model_;
-  }
-  /// Cached static schedule (nullptr unless mode is fuse+static).
-  const core::graph_opt::StaticPlan* static_plan() const noexcept {
-    return static_plan_.get();
-  }
-
-  /// EWMA refinement hook: fold every kRun span of `trace` into the
-  /// per-node cost estimates. Returns the number of spans folded.
-  std::size_t observe_spans(const support::TraceRecorder& trace);
-
-  /// Rebuild the cached static plan from the current cost model (and
-  /// re-create the executor so workers pick it up). No-op unless mode is
-  /// fuse+static. Called automatically when the plan was invalidated by
-  /// drift and the engine is between cycles.
-  void rebuild_static_plan();
 
  private:
-  void track_graph_time(double graph_us);
   void poll_heal();
   void profile_cycle(const CycleBreakdown& c);
   core::ExecOptions exec_options() const noexcept;
@@ -229,14 +202,7 @@ class AudioEngine {
   std::unique_ptr<support::TraceRecorder> env_trace_;
   std::string env_trace_path_;
   bool env_trace_pending_ = false;
-  std::unique_ptr<core::graph_opt::CostModel> cost_model_;
   std::unique_ptr<core::CompiledGraph> compiled_;
-  // Owned by the engine, pointed at by the executors via ExecOptions;
-  // mutated (invalidate/replace) only between cycles.
-  std::unique_ptr<core::graph_opt::StaticPlan> static_plan_;
-  // Cycle-EWMA graph time captured when the current plan was built;
-  // 0 until the first post-build cycle establishes it.
-  double plan_baseline_us_ = 0.0;
   std::unique_ptr<core::Executor> executor_;
   DeadlineMonitor monitor_;
   double master_tempo_bpm_ = 0.0;
@@ -254,24 +220,18 @@ class AudioEngine {
   std::atomic<bool> poison_pending_{false};
 
   // Self-healing poll state (DESIGN.md §12): last-seen cumulative team
-  // counters, diffed after every cycle into supervisor/telemetry, plus
-  // the live worker count from the previous poll (0 = not yet seen) for
-  // static-plan invalidation on team-size changes.
+  // counters, diffed after every cycle into supervisor/telemetry.
   std::uint64_t seen_heal_quarantines_ = 0;
   std::uint64_t seen_heal_respawns_ = 0;
-  unsigned seen_heal_live_ = 0;
   std::uint64_t heal_cycle_ = 0;
 
   // Cycle attribution (DESIGN.md §14). Declared after telemetry_ so the
   // profiler (which borrows telemetry's registry/journal) is destroyed
-  // first. cp_baseline_us_ mirrors plan_baseline_us_: the realized
-  // critical-path EWMA captured when the current static plan was built,
-  // reset whenever the plan changes.
+  // first.
   std::unique_ptr<CycleProfiler> profiler_;
   std::unique_ptr<HwSampler> hw_sampler_;
   bool hw_armed_ = false;
   std::vector<support::TraceSpan> prof_spans_;  // per-cycle scratch
-  double cp_baseline_us_ = 0.0;
 
   // SLO engine (DESIGN.md §15). The tracker owns series inside the
   // store, so it is declared after (destroyed before) the store.

@@ -59,13 +59,6 @@ struct ProfilerConfig {
   std::size_t top_k = 5;
   /// EWMA weight for per-node / per-worker / critical-path baselines.
   double baseline_alpha = 0.1;
-  /// Invalidate graph_opt's static plan when the realized-critical-path
-  /// EWMA drifts beyond this factor (either direction) from its value
-  /// at plan build. The plan was scheduled around a predicted critical
-  /// path; when the realized one moves this far the schedule's
-  /// longest-chain-first ordering is stale even if total cycle time has
-  /// not drifted yet.
-  double cp_drift_ratio = 1.5;
 };
 
 /// One worker's hardware-counter deltas for one cycle.
@@ -167,9 +160,6 @@ class CycleProfiler {
   /// EWMA of the realized critical-path length (us); 0 before the first
   /// cycle.
   double cp_ewma_us() const noexcept { return cp_ewma_us_; }
-  /// cp_ewma_us() / baseline, mirroring CostModel::drift_ratio; 1.0
-  /// when either side is unestablished.
-  double drift_ratio(double baseline_us) const noexcept;
 
   const std::vector<NodeHw>& node_hw() const noexcept { return node_hw_; }
   const std::vector<HwCounters>& last_hw() const noexcept { return hw_delta_; }
@@ -200,15 +190,9 @@ class CycleProfiler {
   bool have_metrics_ = false;
   support::Counter m_cycles_;
   support::Counter m_reports_;
-  support::Counter m_cp_drifts_;
   support::Gauge g_cp_last_us_;
   support::HistogramMetric h_cp_run_us_;
   support::HistogramMetric h_cp_wait_us_;
-
- public:
-  /// Metric hook for the owner's drift invalidation (counts
-  /// djstar_attrib_cp_drifts_total and journals kCpDrift).
-  void note_cp_drift(double ratio, std::uint64_t cycle);
 };
 
 /// Invert a successor adjacency into the analyzer's predecessor shape.

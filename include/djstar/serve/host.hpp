@@ -81,11 +81,10 @@ struct HostConfig {
   /// Worker-pool width; 0 = auto (DJSTAR_THREADS / hardware concurrency,
   /// hardened via core::resolve_thread_count).
   unsigned threads = 0;
-  core::StartMode start_mode = core::StartMode::kCondvar;
-  core::SpinPolicy spin{};
   core::WorkStealingOptions ws{};
-  /// Tick length when no session is active (otherwise the minimum
-  /// active deadline defines the tick).
+  /// Upper bound on the tick length: each tick lasts the minimum of this
+  /// and every active session's deadline (it alone sets the tick when no
+  /// session is active).
   double default_tick_us = audio::kDeadlineUs;
   AdmissionConfig admission{};
   OverloadConfig overload{};

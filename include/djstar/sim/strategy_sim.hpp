@@ -76,13 +76,4 @@ ScheduleResult simulate_work_stealing(const SimGraph& g,
                                       std::uint32_t threads,
                                       const OverheadModel& ov = {});
 
-/// Simulate static-plan replay (graph_opt fuse+static): a critical-path-
-/// first list schedule is computed once (mirroring
-/// core::graph_opt::build_static_plan), then each virtual worker walks
-/// its per-worker list in start order paying one dependency check per
-/// unit — no ready-queue traffic at all. Feed it the unit graph
-/// (SimGraph::from_compiled_units) to model a fused replay.
-ScheduleResult simulate_static(const SimGraph& g, std::uint32_t threads,
-                               const OverheadModel& ov = {});
-
 }  // namespace djstar::sim

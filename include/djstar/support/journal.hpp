@@ -55,8 +55,6 @@ enum class EventKind : std::uint8_t {
                       ///< value=cp wait us); ranked entries follow as kBlame
   kBlame,             ///< one ranked blame entry (a=node, b=worker,
                       ///< value=delta vs EWMA baseline, us)
-  kCpDrift,           ///< realized critical path drifted off the static
-                      ///< plan's baseline; plan invalidated (value=ratio)
   kSloAlert,          ///< SLO escalated (a=scope: session id, 0=fleet/engine,
                       ///< -1-q=QoS class q; b=new state 1=warn 2=page,
                       ///< value=budget remaining)

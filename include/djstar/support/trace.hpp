@@ -33,7 +33,7 @@ struct TraceSpan {
   double begin_us = 0;
   double end_us = 0;
   std::uint32_t thread = 0;
-  std::int32_t node = -1;  ///< node id for kRun/kBusyWait, -1 otherwise
+  std::int32_t node = -1;  ///< node id (a wait span's: the unit it awaited)
   SpanKind kind = SpanKind::kRun;
   /// Victim worker the unit was stolen from, -1 when the unit ran on the
   /// worker that published it. Lets attribution follow cross-worker

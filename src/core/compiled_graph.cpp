@@ -206,7 +206,7 @@ chaos::FaultKind CompiledGraph::take_worker_fault(UnitId u) noexcept {
         act.kind != chaos::FaultKind::kWorkerAbort) {
       continue;
     }
-    // One-shot per (cycle, node): the republished unit re-reaches this
+    // One-shot per (cycle, node): the adopted unit re-reaches this
     // check on a surviving worker, which must not wedge too.
     std::uint8_t expected = 0;
     if (!cycle_[n].wfault.compare_exchange_strong(expected, 1,

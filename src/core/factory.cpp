@@ -1,9 +1,6 @@
 #include "djstar/core/factory.hpp"
 
-#include "djstar/core/busy_wait.hpp"
-#include "djstar/core/sequential.hpp"
-#include "djstar/core/shared_queue.hpp"
-#include "djstar/core/sleep.hpp"
+#include "djstar/core/loop_executor.hpp"
 
 namespace djstar::core {
 
@@ -32,15 +29,17 @@ std::unique_ptr<Executor> make_executor(Strategy s, CompiledGraph& graph,
                                         WorkStealingOptions ws) {
   switch (s) {
     case Strategy::kSequential:
-      return std::make_unique<SequentialExecutor>(graph, opts);
+      return std::make_unique<LoopExecutor<Strategy::kSequential>>(graph, opts);
     case Strategy::kBusyWait:
-      return std::make_unique<BusyWaitExecutor>(graph, opts);
+      return std::make_unique<LoopExecutor<Strategy::kBusyWait>>(graph, opts);
     case Strategy::kSleep:
-      return std::make_unique<SleepExecutor>(graph, opts);
+      return std::make_unique<LoopExecutor<Strategy::kSleep>>(graph, opts);
     case Strategy::kWorkStealing:
-      return std::make_unique<WorkStealingExecutor>(graph, opts, ws);
+      return std::make_unique<LoopExecutor<Strategy::kWorkStealing>>(
+          graph, opts, ws);
     case Strategy::kSharedQueue:
-      return std::make_unique<SharedQueueExecutor>(graph, opts);
+      return std::make_unique<LoopExecutor<Strategy::kSharedQueue>>(graph,
+                                                                    opts);
   }
   return nullptr;
 }

@@ -1,14 +1,12 @@
 #include "djstar/core/graph_opt.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <queue>
 #include <stdexcept>
 #include <string>
 
-#include "djstar/core/compiled_graph.hpp"
 #include "djstar/support/assert.hpp"
 
 namespace djstar::core::graph_opt {
@@ -17,7 +15,6 @@ std::string_view to_string(Mode m) noexcept {
   switch (m) {
     case Mode::kOff: return "off";
     case Mode::kFuse: return "fuse";
-    case Mode::kFuseStatic: return "fuse+static";
   }
   return "?";
 }
@@ -25,7 +22,6 @@ std::string_view to_string(Mode m) noexcept {
 std::optional<Mode> parse_mode(std::string_view name) noexcept {
   if (name == "off") return Mode::kOff;
   if (name == "fuse") return Mode::kFuse;
-  if (name == "fuse+static" || name == "fuse-static") return Mode::kFuseStatic;
   return std::nullopt;
 }
 
@@ -41,7 +37,7 @@ std::optional<Mode> mode_from_env() {
   const auto mode = parse_mode(std::string_view(s).substr(b, e - b + 1));
   if (!mode) {
     throw std::invalid_argument(
-        "DJSTAR_GRAPH_OPT: expected off, fuse, or fuse+static, got '" + s +
+        "DJSTAR_GRAPH_OPT: expected off or fuse, got '" + s +
         "'");
   }
   return mode;
@@ -50,45 +46,12 @@ std::optional<Mode> mode_from_env() {
 // ---- CostModel --------------------------------------------------------------
 
 CostModel::CostModel(std::size_t n, double default_cost_us)
-    : cost_(n, default_cost_us), dev_(n, 0.0) {}
+    : cost_(n, default_cost_us) {}
 
 void CostModel::seed(std::span<const double> costs) {
   DJSTAR_ASSERT_MSG(costs.size() == cost_.size(),
                     "cost seed must cover every node");
   std::copy(costs.begin(), costs.end(), cost_.begin());
-  std::fill(dev_.begin(), dev_.end(), 0.0);
-}
-
-void CostModel::observe(NodeId n, double us) noexcept {
-  if (n >= cost_.size() || us < 0.0) return;
-  const double err = us - cost_[n];
-  cost_[n] += alpha_ * err;
-  dev_[n] += alpha_ * (std::abs(err) - dev_[n]);
-  ++observations_;
-}
-
-void CostModel::observe_cycle(double graph_us) noexcept {
-  if (graph_us < 0.0) return;
-  cycle_ewma_us_ = cycle_ewma_us_ == 0.0
-                       ? graph_us
-                       : cycle_ewma_us_ + alpha_ * (graph_us - cycle_ewma_us_);
-}
-
-double CostModel::max_cv() const noexcept {
-  // Nodes cheaper than this floor contribute noise, not signal: a 0.2 us
-  // node jittering by 0.1 us is irrelevant to plan quality.
-  constexpr double kFloorUs = 0.5;
-  double cv = 0.0;
-  for (std::size_t i = 0; i < cost_.size(); ++i) {
-    if (cost_[i] < kFloorUs) continue;
-    cv = std::max(cv, dev_[i] / cost_[i]);
-  }
-  return cv;
-}
-
-double CostModel::drift_ratio(double baseline_us) const noexcept {
-  if (baseline_us <= 0.0 || cycle_ewma_us_ <= 0.0) return 1.0;
-  return cycle_ewma_us_ / baseline_us;
 }
 
 // ---- Plan -------------------------------------------------------------------
@@ -317,76 +280,6 @@ Plan plan_fusion(const TaskGraph& g, const CostModel& costs,
   }
   DJSTAR_ASSERT_MSG(plan.validate(g), "fusion produced an illegal plan");
   return plan;
-}
-
-// ---- static schedule --------------------------------------------------------
-
-StaticPlan build_static_plan(const CompiledGraph& cg, const CostModel& costs,
-                             unsigned threads) {
-  DJSTAR_ASSERT(threads >= 1);
-  const std::size_t nu = cg.unit_count();
-  DJSTAR_ASSERT_MSG(costs.node_count() == cg.node_count(),
-                    "cost model must cover every node");
-
-  std::vector<double> unit_cost(nu, 0.0);
-  for (std::size_t u = 0; u < nu; ++u) {
-    for (NodeId m : cg.unit_members(static_cast<std::uint32_t>(u))) {
-      unit_cost[u] += costs.cost(m);
-    }
-  }
-
-  // Upward rank (longest duration-weighted path to any exit, including
-  // the unit itself) over the unit graph — the HLF priority.
-  std::vector<double> rank(nu, 0.0);
-  const auto order = cg.unit_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const std::uint32_t u = *it;
-    double best = 0.0;
-    for (std::uint32_t s : cg.unit_successors(u)) {
-      best = std::max(best, rank[s]);
-    }
-    rank[u] = unit_cost[u] + best;
-  }
-
-  // Critical-path-first list scheduling: always start the ready unit
-  // with the highest rank on the earliest-free worker.
-  std::vector<std::uint32_t> pending(nu);
-  std::vector<double> avail(nu, 0.0);  // max finish over predecessors
-  for (std::size_t u = 0; u < nu; ++u) {
-    pending[u] = cg.unit_in_degree(static_cast<std::uint32_t>(u));
-  }
-  const auto higher_rank = [&](std::uint32_t a, std::uint32_t b) {
-    return rank[a] != rank[b] ? rank[a] < rank[b] : a > b;  // max-heap
-  };
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                      decltype(higher_rank)>
-      ready(higher_rank);
-  for (std::uint32_t u : cg.unit_sources()) ready.push(u);
-
-  std::vector<std::vector<std::uint32_t>> assignment(threads);
-  std::vector<double> free_at(threads, 0.0);
-  double makespan = 0.0;
-  std::size_t scheduled = 0;
-  while (!ready.empty()) {
-    const std::uint32_t u = ready.top();
-    ready.pop();
-    unsigned w = 0;
-    for (unsigned i = 1; i < threads; ++i) {
-      if (free_at[i] < free_at[w]) w = i;
-    }
-    const double start = std::max(free_at[w], avail[u]);
-    const double finish = start + unit_cost[u];
-    free_at[w] = finish;
-    makespan = std::max(makespan, finish);
-    assignment[w].push_back(u);
-    ++scheduled;
-    for (std::uint32_t s : cg.unit_successors(u)) {
-      avail[s] = std::max(avail[s], finish);
-      if (--pending[s] == 0) ready.push(s);
-    }
-  }
-  DJSTAR_ASSERT_MSG(scheduled == nu, "static plan missed units");
-  return StaticPlan(threads, std::move(assignment), makespan);
 }
 
 }  // namespace djstar::core::graph_opt

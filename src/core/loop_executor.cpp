@@ -1,0 +1,695 @@
+#include "djstar/core/loop_executor.hpp"
+
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+#include "djstar/core/chase_lev_deque.hpp"
+#include "djstar/core/chaos.hpp"
+#include "djstar/core/detail/spin.hpp"
+#include "djstar/support/assert.hpp"
+
+namespace djstar::core {
+namespace detail {
+namespace {
+
+using support::SpanKind;
+
+// What a ready-source's next() returns besides a unit id.
+constexpr UnitId kDone = kInvalidNode;       // this worker's cycle is over
+constexpr UnitId kRetry = kInvalidNode - 1;  // heal mode: nothing ready yet
+
+// Heal mode bounds every wait: a worker whose waker was quarantined must
+// wake on its own to adopt what the dead worker left behind.
+constexpr auto kHealPark = std::chrono::microseconds(200);
+constexpr std::uint32_t kHealSpinBurst = 256;
+// The work-stealing idle park is bounded in both modes: a safety net
+// against the push-vs-park race.
+constexpr auto kIdlePark = std::chrono::microseconds(100);
+
+/// One worker's trace and flight-recorder sink for one cycle.
+class Sink {
+ public:
+  Sink(const ExecOptions& o, unsigned w, support::Clock::time_point t0)
+      : trace_(o.trace != nullptr && o.trace->armed() ? o.trace : nullptr),
+        flight_(o.flight != nullptr && o.flight->enabled() ? o.flight
+                                                           : nullptr),
+        w_(w), t0_(t0), on_(trace_ != nullptr || flight_ != nullptr) {}
+
+  bool on() const noexcept { return on_; }
+  unsigned worker() const noexcept { return w_; }
+  /// Microseconds since cycle start; 0 when nothing records.
+  double clock() const noexcept {
+    return on_ ? support::elapsed_us(t0_, support::now()) : 0.0;
+  }
+
+  void emit(support::TraceSpan s) const {
+    if (steal_from >= 0 &&
+        (s.kind == SpanKind::kRun || s.kind == SpanKind::kFused)) {
+      s.steal_from = steal_from;
+    }
+    if (trace_ != nullptr) trace_->record(w_, s);
+    if (flight_ != nullptr) flight_->record(w_, s);
+  }
+
+  /// The wait span (the configuration's Fig. 11 colour) from `begin` to
+  /// now: ahead of the unit whose first member is `node`, or -1 when
+  /// the cycle ended before another unit came.
+  void wait(double begin, std::int32_t node, SpanKind kind) const {
+    const double end = clock();
+    if (end - begin > 0.5) emit({begin, end, w_, node, kind});
+  }
+
+  /// Victim of the steal that delivered the unit now running, -1 for
+  /// local work. Stamped on its kRun/kFused spans so attribution can
+  /// tell migrated work from local work.
+  std::int32_t steal_from = -1;
+
+ private:
+  support::TraceRecorder* trace_;
+  support::FlightRecorder* flight_;
+  unsigned w_;
+  support::Clock::time_point t0_;
+  bool on_;
+};
+
+/// Execute every member of unit `u` back to back through
+/// CompiledGraph::execute(), so fusion leaves the per-node fault, skip,
+/// bypass and cancel semantics alone (DESIGN.md §11). Recording emits one
+/// kRun span per member plus a kFused envelope around multi-node units.
+/// Counts members, not units, into stats.nodes_executed.
+void run_unit(CompiledGraph& g, UnitId u, ExecutorStats& stats,
+              const Sink& sink) {
+  const auto members = g.unit_members(u);
+  if (!sink.on()) {
+    for (NodeId n : members) g.execute(n);
+  } else {
+    const double unit_begin = sink.clock();
+    double begin = unit_begin;
+    for (NodeId n : members) {
+      g.execute(n);
+      const double end = sink.clock();
+      sink.emit({begin, end, sink.worker(), static_cast<std::int32_t>(n),
+                 SpanKind::kRun});
+      begin = end;
+    }
+    if (members.size() > 1) {
+      sink.emit({unit_begin, begin, sink.worker(),
+                 static_cast<std::int32_t>(members.front()),
+                 SpanKind::kFused});
+    }
+  }
+  stats.nodes_executed.fetch_add(members.size(), std::memory_order_relaxed);
+}
+
+/// The heal path's claim gate (DESIGN.md §12). Wins the unit's claim CAS
+/// (the exactly-once arbiter when an adopter and the owner race, or a
+/// queue holds a stale copy), consumes any worker fault decided for the
+/// unit — releasing the claim and wedging or retiring the calling thread
+/// instead of running — then beats, runs, and marks the unit done. Only a
+/// true return may resolve successors; after a false one the caller must
+/// check HealthBoard::abandoned().
+bool claim_run(CompiledGraph& g, HealthBoard& hb, UnitId u,
+               ExecutorStats& stats, const Sink& sink) {
+  if (!g.unit_try_claim(u)) return false;
+  const unsigned w = sink.worker();
+  if (g.worker_faults_armed()) {
+    const chaos::FaultKind wf = g.take_worker_fault(u);
+    // Worker 0 is the caller thread and cannot be replaced: its worker
+    // faults are consumed and ignored (take_worker_fault already counted
+    // and journaled the injection).
+    if (wf != chaos::FaultKind::kNone && w != 0) {
+      g.unit_release_claim(u);
+      HealthBoard::on_worker_fault(wf);
+      return false;
+    }
+  }
+  hb.beat(w);
+  run_unit(g, u, stats, sink);
+  g.unit_mark_done(u);
+  return true;
+}
+
+/// A unit every predecessor resolved that nobody has claimed: stranded
+/// if its owner died, harmlessly duplicated if not (claims decide).
+bool stranded(CompiledGraph& g, UnitId u) noexcept {
+  return !g.unit_claimed(u) &&
+         g.unit_pending(u).load(std::memory_order_acquire) == 0;
+}
+
+/// The first stranded unit in queue order, or kRetry.
+UnitId adopt(CompiledGraph& g) noexcept {
+  for (UnitId u : g.unit_order()) {
+    if (stranded(g, u)) return u;
+  }
+  return kRetry;
+}
+
+// ---- wait policies of the lane source ----
+
+/// busy: spin on the unit's dependency counter.
+struct SpinWait {
+  static constexpr StartMode kStart = StartMode::kSpin;
+  explicit SpinWait(unsigned) {}
+
+  void until_ready(CompiledGraph& g, UnitId u, unsigned, ExecutorStats& st) {
+    auto& pending = g.unit_pending(u);
+    SpinWaiter waiter;
+    while (pending.load(std::memory_order_acquire) != 0) waiter.step();
+    st.busy_wait_spins.fetch_add(waiter.spins(), std::memory_order_relaxed);
+  }
+  void bounded(CompiledGraph& g, UnitId u, unsigned, ExecutorStats& st) {
+    auto& pending = g.unit_pending(u);
+    std::uint32_t spins = 0;
+    while (spins < kHealSpinBurst &&
+           pending.load(std::memory_order_acquire) != 0) {
+      cpu_pause();
+      ++spins;
+    }
+    st.busy_wait_spins.fetch_add(spins, std::memory_order_relaxed);
+  }
+  void release(CompiledGraph& g, UnitId s, ExecutorStats&) {
+    g.unit_pending(s).fetch_sub(1, std::memory_order_acq_rel);
+  }
+};
+
+/// sleep: register as the unit's executor and park on an own slot; the
+/// predecessor that resolves the last dependency wakes exactly that
+/// worker (paper Fig. 6).
+class ParkWait {
+ public:
+  static constexpr StartMode kStart = StartMode::kCondvar;
+  explicit ParkWait(unsigned threads)
+      : slots_(std::make_unique<Slot[]>(threads)) {}
+
+  void until_ready(CompiledGraph& g, UnitId u, unsigned w,
+                   ExecutorStats& st) {
+    // Register (Fig. 6a), then re-check: either we observe pending == 0
+    // here (the resolving predecessor ran between our first check and
+    // the registration), or the predecessor observes our registration
+    // and wakes us. seq_cst on both sides makes the flag/counter
+    // protocol race-free.
+    auto& pending = g.unit_pending(u);
+    g.unit_waiter(u).store(static_cast<std::int32_t>(w),
+                           std::memory_order_seq_cst);
+    chaos::maybe_perturb(chaos::Site::kBeforeWait);
+    if (pending.load(std::memory_order_seq_cst) == 0) return;
+    st.sleeps.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lk(slots_[w].m);
+    slots_[w].cv.wait(
+        lk, [&] { return pending.load(std::memory_order_acquire) == 0; });
+  }
+  void bounded(CompiledGraph& g, UnitId u, unsigned w, ExecutorStats& st) {
+    // Leaving the registration in place across retries is harmless: a
+    // notify to an awake worker is a no-op.
+    auto& pending = g.unit_pending(u);
+    g.unit_waiter(u).store(static_cast<std::int32_t>(w),
+                           std::memory_order_seq_cst);
+    if (pending.load(std::memory_order_seq_cst) == 0) return;
+    st.sleeps.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lk(slots_[w].m);
+    slots_[w].cv.wait_for(lk, kHealPark, [&] {
+      return pending.load(std::memory_order_acquire) == 0;
+    });
+  }
+  void release(CompiledGraph& g, UnitId s, ExecutorStats& st) {
+    // Fig. 6b: the predecessor that resolves the last dependency wakes
+    // the registered executor, if any.
+    if (g.unit_pending(s).fetch_sub(1, std::memory_order_seq_cst) != 1) {
+      return;
+    }
+    chaos::maybe_perturb(chaos::Site::kBeforeNotify);
+    const std::int32_t sleeper =
+        g.unit_waiter(s).exchange(-1, std::memory_order_seq_cst);
+    if (sleeper < 0) return;
+    Slot& slot = slots_[static_cast<unsigned>(sleeper)];
+    // Taking the slot mutex orders this notify after the sleeper's
+    // predicate check, so the wakeup cannot be lost (CP.42).
+    const std::lock_guard<std::mutex> lk(slot.m);
+    slot.cv.notify_one();
+    st.wakeups.fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  /// A worker only ever sleeps on its own slot (CP.50: the mutex lives
+  /// with the condition it guards).
+  struct alignas(64) Slot {
+    std::mutex m;
+    std::condition_variable cv;
+  };
+  std::unique_ptr<Slot[]> slots_;
+};
+
+// ---- ready-sources ----
+
+/// Round-robin lanes over the dependency-sorted unit queue: worker w owns
+/// units w, w+T, w+2T, ... and waits for each one's dependencies by Wait.
+template <class Wait>
+class Lanes {
+ public:
+  static constexpr StartMode kStart = Wait::kStart;
+  struct Cursor {
+    std::size_t k;
+  };
+
+  Lanes(CompiledGraph& g, unsigned threads, const WorkStealingOptions&)
+      : g_(g), threads_(threads), wait_(threads) {}
+
+  void begin_cycle(Team*, bool) {}
+  Cursor start(unsigned w) { return {w}; }
+
+  template <bool kHeal>
+  UnitId next(unsigned w, Cursor& c, ExecutorStats& st, Sink&) {
+    const auto order = g_.unit_order();
+    if (c.k >= order.size()) {
+      if constexpr (!kHeal) return kDone;
+      // Heal mode keeps every survivor helping until the whole graph is
+      // done: a quarantined worker's lane still needs adopters.
+      if (g_.units_done() >= g_.unit_count()) return kDone;
+      std::this_thread::yield();
+      return kRetry;
+    }
+    const UnitId u = order[c.k];
+    auto& pending = g_.unit_pending(u);
+    if constexpr (kHeal) {
+      if (pending.load(std::memory_order_acquire) != 0) {
+        wait_.bounded(g_, u, w, st);
+        if (pending.load(std::memory_order_acquire) != 0) return kRetry;
+      }
+    } else {
+      // Dependency check + wait (the gray boxes in paper Fig. 11).
+      chaos::maybe_perturb(chaos::Site::kDependencyCheck);
+      if (pending.load(std::memory_order_acquire) != 0) {
+        wait_.until_ready(g_, u, w, st);
+      }
+    }
+    c.k += threads_;
+    return u;
+  }
+
+  void resolve(unsigned, UnitId u, ExecutorStats& st) {
+    for (UnitId s : g_.unit_successors(u)) wait_.release(g_, s, st);
+  }
+
+ private:
+  CompiledGraph& g_;
+  unsigned threads_;
+  Wait wait_;
+};
+
+/// shared: one mutex-protected ring of ready units, preallocated so a
+/// push on the audio path never allocates. Each unit enters it once per
+/// cycle (seeded or pushed by the resolver of its last dependency), so
+/// node_count + 1 slots never overflow.
+class Ring {
+ public:
+  static constexpr StartMode kStart = StartMode::kCondvar;
+  struct Cursor {};
+
+  Ring(CompiledGraph& g, unsigned, const WorkStealingOptions&)
+      : g_(g), ring_(g.node_count() + 1) {}
+
+  void begin_cycle(Team*, bool) {
+    const std::lock_guard<std::mutex> lk(m_);
+    head_ = tail_ = 0;
+    executed_ = 0;
+    for (UnitId u : g_.unit_sources()) push(u);
+  }
+  Cursor start(unsigned) { return {}; }
+
+  template <bool kHeal>
+  UnitId next(unsigned, Cursor&, ExecutorStats&, Sink&) {
+    const std::size_t total = g_.unit_count();
+    chaos::maybe_perturb(chaos::Site::kBeforeWait);
+    std::unique_lock<std::mutex> lk(m_);
+    const auto ready = [&] { return head_ != tail_ || executed_ == total; };
+    if constexpr (kHeal) {
+      if (!cv_.wait_for(lk, kHealPark, ready)) return kRetry;
+    } else {
+      cv_.wait(lk, ready);
+    }
+    if (executed_ == total) return kDone;
+    const UnitId u = ring_[head_];
+    head_ = (head_ + 1) % ring_.size();
+    return u;
+  }
+
+  void resolve(unsigned, UnitId u, ExecutorStats&) {
+    std::size_t newly_ready = 0;
+    {
+      const std::lock_guard<std::mutex> lk(m_);
+      for (UnitId s : g_.unit_successors(u)) {
+        if (g_.unit_pending(s).fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          push(s);
+          ++newly_ready;
+        }
+      }
+      if (++executed_ == g_.unit_count()) {
+        cv_.notify_all();  // everyone can exit
+        return;
+      }
+    }
+    if (newly_ready == 0) return;
+    chaos::maybe_perturb(chaos::Site::kBeforeNotify);
+    if (newly_ready == 1) {
+      cv_.notify_one();
+    } else {
+      cv_.notify_all();
+    }
+  }
+
+ private:
+  void push(UnitId u) {
+    ring_[tail_] = u;
+    tail_ = (tail_ + 1) % ring_.size();
+  }
+
+  CompiledGraph& g_;
+  std::mutex m_;  // CP.50: the ring and its mutex live together
+  std::condition_variable cv_;
+  std::vector<UnitId> ring_;
+  std::size_t head_ = 0, tail_ = 0;  // guarded by m_
+  std::size_t executed_ = 0;          // guarded by m_
+};
+
+/// ws: per-worker Chase-Lev deques of ready units. The owner pops at the
+/// bottom (LIFO, cache-warm), thieves steal from the top (FIFO). Idle
+/// workers retry pause+yield rounds, then park on the idle cv until new
+/// work is pushed (paper: WS only sleeps when solely blocked nodes
+/// remain).
+class Deques {
+ public:
+  static constexpr StartMode kStart = StartMode::kCondvar;
+  struct Cursor {
+    std::uint32_t failed_rounds = 0;
+  };
+
+  Deques(CompiledGraph& g, unsigned threads, const WorkStealingOptions& ws)
+      : g_(g), ws_(ws), per_worker_(threads) {
+    for (auto& pw : per_worker_) {
+      pw.deque = std::make_unique<ChaseLevDeque>(g.node_count() + 1);
+      pw.inbox.reserve(g.node_count());
+    }
+  }
+
+  void begin_cycle(Team* team, bool heal) {
+    executed_.store(0, std::memory_order_relaxed);
+    for (auto& pw : per_worker_) {
+      pw.inbox.clear();
+      // Healing can leave stale copies behind (a unit adopted elsewhere
+      // stays queued); never let them leak into the next cycle.
+      if (heal) pw.deque->clear();
+    }
+    // Paper §V-C: "the main thread fills up the processing queues of all
+    // executor threads. It distributes all nodes without dependencies
+    // (source nodes) to the threads", grouped by section for data
+    // locality. Fusion preserves this: units inherit their first
+    // member's section.
+    const auto T = static_cast<unsigned>(per_worker_.size());
+    unsigned rr = 0;
+    for (UnitId u : g_.unit_sources()) {
+      unsigned target = ws_.seed == SeedMode::kBySection
+                            ? g_.unit_section_index(u) % T
+                            : rr++ % T;
+      // A quarantined worker never drains its inbox (kQuarantine mode
+      // runs degraded on the survivors), so donate its seeds to worker 0
+      // — the caller thread, which is always alive.
+      if (heal && target != 0 &&
+          team->health().state(target) == WorkerState::kQuarantined) {
+        target = 0;
+      }
+      per_worker_[target].inbox.push_back(u);
+    }
+  }
+
+  // The inbox was seeded before the team's generation bump, which
+  // publishes it (release/acquire).
+  Cursor start(unsigned w) {
+    for (UnitId u : per_worker_[w].inbox) {
+      per_worker_[w].deque->push(static_cast<ChaseLevDeque::Item>(u));
+    }
+    return {};
+  }
+
+  template <bool kHeal>
+  UnitId next(unsigned w, Cursor& c, ExecutorStats& st, Sink& sink) {
+    for (;;) {
+      if (executed_.load(std::memory_order_acquire) >= g_.unit_count()) {
+        return kDone;
+      }
+      UnitId u;
+      if (try_get(w, u, sink.steal_from, st)) {
+        c.failed_rounds = 0;
+        return u;
+      }
+      if (++c.failed_rounds < ws_.steal_rounds_before_park) {
+        cpu_pause();
+        std::this_thread::yield();
+      } else {
+        park(st);
+      }
+      if constexpr (kHeal) return kRetry;
+    }
+  }
+
+  void resolve(unsigned w, UnitId u, ExecutorStats& st) {
+    // Successors whose last dependency this unit resolved join *our*
+    // deque (LIFO) for cache locality (paper §V-C).
+    for (UnitId s : g_.unit_successors(u)) {
+      if (g_.unit_pending(s).fetch_sub(1, std::memory_order_acq_rel) != 1) {
+        continue;
+      }
+      per_worker_[w].deque->push(static_cast<ChaseLevDeque::Item>(s));
+      // Wake a parked worker, if any (lost-wake safe: parks are bounded
+      // and re-check an epoch counter).
+      chaos::maybe_perturb(chaos::Site::kNodeReady);
+      if (idlers_.load(std::memory_order_acquire) > 0) {
+        idle_epoch_.fetch_add(1, std::memory_order_release);
+        idle_cv_.notify_one();
+        st.wakeups.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (executed_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        g_.unit_count()) {
+      // Everyone still parked must observe completion promptly.
+      idle_epoch_.fetch_add(1, std::memory_order_release);
+      idle_cv_.notify_all();
+      if (idlers_.load(std::memory_order_acquire) > 0) {
+        st.wakeups.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+
+ private:
+  // Own deque bottom first, then one steal round over every other
+  // worker's top. `from` reports the victim of a successful steal.
+  bool try_get(unsigned w, UnitId& out, std::int32_t& from,
+               ExecutorStats& st) {
+    from = -1;
+    const auto own = per_worker_[w].deque->pop();
+    if (own >= 0) {
+      out = static_cast<UnitId>(own);
+      return true;
+    }
+    const auto T = static_cast<unsigned>(per_worker_.size());
+    for (unsigned d = 1; d < T; ++d) {
+      const unsigned victim = (w + d) % T;
+      const auto got = per_worker_[victim].deque->steal();
+      if (got >= 0) {
+        out = static_cast<UnitId>(got);
+        from = static_cast<std::int32_t>(victim);
+        st.steals.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+      st.steal_failures.fetch_add(1, std::memory_order_relaxed);
+    }
+    return false;
+  }
+
+  void park(ExecutorStats& st) {
+    const auto epoch = idle_epoch_.load(std::memory_order_acquire);
+    chaos::maybe_perturb(chaos::Site::kBeforeWait);
+    st.sleeps.fetch_add(1, std::memory_order_relaxed);
+    idlers_.fetch_add(1, std::memory_order_acq_rel);
+    {
+      std::unique_lock<std::mutex> lk(idle_mutex_);
+      idle_cv_.wait_for(lk, kIdlePark, [&] {
+        return idle_epoch_.load(std::memory_order_acquire) != epoch ||
+               executed_.load(std::memory_order_acquire) >= g_.unit_count();
+      });
+    }
+    idlers_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+
+  struct alignas(64) PerWorker {
+    std::unique_ptr<ChaseLevDeque> deque;
+    std::vector<UnitId> inbox;
+  };
+
+  CompiledGraph& g_;
+  WorkStealingOptions ws_;
+  std::vector<PerWorker> per_worker_;
+  alignas(64) std::atomic<std::size_t> executed_{0};
+  std::mutex idle_mutex_;
+  std::condition_variable idle_cv_;
+  std::atomic<std::uint32_t> idle_epoch_{0};
+  std::atomic<std::uint32_t> idlers_{0};
+};
+
+/// The configuration's wait-span colour in Fig. 11 traces.
+template <Strategy S>
+constexpr SpanKind kWaitSpan =
+    S == Strategy::kBusyWait       ? SpanKind::kBusyWait
+    : S == Strategy::kWorkStealing ? SpanKind::kSteal
+                                   : SpanKind::kSleep;
+
+}  // namespace
+}  // namespace detail
+
+// ---- the five configurations ----
+
+template <>
+class ReadySource<Strategy::kSequential>
+    : public detail::Lanes<detail::SpinWait> {
+ public:
+  using Lanes::Lanes;
+};
+template <>
+class ReadySource<Strategy::kBusyWait>
+    : public detail::Lanes<detail::SpinWait> {
+ public:
+  using Lanes::Lanes;
+};
+template <>
+class ReadySource<Strategy::kSleep> : public detail::Lanes<detail::ParkWait> {
+ public:
+  using Lanes::Lanes;
+};
+template <>
+class ReadySource<Strategy::kSharedQueue> : public detail::Ring {
+ public:
+  using Ring::Ring;
+};
+template <>
+class ReadySource<Strategy::kWorkStealing> : public detail::Deques {
+ public:
+  using Deques::Deques;
+};
+
+// ---- the loop ----
+
+template <Strategy S>
+LoopExecutor<S>::LoopExecutor(CompiledGraph& graph, ExecOptions opts,
+                              WorkStealingOptions ws)
+    : graph_(graph), opts_(opts) {
+  if constexpr (S == Strategy::kSequential) {
+    opts_.threads = 1;  // the caller walks the queue front to back
+  }
+  src_ = std::make_unique<ReadySource<S>>(graph, opts_.threads, ws);
+  if constexpr (S != Strategy::kSequential) {
+    team_ = std::make_unique<Team>(opts_.threads, ReadySource<S>::kStart,
+                                   [this](unsigned w) { body(w); },
+                                   opts_.heal);
+  }
+}
+
+template <Strategy S>
+LoopExecutor<S>::LoopExecutor(CompiledGraph& graph, Team& shared_team,
+                              ExecOptions opts, WorkStealingOptions ws)
+    : graph_(graph),
+      opts_(opts),
+      src_(std::make_unique<ReadySource<S>>(graph, opts.threads, ws)),
+      shared_(&shared_team),
+      body_([this](unsigned w) { body(w); }) {
+  DJSTAR_ASSERT_MSG(opts_.threads == shared_team.threads(),
+                    "hosted executor must match the shared team's width");
+}
+
+template <Strategy S>
+LoopExecutor<S>::~LoopExecutor() = default;
+
+template <Strategy S>
+void LoopExecutor<S>::run_cycle() {
+  // begin_cycle() also advances the fault-injection cycle index and
+  // clears the previous cycle's fault/cancel state — required for the
+  // sequential fallback to recover after a faulted cycle.
+  graph_.begin_cycle();
+  Team* const tm = shared_ != nullptr ? shared_ : team_.get();
+  heal_armed_ = tm != nullptr && tm->healing();
+  src_->begin_cycle(tm, heal_armed_);
+  cycle_start_ = support::now();
+  // Team::run_cycle()'s generation bump publishes the cycle state above
+  // (release store observed by the workers' acquire load).
+  if (tm == nullptr) {
+    body(0);
+  } else if (shared_ == nullptr) {
+    team_->run_cycle();
+  } else {
+    shared_->run_cycle(body_);
+  }
+}
+
+template <Strategy S>
+void LoopExecutor<S>::body(unsigned w) {
+  if (heal_armed_) {
+    loop<true>(w);
+  } else {
+    loop<false>(w);
+  }
+}
+
+template <Strategy S>
+template <bool kHeal>
+void LoopExecutor<S>::loop(unsigned w) {
+  ReadySource<S>& src = *src_;
+  detail::Sink sink(opts_, w, cycle_start_);
+  auto cursor = src.start(w);
+  HealthBoard* const hb =
+      kHeal ? &(shared_ != nullptr ? *shared_ : *team_).health() : nullptr;
+  for (;;) {
+    const double wait_begin = sink.clock();
+    UnitId u = src.template next<kHeal>(w, cursor, stats_, sink);
+    bool adopted = false;
+    if constexpr (kHeal) {
+      while (u == detail::kRetry) {
+        // The rescue path (DESIGN.md §12): with a worker quarantined,
+        // adopt any ready unit nobody claimed, whichever lane or queue
+        // the dead worker stranded it in.
+        if (hb->dead() > 0 && (u = detail::adopt(graph_)) != detail::kRetry) {
+          adopted = true;
+          break;
+        }
+        hb->beat(w);
+        u = src.template next<kHeal>(w, cursor, stats_, sink);
+      }
+    }
+    if (S != Strategy::kSequential && sink.on()) {
+      sink.wait(wait_begin,
+                u == detail::kDone
+                    ? -1
+                    : static_cast<std::int32_t>(graph_.unit_members(u).front()),
+                detail::kWaitSpan<S>);
+    }
+    if (u == detail::kDone) return;
+    if constexpr (kHeal) {
+      if (!detail::claim_run(graph_, *hb, u, stats_, sink)) {
+        if (HealthBoard::abandoned()) return;  // wedged or aborted
+        continue;  // lost the claim: the unit ran elsewhere
+      }
+      if (adopted) hb->note_rescued(1);
+    } else {
+      detail::run_unit(graph_, u, stats_, sink);
+    }
+    src.resolve(w, u, stats_);
+  }
+}
+
+template class LoopExecutor<Strategy::kSequential>;
+template class LoopExecutor<Strategy::kBusyWait>;
+template class LoopExecutor<Strategy::kSleep>;
+template class LoopExecutor<Strategy::kWorkStealing>;
+template class LoopExecutor<Strategy::kSharedQueue>;
+
+}  // namespace djstar::core

@@ -30,19 +30,16 @@ std::int32_t current_tid() noexcept {
 
 }  // namespace
 
-Team::Team(unsigned threads, StartMode mode, SpinPolicy spin, WorkerFn fn,
-           TeamHealConfig heal)
-    : threads_(threads), mode_(mode), spin_(spin), fn_(std::move(fn)),
-      heal_(heal) {
+Team::Team(unsigned threads, StartMode mode, WorkerFn fn, TeamHealConfig heal)
+    : threads_(threads), mode_(mode), fn_(std::move(fn)), heal_(heal) {
   DJSTAR_ASSERT_MSG(threads >= 1, "team needs at least one thread");
   DJSTAR_ASSERT_MSG(static_cast<bool>(fn_), "team needs a worker body");
   active_ = &fn_;
   spawn_workers();
 }
 
-Team::Team(unsigned threads, StartMode mode, SpinPolicy spin,
-           TeamHealConfig heal)
-    : threads_(threads), mode_(mode), spin_(spin), heal_(heal) {
+Team::Team(unsigned threads, StartMode mode, TeamHealConfig heal)
+    : threads_(threads), mode_(mode), heal_(heal) {
   DJSTAR_ASSERT_MSG(threads >= 1, "team needs at least one thread");
   spawn_workers();
 }
@@ -91,12 +88,6 @@ Team::~Team() {
   }
 }
 
-void Team::set_rescue(RescueFn rescue) {
-  rescue_owned_ = std::move(rescue);
-  rescue_.store(rescue_owned_ ? &rescue_owned_ : nullptr,
-                std::memory_order_release);
-}
-
 HealStats Team::heal_stats() const noexcept {
   HealStats s;
   s.quarantines = quarantines_.load(std::memory_order_relaxed);
@@ -110,7 +101,7 @@ HealStats Team::heal_stats() const noexcept {
 
 void Team::wait_for_generation(std::uint64_t seen) {
   if (mode_ == StartMode::kSpin) {
-    detail::SpinWaiter waiter(spin_);
+    detail::SpinWaiter waiter;
     while (generation_.load(std::memory_order_acquire) == seen &&
            !stop_.load(std::memory_order_acquire)) {
       waiter.step();
@@ -164,7 +155,7 @@ void Team::thread_main(unsigned id, std::uint64_t seen) {
     if (heal) {
       // kActive -> kFinished arbitrates our done credit against the
       // medic's quarantine. Losing means the medic already credited the
-      // slot (and rescued our remaining work): retire this thread; the
+      // slot (survivors adopt our remaining work): retire this thread; the
       // next heal_maintenance() joins it (and respawns a replacement in
       // kRespawn mode). A worker retired by a false-positive quarantine
       // is equally fine — the claim protocol made its extra work safe.
@@ -193,16 +184,6 @@ void Team::run_cycle(const WorkerFn& fn) {
   // Restore the owned body (if any) so a later run_cycle() still works
   // and the dangling submitted pointer can never be observed.
   active_ = fn_ ? &fn_ : nullptr;
-}
-
-void Team::run_cycle(const WorkerFn& fn, const RescueFn& rescue) {
-  // Publish the hosted rescue hook for the duration of this cycle. The
-  // medic dereferences it only while in_cycle_, i.e. strictly inside
-  // this call, so the reference outlives every use.
-  rescue_.store(rescue ? &rescue : nullptr, std::memory_order_release);
-  run_cycle(fn);
-  rescue_.store(rescue_owned_ ? &rescue_owned_ : nullptr,
-                std::memory_order_release);
 }
 
 void Team::dispatch_cycle() {
@@ -241,7 +222,7 @@ void Team::dispatch_cycle() {
   const unsigned finished = done_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (finished != threads_) {
     if (mode_ == StartMode::kSpin) {
-      detail::SpinWaiter waiter(spin_);
+      detail::SpinWaiter waiter;
       while (done_.load(std::memory_order_acquire) != threads_) {
         waiter.step();
       }
@@ -356,13 +337,9 @@ void Team::quarantine(unsigned w) {
 
   health_.add_dead(1);
   quarantines_.fetch_add(1, std::memory_order_relaxed);
-  // Rescue before crediting: the victim's unfinished units must be
-  // visible to the survivors before the team can consider the slot
-  // settled. (Cycle completion itself is gated on units_done(), so this
-  // ordering is about promptness, not correctness.)
-  if (const RescueFn* r = rescue_.load(std::memory_order_acquire)) {
-    if (*r) (*r)(w);
-  }
+  // Survivors see dead() > 0 from here on and adopt the victim's
+  // stranded units. (Cycle completion is gated on units_done(), so
+  // crediting the slot now cannot end the cycle early.)
   health_.bump_epoch();
   credit_done();
 }

@@ -70,16 +70,15 @@ AudioEngine::AudioEngine(EngineConfig cfg)
     cfg_.slo.spec = slo->spec;
   }
 
-  // Cost model: seeded offline from the graph's reference durations,
-  // refined online via observe_spans()/observe() (DESIGN.md §11).
-  cost_model_ = std::make_unique<core::graph_opt::CostModel>(
-      graph_nodes_.graph().node_count());
-  cost_model_->seed(graph_nodes_.reference_durations());
-
+  // Fusion plans once, here, from costs seeded offline with the graph's
+  // reference durations (DESIGN.md §11).
+  const std::size_t nodes = graph_nodes_.graph().node_count();
+  core::graph_opt::CostModel costs(nodes);
+  costs.seed(graph_nodes_.reference_durations());
   const auto plan =
       cfg_.graph_opt == core::graph_opt::Mode::kOff
-          ? core::graph_opt::Plan::identity(graph_nodes_.graph().node_count())
-          : core::graph_opt::plan_fusion(graph_nodes_.graph(), *cost_model_,
+          ? core::graph_opt::Plan::identity(nodes)
+          : core::graph_opt::plan_fusion(graph_nodes_.graph(), costs,
                                          cfg_.fusion);
   compiled_ = std::make_unique<core::CompiledGraph>(graph_nodes_.graph(), plan);
 
@@ -114,13 +113,6 @@ AudioEngine::AudioEngine(EngineConfig cfg)
     env_trace_pending_ = true;
   }
 
-  if (cfg_.graph_opt == core::graph_opt::Mode::kFuseStatic) {
-    static_plan_ = std::make_unique<core::graph_opt::StaticPlan>(
-        core::graph_opt::build_static_plan(*compiled_, *cost_model_,
-                                           cfg_.threads));
-    if (cost_model_->max_cv() > cfg_.plan_max_cv) static_plan_->invalidate();
-  }
-
   rebuild_executor();
 
   if (cfg_.profiler.mode != ProfMode::kOff) enable_profiler(cfg_.profiler);
@@ -133,68 +125,18 @@ core::ExecOptions AudioEngine::exec_options() const noexcept {
   opts.heal = cfg_.heal;
   if (env_trace_ != nullptr) opts.trace = env_trace_.get();
   if (telemetry_ != nullptr) opts.flight = &telemetry_->flight();
-  if (static_plan_ != nullptr) opts.static_plan = static_plan_.get();
   return opts;
-}
-
-std::size_t AudioEngine::observe_spans(const support::TraceRecorder& trace) {
-  std::size_t folded = 0;
-  for (const auto& s : trace.collect()) {
-    if (s.kind == support::SpanKind::kRun && s.node >= 0 &&
-        static_cast<std::size_t>(s.node) < cost_model_->node_count()) {
-      cost_model_->observe(static_cast<core::NodeId>(s.node), s.duration_us());
-      ++folded;
-    }
-  }
-  return folded;
-}
-
-void AudioEngine::rebuild_static_plan() {
-  if (cfg_.graph_opt != core::graph_opt::Mode::kFuseStatic) return;
-  auto fresh = core::graph_opt::build_static_plan(*compiled_, *cost_model_,
-                                                  cfg_.threads);
-  if (static_plan_ == nullptr) {
-    static_plan_ = std::make_unique<core::graph_opt::StaticPlan>(
-        std::move(fresh));
-    rebuild_executor();  // wire the plan pointer into the workers
-  } else {
-    static_plan_->replace(std::move(fresh));
-  }
-  if (cost_model_->max_cv() > cfg_.plan_max_cv) static_plan_->invalidate();
-  plan_baseline_us_ = 0.0;
-  cp_baseline_us_ = 0.0;
-}
-
-void AudioEngine::track_graph_time(double graph_us) {
-  cost_model_->observe_cycle(graph_us);
-  if (static_plan_ == nullptr || !static_plan_->valid()) return;
-  if (plan_baseline_us_ <= 0.0) {
-    // First cycle after a (re)build establishes the drift baseline.
-    plan_baseline_us_ = cost_model_->cycle_ewma_us();
-    return;
-  }
-  const double r = cost_model_->drift_ratio(plan_baseline_us_);
-  if (r > cfg_.plan_drift_ratio || r < 1.0 / cfg_.plan_drift_ratio) {
-    // The cached schedule no longer matches reality: fall back to
-    // dynamic scheduling from the next cycle on. rebuild_static_plan()
-    // re-enables replay with fresh estimates.
-    static_plan_->invalidate();
-  }
 }
 
 void AudioEngine::rebuild_executor() {
   executor_.reset();  // join old workers before spawning new ones
   executor_ =
       core::make_executor(cfg_.strategy, *compiled_, exec_options(), cfg_.ws);
-  seen_heal_live_ = 0;  // fresh team: re-baseline the live-worker poll
-  hw_armed_ = false;    // fresh team: new tids; re-arm perf counters lazily
+  hw_armed_ = false;  // fresh team: new tids; re-arm perf counters lazily
 }
 
 // Fold the team's self-healing counters into the supervisor and
-// telemetry, and invalidate the cached static plan when the effective
-// team size changed (a quarantine shrank it, a respawn restored it) —
-// the recovery rung runs degraded on N-1 workers until the replacement
-// rejoins (DESIGN.md §12). Called between cycles, after the executor
+// telemetry (DESIGN.md §12). Called between cycles, after the executor
 // returned.
 void AudioEngine::poll_heal() {
   const core::Team* tm = executor_->team();
@@ -213,13 +155,6 @@ void AudioEngine::poll_heal() {
   }
   seen_heal_quarantines_ = hs.quarantines;
   seen_heal_respawns_ = hs.respawns;
-  if (seen_heal_live_ != 0 && hs.live != seen_heal_live_ &&
-      static_plan_ != nullptr) {
-    static_plan_->invalidate();
-    plan_baseline_us_ = 0.0;
-    cp_baseline_us_ = 0.0;
-  }
-  seen_heal_live_ = hs.live;
   if (telemetry_) telemetry_->on_heal(hs);
 }
 
@@ -249,15 +184,9 @@ void AudioEngine::enable_profiler(const ProfilerConfig& pcfg) {
     hw_sampler_.reset();
   }
   hw_armed_ = false;
-  cp_baseline_us_ = 0.0;
 }
 
-// Attribute the finished cycle from its flight spans, then treat
-// realized-critical-path drift as a first-class invalidation signal for
-// the cached static plan: the plan's longest-chain-first ordering was
-// built around a predicted critical path, so when the realized one
-// moves far enough the schedule is stale even before total cycle time
-// drifts (DESIGN.md §14).
+// Attribute the finished cycle from its flight spans (DESIGN.md §14).
 void AudioEngine::profile_cycle(const CycleBreakdown& c) {
   if (profiler_ == nullptr || telemetry_ == nullptr) return;
   if (hw_sampler_ != nullptr && !hw_armed_) {
@@ -279,21 +208,7 @@ void AudioEngine::profile_cycle(const CycleBreakdown& c) {
   // Identical miss predicate to DeadlineMonitor::add, so blame reports
   // and miss counters always agree.
   const bool missed = c.total_us() > cfg_.deadline_us;
-  const auto& at = profiler_->on_cycle(prof_spans_, missed, fcycle);
-
-  if (static_plan_ != nullptr && static_plan_->valid() && !at.empty()) {
-    if (cp_baseline_us_ <= 0.0) {
-      cp_baseline_us_ = profiler_->cp_ewma_us();
-    } else {
-      const double r = profiler_->drift_ratio(cp_baseline_us_);
-      if (r > cfg_.profiler.cp_drift_ratio ||
-          r < 1.0 / cfg_.profiler.cp_drift_ratio) {
-        static_plan_->invalidate();
-        profiler_->note_cp_drift(r, fcycle);
-        cp_baseline_us_ = 0.0;
-      }
-    }
-  }
+  profiler_->on_cycle(prof_spans_, missed, fcycle);
 }
 
 void AudioEngine::enable_slo(const support::SloConfig& scfg) {
@@ -380,14 +295,6 @@ void AudioEngine::set_strategy(core::Strategy s, unsigned threads) {
   cfg_.threads = core::resolve_thread_count(threads);
   if (telemetry_) telemetry_->on_threads_changed(cfg_.threads);
   if (env_trace_ && env_trace_pending_) env_trace_->arm(cfg_.threads);
-  if (static_plan_ != nullptr) {
-    // The cached schedule is per-width; rebuild it for the new team.
-    static_plan_->replace(core::graph_opt::build_static_plan(
-        *compiled_, *cost_model_, cfg_.threads));
-    if (cost_model_->max_cv() > cfg_.plan_max_cv) static_plan_->invalidate();
-    plan_baseline_us_ = 0.0;
-    cp_baseline_us_ = 0.0;
-  }
   rebuild_executor();
   // The compiled graph (including any degradation masks) and the
   // monitor are untouched; tell the supervisor so it can keep its
@@ -475,7 +382,6 @@ CycleBreakdown AudioEngine::run_cycle() {
     support::ScopedTimer t(c.graph_us);
     executor_->run_cycle();
   }
-  track_graph_time(c.graph_us);
   poll_heal();
   apply_pending_poison();
   phase_vc(c);
@@ -504,14 +410,6 @@ void AudioEngine::apply_degradation(DegradationLevel target) {
   const bool no_stretch = target >= DegradationLevel::kNoStretch;
   for (auto& d : decks_) d->set_stretch_degraded(no_stretch);
   applied_level_ = target;
-  if (static_plan_ != nullptr) {
-    // Masking/bypass changes the effective node costs, so a cached
-    // schedule computed for the previous level is stale. Fall back to
-    // dynamic scheduling until rebuild_static_plan() is called.
-    static_plan_->invalidate();
-    plan_baseline_us_ = 0.0;
-    cp_baseline_us_ = 0.0;
-  }
 }
 
 CycleBreakdown AudioEngine::run_cycle_supervised() {
@@ -548,7 +446,6 @@ CycleBreakdown AudioEngine::run_cycle_supervised() {
     exec->run_cycle();
     supervisor_->watchdog_disarm();
   }
-  track_graph_time(c.graph_us);
   poll_heal();
   apply_pending_poison();
   phase_vc(c);

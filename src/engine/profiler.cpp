@@ -202,10 +202,6 @@ CycleProfiler::CycleProfiler(const ProfilerConfig& cfg,
     m_reports_ = registry->counter("djstar_attrib_blame_reports_total",
                                    "Ranked blame reports emitted on "
                                    "deadline misses");
-    m_cp_drifts_ = registry->counter(
-        "djstar_attrib_cp_drifts_total",
-        "Static-plan invalidations triggered by realized-critical-path "
-        "drift");
     g_cp_last_us_ = registry->gauge(
         "djstar_attrib_cp_last_us",
         "Realized critical-path length of the last attributed cycle (us)");
@@ -219,11 +215,6 @@ CycleProfiler::CycleProfiler(const ProfilerConfig& cfg,
         "per cycle (us)",
         kCpBounds);
   }
-}
-
-double CycleProfiler::drift_ratio(double baseline_us) const noexcept {
-  if (baseline_us <= 0.0 || cp_ewma_us_ <= 0.0) return 1.0;
-  return cp_ewma_us_ / baseline_us;
 }
 
 const support::attrib::CycleAttribution& CycleProfiler::on_cycle(
@@ -294,13 +285,6 @@ const support::attrib::CycleAttribution& CycleProfiler::on_cycle(
     }
   }
   return at;
-}
-
-void CycleProfiler::note_cp_drift(double ratio, std::uint64_t cycle) {
-  if (have_metrics_) m_cp_drifts_.inc();
-  if (journal_ != nullptr) {
-    journal_->push(support::EventKind::kCpDrift, cycle, 0, 0, ratio);
-  }
 }
 
 void CycleProfiler::append_attribution_json(std::string& out) const {

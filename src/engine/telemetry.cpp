@@ -53,7 +53,7 @@ EngineTelemetry::EngineTelemetry(const TelemetryConfig& cfg,
           "Replacement workers that rejoined the team")),
       rescued_units_(registry_.counter(
           "djstar_rescued_units_total",
-          "Units republished from quarantined workers")),
+          "Units survivors adopted from quarantined workers")),
       live_workers_(registry_.gauge(
           "djstar_live_workers",
           "Workers currently alive in the team (threads minus "

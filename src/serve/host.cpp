@@ -67,7 +67,7 @@ void append_json_escaped(std::string& out, std::string_view s) {
 EngineHost::EngineHost(HostConfig cfg)
     : cfg_(apply_env_overrides(std::move(cfg))),
       threads_(core::resolve_thread_count(cfg_.threads)),
-      team_(threads_, cfg_.start_mode, cfg_.spin, cfg_.heal),
+      team_(threads_, core::StartMode::kCondvar, cfg_.heal),
       admission_(cfg_.admission),
       m_ticks_(registry_.counter("djstar_fleet_ticks_total",
                                  "Fleet ticks executed")),
@@ -225,7 +225,6 @@ void EngineHost::drain_commands() {
 std::unique_ptr<Session> EngineHost::build_session(SessionId id,
                                                    SessionSpec spec) {
   core::ExecOptions exec;
-  exec.spin = cfg_.spin;
   exec.heal = cfg_.heal;
   if (flight_.enabled()) exec.flight = &flight_;
   auto s = std::make_unique<Session>(id, std::move(spec), team_, exec,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <queue>
 
 #include "djstar/support/assert.hpp"
 
@@ -213,79 +212,6 @@ ScheduleResult simulate_ws(const SimGraph& g, std::uint32_t T,
 }
 
 }  // namespace
-
-ScheduleResult simulate_static(const SimGraph& g, std::uint32_t T,
-                               const OverheadModel& ov) {
-  DJSTAR_ASSERT(T >= 1);
-  ScheduleResult r;
-  r.processors_used = T;
-  const std::size_t n = g.node_count();
-
-  // Phase 1 — the plan: critical-path-first list schedule on ideal
-  // durations, highest upward rank first onto the earliest-free worker
-  // (the same rule as core::graph_opt::build_static_plan).
-  const std::vector<double> rank = upward_rank(g);
-  std::vector<std::size_t> pending(n);
-  for (NodeId v = 0; v < n; ++v) pending[v] = g.predecessors[v].size();
-  const auto lower_rank = [&](NodeId a, NodeId b) {
-    return rank[a] != rank[b] ? rank[a] < rank[b] : a > b;
-  };
-  std::priority_queue<NodeId, std::vector<NodeId>, decltype(lower_rank)>
-      ready(lower_rank);
-  for (NodeId v = 0; v < n; ++v) {
-    if (pending[v] == 0) ready.push(v);
-  }
-  std::vector<double> ideal_finish(n, 0.0), ideal_avail(n, 0.0);
-  std::vector<double> free_at(T, 0.0);
-  std::vector<std::uint32_t> assigned(n, 0);
-  std::vector<NodeId> global_order;
-  global_order.reserve(n);
-  while (!ready.empty()) {
-    const NodeId v = ready.top();
-    ready.pop();
-    std::uint32_t w = 0;
-    for (std::uint32_t i = 1; i < T; ++i) {
-      if (free_at[i] < free_at[w]) w = i;
-    }
-    const double start = std::max(free_at[w], ideal_avail[v]);
-    ideal_finish[v] = start + g.duration_us[v];
-    free_at[w] = ideal_finish[v];
-    assigned[v] = w;
-    global_order.push_back(v);
-    for (NodeId s : g.successors[v]) {
-      ideal_avail[s] = std::max(ideal_avail[s], ideal_finish[v]);
-      if (--pending[s] == 0) ready.push(s);
-    }
-  }
-  DJSTAR_ASSERT_MSG(global_order.size() == n, "static plan missed nodes");
-
-  // Phase 2 — the replay, with overheads: one (contended) dependency
-  // check per unit, a spin quantum when the counter is still non-zero.
-  // No deque/queue operations — that is the point of the cached plan.
-  const double check = ov.scaled_check(T);
-  std::vector<double> finish(n, 0.0);
-  std::vector<double> t(T, T > 1 ? ov.dispatch_us : 0.0);
-  for (const NodeId v : global_order) {
-    const std::uint32_t w = assigned[v];
-    double dep_ready = 0.0;
-    for (NodeId p : g.predecessors[v]) {
-      dep_ready = std::max(dep_ready, finish[p]);
-    }
-    const double avail = t[w] + check;
-    double start;
-    if (dep_ready <= avail) {
-      start = avail;
-    } else {
-      start = dep_ready + ov.spin_quantum_us;
-      r.waits.push_back({w, avail, start, false});
-    }
-    finish[v] = start + g.duration_us[v];
-    t[w] = finish[v];
-    r.entries.push_back({v, w, start, finish[v]});
-  }
-  finalize(r);
-  return r;
-}
 
 ScheduleResult simulate_strategy(const SimGraph& g, SimStrategy strategy,
                                  std::uint32_t threads,

@@ -41,7 +41,6 @@ const char* to_string(EventKind k) noexcept {
     case EventKind::kNetAudioDrop: return "net-audio-drop";
     case EventKind::kBlameReport: return "blame-report";
     case EventKind::kBlame: return "blame";
-    case EventKind::kCpDrift: return "cp-drift";
     case EventKind::kSloAlert: return "slo-alert";
     case EventKind::kSloRecover: return "slo-recover";
   }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,48 @@ TEST_P(ExecutorTest, TracingRecordsOneRunSpanPerNode) {
     }
   }
   EXPECT_EQ(runs, 12);
+}
+
+TEST_P(ExecutorTest, WaitSpansCarryTheConfigurationsFig11Colour) {
+  // A 2-thread chain of 50 us nodes forces waits; every configuration
+  // records them in its own colour (sequential never waits).
+  const auto p = GetParam();
+  const unsigned threads = p.strategy == dc::Strategy::kSequential ? 1 : 2;
+  dc::TaskGraph g;
+  for (dc::NodeId i = 0; i < 8; ++i) {
+    g.add_node("c" + std::to_string(i), [] {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    });
+    if (i > 0) g.add_edge(i - 1, i);
+  }
+  dc::CompiledGraph cg(g);
+  djstar::support::TraceRecorder trace;
+  trace.arm(threads);
+  dc::ExecOptions opts;
+  opts.threads = threads;
+  opts.trace = &trace;
+  auto exec = dc::make_executor(p.strategy, cg, opts);
+  EXPECT_EQ(exec->name(), dc::to_string(p.strategy));
+  for (int c = 0; c < 5; ++c) exec->run_cycle();
+
+  using djstar::support::SpanKind;
+  SpanKind expected = SpanKind::kSleep;  // sleep, shared
+  if (p.strategy == dc::Strategy::kBusyWait) expected = SpanKind::kBusyWait;
+  if (p.strategy == dc::Strategy::kWorkStealing) expected = SpanKind::kSteal;
+  int waits = 0;
+  for (const auto& s : trace.collect()) {
+    if (s.kind == SpanKind::kRun || s.kind == SpanKind::kFused) continue;
+    ++waits;
+    EXPECT_EQ(s.kind, expected) << djstar::support::to_string(s.kind);
+  }
+  if (p.strategy == dc::Strategy::kSequential) {
+    EXPECT_EQ(waits, 0);
+  } else {
+    EXPECT_GT(waits, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -61,7 +61,7 @@ go::FusionOptions test_opts() {
 // ---- mode parsing -----------------------------------------------------------
 
 TEST(GraphOptMode, RoundTripsThroughToString) {
-  for (auto m : {go::Mode::kOff, go::Mode::kFuse, go::Mode::kFuseStatic}) {
+  for (auto m : {go::Mode::kOff, go::Mode::kFuse}) {
     const auto parsed = go::parse_mode(go::to_string(m));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, m);
@@ -69,8 +69,8 @@ TEST(GraphOptMode, RoundTripsThroughToString) {
 }
 
 TEST(GraphOptMode, ParseAcceptsAliasAndRejectsUnknown) {
-  EXPECT_EQ(go::parse_mode("fuse-static"), go::Mode::kFuseStatic);
-  EXPECT_EQ(go::parse_mode("fuse+static"), go::Mode::kFuseStatic);
+  EXPECT_FALSE(go::parse_mode("fuse-static").has_value());
+  EXPECT_FALSE(go::parse_mode("fuse+static").has_value());
   EXPECT_FALSE(go::parse_mode("fused").has_value());
   EXPECT_FALSE(go::parse_mode("").has_value());
   EXPECT_FALSE(go::parse_mode("OFF ").has_value());
@@ -82,8 +82,8 @@ TEST(GraphOptMode, EnvUnsetIsNullopt) {
 }
 
 TEST(GraphOptMode, EnvParsesAndTrimsWhitespace) {
-  ::setenv("DJSTAR_GRAPH_OPT", "  fuse+static ", 1);
-  EXPECT_EQ(go::mode_from_env(), go::Mode::kFuseStatic);
+  ::setenv("DJSTAR_GRAPH_OPT", "  fuse ", 1);
+  EXPECT_EQ(go::mode_from_env(), go::Mode::kFuse);
   ::setenv("DJSTAR_GRAPH_OPT", "off", 1);
   EXPECT_EQ(go::mode_from_env(), go::Mode::kOff);
   ::unsetenv("DJSTAR_GRAPH_OPT");
@@ -99,57 +99,13 @@ TEST(GraphOptMode, EnvGarbageThrowsInsteadOfSilentlyDisabling) {
 
 // ---- cost model -------------------------------------------------------------
 
-TEST(CostModel, SeedReplacesEstimatesAndResetsDeviation) {
+TEST(CostModel, SeedReplacesEstimates) {
   go::CostModel m(3, 2.0);
   EXPECT_DOUBLE_EQ(m.cost(1), 2.0);
-  m.observe(1, 10.0);
-  EXPECT_GT(m.deviation(1), 0.0);
   const std::vector<double> seeded = {1.0, 2.0, 3.0};
   m.seed(seeded);
   EXPECT_DOUBLE_EQ(m.cost(0), 1.0);
   EXPECT_DOUBLE_EQ(m.cost(2), 3.0);
-  EXPECT_DOUBLE_EQ(m.deviation(1), 0.0);
-}
-
-TEST(CostModel, ObserveIsAnEwma) {
-  go::CostModel m(1, 1.0);
-  m.set_alpha(0.1);
-  m.observe(0, 2.0);  // err = 1.0
-  EXPECT_NEAR(m.cost(0), 1.1, 1e-12);
-  EXPECT_NEAR(m.deviation(0), 0.1, 1e-12);
-  EXPECT_EQ(m.observations(), 1u);
-  // Converges to a steady measurement.
-  for (int i = 0; i < 500; ++i) m.observe(0, 2.0);
-  EXPECT_NEAR(m.cost(0), 2.0, 1e-3);
-  EXPECT_LT(m.deviation(0), 0.05);
-}
-
-TEST(CostModel, MaxCvTracksVolatility) {
-  go::CostModel stable(2, 10.0);
-  for (int i = 0; i < 100; ++i) {
-    stable.observe(0, 10.0);
-    stable.observe(1, 10.0);
-  }
-  EXPECT_LT(stable.max_cv(), 0.05);
-
-  go::CostModel noisy(2, 10.0);
-  for (int i = 0; i < 100; ++i) {
-    noisy.observe(0, i % 2 == 0 ? 2.0 : 18.0);  // wild per-sample swings
-    noisy.observe(1, 10.0);
-  }
-  EXPECT_GT(noisy.max_cv(), 0.25);
-}
-
-TEST(CostModel, CycleEwmaAndDriftRatio) {
-  go::CostModel m(1);
-  EXPECT_DOUBLE_EQ(m.cycle_ewma_us(), 0.0);
-  EXPECT_DOUBLE_EQ(m.drift_ratio(100.0), 1.0);  // no data yet -> no drift
-  for (int i = 0; i < 200; ++i) m.observe_cycle(100.0);
-  EXPECT_NEAR(m.cycle_ewma_us(), 100.0, 1.0);
-  EXPECT_NEAR(m.drift_ratio(100.0), 1.0, 0.05);
-  for (int i = 0; i < 200; ++i) m.observe_cycle(300.0);
-  EXPECT_GT(m.drift_ratio(100.0), 2.0);
-  EXPECT_DOUBLE_EQ(m.drift_ratio(0.0), 1.0);  // zero baseline is not drift
 }
 
 // ---- plan legality ----------------------------------------------------------
@@ -410,80 +366,4 @@ TEST(CompiledUnits, FusedStructureIsConsistent) {
       ASSERT_EQ(cg.unit_in_degree(cg.unit_sources()[i]), 0u);
     }
   }
-}
-
-// ---- static schedule --------------------------------------------------------
-
-TEST(StaticPlanTest, CoversEveryUnitExactlyOnce) {
-  for (unsigned threads : {1u, 2u, 4u}) {
-    djstar::test::RandomDag dag(40, 0.07, 11);
-    const go::CostModel costs(40, 1.0);
-    const auto plan = go::plan_fusion(dag.g, costs, test_opts());
-    dc::CompiledGraph cg(dag.g, plan);
-    const auto sp = go::build_static_plan(cg, costs, threads);
-    ASSERT_EQ(sp.threads(), threads);
-    EXPECT_TRUE(sp.valid());
-    std::vector<int> seen(cg.unit_count(), 0);
-    for (unsigned w = 0; w < threads; ++w) {
-      for (auto u : sp.worker_units(w)) ++seen[u];
-    }
-    for (dc::UnitId u = 0; u < cg.unit_count(); ++u) {
-      ASSERT_EQ(seen[u], 1) << "unit " << u << " at " << threads
-                            << " threads";
-    }
-    EXPECT_GT(sp.predicted_makespan_us(), 0.0);
-  }
-}
-
-TEST(StaticPlanTest, ReplayOrderIsDeadlockFree) {
-  // Simulate the lock-step replay: each worker blocks on its next unit
-  // until all predecessor units completed. The per-worker start order
-  // produced by list scheduling must always leave at least one runnable
-  // front unit until everything has run.
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    djstar::test::RandomDag dag(36, 0.08, seed);
-    const go::CostModel costs(36, 1.0);
-    const auto plan = go::plan_fusion(dag.g, costs, test_opts());
-    dc::CompiledGraph cg(dag.g, plan);
-    const unsigned threads = 1 + seed % 4;
-    const auto sp = go::build_static_plan(cg, costs, threads);
-
-    std::vector<std::uint32_t> indeg(cg.unit_count(), 0);
-    for (dc::UnitId u = 0; u < cg.unit_count(); ++u) {
-      for (auto s : cg.unit_successors(u)) ++indeg[s];
-    }
-    std::vector<std::size_t> front(threads, 0);
-    std::size_t done = 0;
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (unsigned w = 0; w < threads; ++w) {
-        const auto list = sp.worker_units(w);
-        while (front[w] < list.size() && indeg[list[front[w]]] == 0) {
-          for (auto s : cg.unit_successors(list[front[w]])) --indeg[s];
-          ++front[w];
-          ++done;
-          progressed = true;
-        }
-      }
-    }
-    ASSERT_EQ(done, cg.unit_count()) << "replay deadlocked, seed " << seed;
-  }
-}
-
-TEST(StaticPlanTest, ValidityFlagAndReplace) {
-  djstar::test::RandomDag dag(20, 0.1, 3);
-  const go::CostModel costs(20, 1.0);
-  dc::CompiledGraph cg(dag.g, go::plan_fusion(dag.g, costs, test_opts()));
-  auto sp = go::build_static_plan(cg, costs, 2);
-  EXPECT_TRUE(sp.valid());
-  sp.invalidate();
-  EXPECT_FALSE(sp.valid());
-  sp.revalidate();
-  EXPECT_TRUE(sp.valid());
-
-  sp.invalidate();
-  sp.replace(go::build_static_plan(cg, costs, 4));
-  EXPECT_TRUE(sp.valid());  // replace revalidates
-  EXPECT_EQ(sp.threads(), 4u);
 }

@@ -1,10 +1,10 @@
 // Differential conformance suite for the graph-opt pipeline: every
-// optimization mode ({off, fuse, fuse+static}) must be observationally
+// optimization mode ({off, fuse}) must be observationally
 // identical to the unoptimized sequential baseline under every
 // scheduling strategy — same exactly-once node execution, same
 // precedence, and (on the real DJ graph) bit-identical audio. A single
-// divergent sample or double-executed node here means the fusion pass or
-// the static replay broke the executors' contract.
+// divergent sample or double-executed node here means the fusion pass
+// broke the executors' contract.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,7 +19,6 @@
 #include "djstar/core/factory.hpp"
 #include "djstar/core/graph_opt.hpp"
 #include "djstar/engine/engine.hpp"
-#include "djstar/support/trace.hpp"
 #include "stress/stress_util.hpp"
 
 namespace dc = djstar::core;
@@ -32,8 +31,7 @@ using djstar::test::RandomDag;
 
 namespace {
 
-constexpr go::Mode kModes[] = {go::Mode::kOff, go::Mode::kFuse,
-                               go::Mode::kFuseStatic};
+constexpr go::Mode kModes[] = {go::Mode::kOff, go::Mode::kFuse};
 
 /// Run `cycles` cycles of `dag` under one (strategy, mode) combination
 /// and check the executor invariants after each cycle. Also asserts the
@@ -52,11 +50,6 @@ void run_mode_conformance(InstrumentedDag& dag, dc::Strategy s, go::Mode mode,
 
   dc::ExecOptions opts;
   opts.threads = threads;
-  go::StaticPlan sp(0, {}, 0.0);
-  if (mode == go::Mode::kFuseStatic) {
-    sp.replace(go::build_static_plan(cg, costs, threads));
-    opts.static_plan = &sp;
-  }
   const auto ex = dc::make_executor(s, cg, opts);
   const auto before = ex->stats().snapshot();
   for (int c = 0; c < cycles; ++c) {
@@ -131,11 +124,11 @@ TEST(GraphOptConformance, TwoThreadSweep) {
 
 TEST(GraphOptConformance, RandomDagsUnderScopedChaos) {
   // Schedule fuzzing: chaos perturbs the executors' race windows while
-  // fused units and static replay are active.
+  // fused units are active.
   dc::chaos::ScopedChaos chaos(0xC0FFEEu);
   RandomDag dag(30, 0.08, 9);
   for (dc::Strategy s : dc::kAllStrategies) {
-    for (go::Mode mode : {go::Mode::kFuse, go::Mode::kFuseStatic}) {
+    for (go::Mode mode : {go::Mode::kFuse}) {
       run_mode_conformance(dag, s, mode, 4, djstar::test::scaled(4),
                            "chaos/" + std::string(dc::to_string(s)) + "/" +
                                std::string(go::to_string(mode)));
@@ -187,81 +180,13 @@ TEST(GraphOptEngine, EnvOverridesConfig) {
 }
 
 TEST(GraphOptEngine, EnvGarbageThrows) {
-  ::setenv("DJSTAR_GRAPH_OPT", "turbo", 1);
   de::EngineConfig cfg;
   cfg.threads = 1;
-  EXPECT_THROW(de::AudioEngine{cfg}, std::invalid_argument);
+  // fuse+static named the static-plan mode, which no longer exists.
+  for (const char* garbage : {"turbo", "fuse+static"}) {
+    ::setenv("DJSTAR_GRAPH_OPT", garbage, 1);
+    EXPECT_THROW(de::AudioEngine{cfg}, std::invalid_argument) << garbage;
+  }
   ::unsetenv("DJSTAR_GRAPH_OPT");
 }
 
-TEST(GraphOptEngine, FuseStaticBuildsAValidPlan) {
-  de::EngineConfig cfg;
-  cfg.graph_opt = go::Mode::kFuseStatic;
-  cfg.strategy = dc::Strategy::kBusyWait;
-  cfg.threads = 2;
-  de::AudioEngine e(cfg);
-  ASSERT_NE(e.static_plan(), nullptr);
-  // Reference durations have zero measured deviation -> low variance ->
-  // the plan is cached as valid.
-  EXPECT_TRUE(e.static_plan()->valid());
-  EXPECT_EQ(e.static_plan()->threads(), 2u);
-  EXPECT_GT(e.static_plan()->predicted_makespan_us(), 0.0);
-  e.run_cycles(10);
-  EXPECT_EQ(e.monitor().cycles(), 10u);
-}
-
-TEST(GraphOptEngine, DriftInvalidatesAndRebuildRestores) {
-  de::EngineConfig cfg;
-  cfg.graph_opt = go::Mode::kFuseStatic;
-  cfg.strategy = dc::Strategy::kBusyWait;
-  cfg.threads = 2;
-  de::AudioEngine e(cfg);
-  e.run_cycles(5);  // establishes the cycle-time baseline
-  ASSERT_NE(e.static_plan(), nullptr);
-  ASSERT_TRUE(e.static_plan()->valid());
-
-  // Pump the cycle-level EWMA far away from the baseline; the next
-  // cycle's drift check must invalidate the cached plan...
-  for (int i = 0; i < 400; ++i) e.cost_model().observe_cycle(1e6);
-  e.run_cycle();
-  EXPECT_FALSE(e.static_plan()->valid());
-
-  // ...the engine keeps producing audio on the dynamic fallback...
-  e.run_cycles(5);
-  EXPECT_EQ(e.monitor().cycles(), 11u);
-
-  // ...and an explicit rebuild re-caches a valid plan.
-  e.rebuild_static_plan();
-  EXPECT_TRUE(e.static_plan()->valid());
-}
-
-TEST(GraphOptEngine, SetStrategyRebuildsPlanForNewWidth) {
-  de::EngineConfig cfg;
-  cfg.graph_opt = go::Mode::kFuseStatic;
-  cfg.strategy = dc::Strategy::kBusyWait;
-  cfg.threads = 2;
-  de::AudioEngine e(cfg);
-  e.run_cycles(5);
-  e.set_strategy(dc::Strategy::kWorkStealing, 4);
-  ASSERT_NE(e.static_plan(), nullptr);
-  EXPECT_EQ(e.static_plan()->threads(), 4u);
-  EXPECT_TRUE(e.static_plan()->valid());
-  e.run_cycles(5);
-  EXPECT_EQ(e.monitor().cycles(), 10u);
-}
-
-TEST(GraphOptEngine, ObserveSpansRefinesTheCostModel) {
-  djstar::support::TraceRecorder trace;
-  trace.arm(2);
-  de::EngineConfig cfg;
-  cfg.graph_opt = go::Mode::kFuse;
-  cfg.strategy = dc::Strategy::kBusyWait;
-  cfg.threads = 2;
-  cfg.exec.trace = &trace;
-  de::AudioEngine e(cfg);
-  const auto before = e.cost_model().observations();
-  e.run_cycle();
-  const auto folded = e.observe_spans(trace);
-  EXPECT_GT(folded, 0u);
-  EXPECT_EQ(e.cost_model().observations(), before + folded);
-}

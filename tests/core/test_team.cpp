@@ -28,7 +28,7 @@ TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
   const auto p = GetParam();
   std::vector<std::atomic<int>> counts(p.threads);
   for (auto& c : counts) c.store(0);
-  dc::Team team(p.threads, p.mode, {}, [&](unsigned w) {
+  dc::Team team(p.threads, p.mode, [&](unsigned w) {
     counts[w].fetch_add(1);
   });
   for (int cycle = 1; cycle <= 50; ++cycle) {
@@ -43,7 +43,7 @@ TEST_P(TeamTest, WorkerIdsAreDistinct) {
   const auto p = GetParam();
   std::mutex m;
   std::set<unsigned> ids;
-  dc::Team team(p.threads, p.mode, {}, [&](unsigned w) {
+  dc::Team team(p.threads, p.mode, [&](unsigned w) {
     const std::lock_guard<std::mutex> lk(m);
     ids.insert(w);
   });
@@ -57,7 +57,7 @@ TEST_P(TeamTest, RunCycleIsABarrier) {
   const auto p = GetParam();
   std::atomic<int> inside{0};
   std::atomic<bool> overlap{false};
-  dc::Team team(p.threads, p.mode, {}, [&](unsigned) {
+  dc::Team team(p.threads, p.mode, [&](unsigned) {
     inside.fetch_add(1);
   });
   for (int cycle = 0; cycle < 20; ++cycle) {
@@ -86,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Team, DestructorJoinsCleanly) {
   for (int i = 0; i < 10; ++i) {
-    dc::Team team(3, dc::StartMode::kCondvar, {}, [](unsigned) {});
+    dc::Team team(3, dc::StartMode::kCondvar, [](unsigned) {});
     team.run_cycle();
     // Team destroyed immediately; must not hang or crash.
   }
@@ -95,7 +95,7 @@ TEST(Team, DestructorJoinsCleanly) {
 
 TEST(Team, SingleThreadRunsInline) {
   std::atomic<int> runs{0};
-  dc::Team team(1, dc::StartMode::kSpin, {}, [&](unsigned w) {
+  dc::Team team(1, dc::StartMode::kSpin, [&](unsigned w) {
     EXPECT_EQ(w, 0u);
     runs.fetch_add(1);
   });
@@ -106,7 +106,7 @@ TEST(Team, SingleThreadRunsInline) {
 // ---- External submission mode (serve: one pool, many executors) ----
 
 TEST(TeamSubmission, BodylessTeamRunsSubmittedBodies) {
-  dc::Team team(3, dc::StartMode::kCondvar, {});
+  dc::Team team(3, dc::StartMode::kCondvar);
   std::vector<std::atomic<int>> a(3), b(3);
   for (auto& c : a) c.store(0);
   for (auto& c : b) c.store(0);
@@ -125,7 +125,7 @@ TEST(TeamSubmission, BodylessTeamRunsSubmittedBodies) {
 
 TEST(TeamSubmission, OwnedBodyTeamAcceptsSubmissionsAndRestores) {
   std::atomic<int> owned{0}, external{0};
-  dc::Team team(2, dc::StartMode::kSpin, {}, [&](unsigned) {
+  dc::Team team(2, dc::StartMode::kSpin, [&](unsigned) {
     owned.fetch_add(1);
   });
   team.run_cycle();
@@ -139,7 +139,7 @@ TEST(TeamSubmission, TwoHostedExecutorsShareOnePool) {
   // The serve-layer shape: two independent graphs, each with a hosted
   // work-stealing executor, multiplexed over one team. Every cycle of
   // either executor must run its graph exactly once, with no cross-talk.
-  dc::Team team(2, dc::StartMode::kCondvar, {});
+  dc::Team team(2, dc::StartMode::kCondvar);
 
   std::atomic<int> ran_a{0}, ran_b{0};
   dc::TaskGraph ga, gb;

@@ -1,7 +1,7 @@
 // engine/profiler integration (DESIGN.md §14): mode parsing and the
 // hardened DJSTAR_PROF hook, HwSampler graceful degradation, forced-stall
 // blame attribution on the real DJ graph, critical-path/makespan
-// reconciliation across every strategy, and static-plan drift signalling.
+// reconciliation across every strategy, and attribution over fused units.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -265,37 +265,14 @@ TEST(ProfilerReconciliation, PathSumMatchesMakespanOnEveryStrategy) {
   }
 }
 
-// ---- critical-path drift invalidation ---------------------------------------
+// ---- graph_opt fusion ----------------------------------------------------
 
-TEST(ProfilerDrift, NoteCpDriftCountsAndJournals) {
-  de::EngineConfig cfg = base_config(Strategy::kSequential, 1);
-  cfg.profiler.mode = de::ProfMode::kAttrib;
-  de::AudioEngine engine(cfg);
-  engine.run_cycles(2);
-
-  engine.profiler().note_cp_drift(2.25, 42);
-
-  const ds::MetricsSnapshot snap = engine.telemetry().registry().snapshot();
-  if (const auto* m = find_metric(snap, "djstar_attrib_cp_drifts_total")) {
-    EXPECT_DOUBLE_EQ(m->value, 1.0);
-  }
-  bool saw = false;
-  for (const ds::Event& e : engine.telemetry().journal().drain_all()) {
-    if (e.kind == ds::EventKind::kCpDrift) {
-      saw = true;
-      EXPECT_EQ(e.cycle, 42u);
-      EXPECT_DOUBLE_EQ(e.value, 2.25);
-    }
-  }
-  EXPECT_TRUE(saw);
-}
-
-TEST(ProfilerDrift, CoexistsWithFusedStaticPlans) {
-  // graph_opt's cached schedule and the profiler watch the same cycles;
-  // a run under both must stay coherent (plan replay + attribution, no
-  // crash, exact cycle counts).
+TEST(ProfilerFusion, CoexistsWithFusedUnits) {
+  // Fused units emit kFused envelopes around their members' kRun spans;
+  // a run under fusion and the profiler must stay coherent (attribution,
+  // no crash, exact cycle counts).
   de::EngineConfig cfg = base_config(Strategy::kWorkStealing, 4);
-  cfg.graph_opt = djstar::core::graph_opt::Mode::kFuseStatic;
+  cfg.graph_opt = djstar::core::graph_opt::Mode::kFuse;
   cfg.profiler.mode = de::ProfMode::kAttrib;
   de::AudioEngine engine(cfg);
   engine.run_cycles(30);

@@ -114,20 +114,6 @@ TEST(HealEngine, TelemetryExportsHealCountersAndDumpsFlight) {
   std::remove(dump.c_str());
 }
 
-TEST(HealEngine, HealingDisablesStaticPlanReplay) {
-  // fuse+static builds a plan, but an armed heal config must keep the
-  // executors on the dynamic path (a cached schedule assumes a fixed
-  // healthy team) — verified here via the engine's plan state.
-  de::EngineConfig cfg = healing_config();
-  cfg.graph_opt = dc::graph_opt::Mode::kFuseStatic;
-  de::AudioEngine engine(cfg);
-  engine.run_cycles(4);
-  // The cycle must complete correctly with healing armed regardless of
-  // whether a plan object exists; replay itself is gated per-cycle by
-  // detail::plan_active (heal.mode != kOff -> dynamic path).
-  SUCCEED();
-}
-
 TEST(HealEngine, CleanTeamReportsFullLiveWidth) {
   de::AudioEngine engine(healing_config());
   engine.run_cycles(8);

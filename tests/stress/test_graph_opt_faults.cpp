@@ -17,12 +17,10 @@
 #include "djstar/core/factory.hpp"
 #include "djstar/core/fault.hpp"
 #include "djstar/core/graph_opt.hpp"
-#include "djstar/engine/engine.hpp"
 #include "stress/stress_util.hpp"
 
 namespace dc = djstar::core;
 namespace go = djstar::core::graph_opt;
-namespace de = djstar::engine;
 using djstar::test::check_cycle_invariants;
 using djstar::test::RandomDag;
 using djstar::test::scaled;
@@ -64,12 +62,6 @@ TEST(GraphOptFaults, LatencyFaultCountsIdenticalAcrossModes) {
       cg.arm_faults(fp);
       dc::ExecOptions opts;
       opts.threads = 4;
-      go::StaticPlan sp(0, {}, 0.0);
-      if (fuse && s == dc::Strategy::kBusyWait) {
-        // Also exercise the static replay path once.
-        sp.replace(go::build_static_plan(cg, costs, 4));
-        opts.static_plan = &sp;
-      }
       const auto ex = dc::make_executor(s, cg, opts);
       for (int c = 0; c < cycles; ++c) {
         dag.reset();
@@ -123,27 +115,19 @@ TEST(GraphOptFaults, ThrowInsideFusedUnitFailsIdenticalCycles) {
     ASSERT_GT(cg.faults_injected(), 0u);
   }
 
-  for (const bool use_static : {false, true}) {
-    for (dc::Strategy s : dc::kAllStrategies) {
-      dc::CompiledGraph cg(dag.g, plan);
-      cg.arm_faults(fp);
-      dc::ExecOptions opts;
-      opts.threads = 4;
-      go::StaticPlan sp(0, {}, 0.0);
-      if (use_static) {
-        sp.replace(go::build_static_plan(cg, costs, 4));
-        opts.static_plan = &sp;
-      }
-      const auto ex = dc::make_executor(s, cg, opts);
-      for (int c = 0; c < cycles; ++c) {
-        dag.reset();
-        ex->run_cycle();
-        ASSERT_EQ(cg.cycle_failed(), ref_failed[c] != 0)
-            << dc::to_string(s) << (use_static ? "+static" : "+fuse")
-            << " cycle " << c;
-        if (ref_failed[c] != 0) {
-          ASSERT_EQ(cg.fault_node(), target);
-        }
+  for (dc::Strategy s : dc::kAllStrategies) {
+    dc::CompiledGraph cg(dag.g, plan);
+    cg.arm_faults(fp);
+    dc::ExecOptions opts;
+    opts.threads = 4;
+    const auto ex = dc::make_executor(s, cg, opts);
+    for (int c = 0; c < cycles; ++c) {
+      dag.reset();
+      ex->run_cycle();
+      ASSERT_EQ(cg.cycle_failed(), ref_failed[c] != 0)
+          << dc::to_string(s) << "+fuse cycle " << c;
+      if (ref_failed[c] != 0) {
+        ASSERT_EQ(cg.fault_node(), target);
       }
     }
   }
@@ -236,33 +220,4 @@ TEST(GraphOptFaults, MaskingAppliesPerNodeInsideFusedUnits) {
   dag.reset();
   ex->run_cycle();
   check_cycle_invariants(dag, "unmasked again");
-}
-
-TEST(GraphOptFaults, SupervisedEngineDegradesAndInvalidatesTheStaticPlan) {
-  // Stall faults blow the deadline; the supervisor walks the degradation
-  // ladder, and any applied level change must invalidate the cached
-  // static plan (the masked graph has different effective costs).
-  de::EngineConfig cfg;
-  cfg.graph_opt = go::Mode::kFuseStatic;
-  cfg.strategy = dc::Strategy::kBusyWait;
-  cfg.threads = 2;
-  cfg.deadline_us = 500.0;  // tight enough that stalls overrun it
-  de::AudioEngine e(cfg);
-
-  dc::chaos::FaultPlan fp;
-  fp.seed = 3;
-  fp.stall_permille = 60;
-  fp.stall_us = 2000.0;
-  e.compiled().arm_faults(fp);
-
-  de::SupervisorConfig scfg;
-  scfg.overrun_trip = 2;
-  e.enable_supervision(scfg);
-  ASSERT_NE(e.static_plan(), nullptr);
-
-  for (int c = 0; c < scaled(120); ++c) e.run_cycle_supervised();
-  if (e.supervisor().level() != de::DegradationLevel::kFull) {
-    EXPECT_FALSE(e.static_plan()->valid())
-        << "degradation level changed but the static plan stayed cached";
-  }
 }

@@ -1,5 +1,4 @@
-// Graph-opt under torture: schedule fuzzing across fused units and
-// static-plan replay, plan invalidation flip-flop mid-stream, and
+// Graph-opt under torture: schedule fuzzing across fused units, and
 // stats/trace consistency with kFused envelope spans present. Runs under
 // the stress label (TSan in CI) — the properties themselves are the same
 // executor invariants the seed harness checks, now over the coarser
@@ -58,55 +57,16 @@ TEST(GraphOptStress, FuzzedModesStrategiesAndSeeds) {
     FusedSetup f(dag.g);
     dc::chaos::ScopedChaos chaos(seed, 300);
     for (dc::Strategy s : dc::kAllStrategies) {
-      for (const bool use_static : {false, true}) {
-        const unsigned threads = 2 + (i % 3);
-        dc::ExecOptions opts;
-        opts.threads = threads;
-        go::StaticPlan sp(0, {}, 0.0);
-        if (use_static) {
-          sp.replace(go::build_static_plan(f.cg, f.costs, threads));
-          opts.static_plan = &sp;
-        }
-        const auto ex = dc::make_executor(s, f.cg, opts);
-        const std::string ctx = "fuzz seed " + std::to_string(seed) + " " +
-                                std::string(dc::to_string(s)) +
-                                (use_static ? "+static" : "+fuse");
-        for (int c = 0; c < scaled(8); ++c) {
-          dag.reset();
-          ex->run_cycle();
-          check_cycle_invariants(dag, ctx);
-        }
+      dc::ExecOptions opts;
+      opts.threads = 2 + (i % 3);
+      const auto ex = dc::make_executor(s, f.cg, opts);
+      const std::string ctx = "fuzz seed " + std::to_string(seed) + " " +
+                              std::string(dc::to_string(s)) + "+fuse";
+      for (int c = 0; c < scaled(8); ++c) {
+        dag.reset();
+        ex->run_cycle();
+        check_cycle_invariants(dag, ctx);
       }
-    }
-  }
-}
-
-TEST(GraphOptStress, PlanInvalidationFlipFlopMidStream) {
-  // The executors re-decide replay-vs-dynamic at every cycle start;
-  // flipping the validity flag between cycles (the engine's drift lever)
-  // must never corrupt a cycle in either direction.
-  Watchdog dog(scaled_timeout(120), "plan flip-flop");
-  RandomDag dag(32, 0.08, 4242);
-  FusedSetup f(dag.g);
-  dc::chaos::ScopedChaos chaos(4242, 250);
-  for (dc::Strategy s : dc::kAllStrategies) {
-    go::StaticPlan sp = go::build_static_plan(f.cg, f.costs, 4);
-    dc::ExecOptions opts;
-    opts.threads = 4;
-    opts.static_plan = &sp;
-    const auto ex = dc::make_executor(s, f.cg, opts);
-    for (int c = 0; c < scaled(20); ++c) {
-      if (c % 3 == 0) sp.invalidate();    // dynamic fallback cycles
-      if (c % 3 == 1) sp.revalidate();    // replay cycles
-      if (c % 7 == 0) {                   // engine-style refresh
-        sp.invalidate();
-        sp.replace(go::build_static_plan(f.cg, f.costs, 4));
-      }
-      dag.reset();
-      ex->run_cycle();
-      check_cycle_invariants(dag, "flipflop " +
-                                      std::string(dc::to_string(s)) +
-                                      " cycle " + std::to_string(c));
     }
   }
 }
@@ -121,30 +81,23 @@ TEST(GraphOptStress, StatsAndTraceStayConsistentWithFusedSpans) {
   const std::size_t n = dag.g.node_count();
   const int cycles = scaled(12);
   for (dc::Strategy s : dc::kAllStrategies) {
-    for (const bool use_static : {false, true}) {
-      djstar::support::TraceRecorder trace;
-      trace.arm(4, 16384);
-      dc::ExecOptions opts;
-      opts.threads = 4;
-      opts.trace = &trace;
-      go::StaticPlan sp(0, {}, 0.0);
-      if (use_static) {
-        sp.replace(go::build_static_plan(f.cg, f.costs, 4));
-        opts.static_plan = &sp;
-      }
-      const auto ex = dc::make_executor(s, f.cg, opts);
-      const auto before = ex->stats().snapshot();
-      for (int c = 0; c < cycles; ++c) {
-        dag.reset();
-        ex->run_cycle();
-        check_cycle_invariants(dag, "trace " + std::string(dc::to_string(s)));
-      }
-      const auto after = ex->stats().snapshot();
-      check_stats_trace_consistency(
-          before, after, trace, n, static_cast<std::size_t>(cycles),
-          "fused trace " + std::string(dc::to_string(s)) +
-              (use_static ? "+static" : ""));
-      ASSERT_FALSE(trace.truncated());
+    djstar::support::TraceRecorder trace;
+    trace.arm(4, 16384);
+    dc::ExecOptions opts;
+    opts.threads = 4;
+    opts.trace = &trace;
+    const auto ex = dc::make_executor(s, f.cg, opts);
+    const auto before = ex->stats().snapshot();
+    for (int c = 0; c < cycles; ++c) {
+      dag.reset();
+      ex->run_cycle();
+      check_cycle_invariants(dag, "trace " + std::string(dc::to_string(s)));
     }
+    const auto after = ex->stats().snapshot();
+    check_stats_trace_consistency(before, after, trace, n,
+                                  static_cast<std::size_t>(cycles),
+                                  "fused trace " +
+                                      std::string(dc::to_string(s)));
+    ASSERT_FALSE(trace.truncated());
   }
 }
