@@ -128,7 +128,7 @@ void BM_GraphCycle67Nodes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphCycle67Nodes)
-    ->ArgsProduct({{0, 1, 2, 3}, {1, 4}})
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {1, 4}})
     ->ArgNames({"strategy", "threads"})
     ->UseRealTime();
 

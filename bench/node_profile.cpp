@@ -47,7 +47,7 @@ int main() {
   if (csv.save(path)) std::printf("\nwrote %s\n", path.c_str());
 
   // Ship the calibrated overhead constants alongside the profile — the
-  // same table the simulator defaults and the fusion threshold read.
+  // same table the simulator defaults read.
   const auto cost_path = bench::out_path("cost_table.csv");
   if (support::costs::write_cost_table_csv(cost_path)) {
     std::printf("wrote %s (%zu calibrated constants)\n", cost_path.c_str(),

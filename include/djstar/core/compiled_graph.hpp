@@ -1,7 +1,8 @@
 // djstar/core/compiled_graph.hpp
 // Immutable, executor-ready form of a TaskGraph: flat arrays (CSR
-// adjacency), the levelized node queue, and the per-cycle atomic
-// dependency counters that every scheduling strategy shares.
+// adjacency), the levelized node queue, and the per-cycle node state
+// (dependency counter, sleep waiter, heal claim) that every scheduling
+// strategy shares. The executors schedule these nodes directly.
 #pragma once
 
 #include <atomic>
@@ -14,14 +15,9 @@
 
 #include "djstar/core/fault.hpp"
 #include "djstar/core/graph.hpp"
-#include "djstar/core/graph_opt.hpp"
 #include "djstar/support/journal.hpp"
 
 namespace djstar::core {
-
-/// Index of a fused scheduling unit within its CompiledGraph. With no
-/// fusion plan every unit is a singleton and UnitId == NodeId.
-using UnitId = std::uint32_t;
 
 /// How the executor-facing node queue is ordered. Both options are
 /// dependency-safe for round-robin assignment (every predecessor appears
@@ -37,21 +33,14 @@ enum class QueueOrder {
 /// can run the graph repeatedly without touching the structure.
 ///
 /// Thread safety: all const accessors are safe concurrently; the atomic
-/// cycle state (`pending`, `waiter`) is operated on by the executors
-/// under the protocol described in each executor's header.
+/// cycle state (`pending`, `waiter`, the claim) is operated on by the
+/// worker loop under the protocol described in loop_executor.cpp.
 class CompiledGraph {
  public:
   /// Compiles `g`. Asserts that the graph is acyclic and every node has
-  /// a work function. Units are the identity partition (one per node).
+  /// a work function.
   explicit CompiledGraph(const TaskGraph& g,
                          QueueOrder order = QueueOrder::kLevelized);
-
-  /// Compiles `g` under a fusion `plan` (graph_opt::plan_fusion).
-  /// Asserts Plan::validate(g). Node-level structure and execution are
-  /// unchanged — the plan only adds the coarser unit granule that the
-  /// executors schedule by.
-  CompiledGraph(const TaskGraph& g, const graph_opt::Plan& plan,
-                QueueOrder order = QueueOrder::kLevelized);
 
   CompiledGraph(const CompiledGraph&) = delete;
   CompiledGraph& operator=(const CompiledGraph&) = delete;
@@ -107,21 +96,20 @@ class CompiledGraph {
   bool faults_armed() const noexcept { return faults_armed_; }
 
   /// True when the armed plan can produce worker faults (kStallForever /
-  /// kWorkerAbort). Gates the heal paths' per-unit pre-execution check.
+  /// kWorkerAbort). Gates the heal path's per-node pre-execution check.
   bool worker_faults_armed() const noexcept {
     return faults_armed_ && worker_faults_possible_;
   }
 
-  /// Resolve-and-consume the worker fault for unit `u` this cycle: scans
-  /// the unit's members, and for the first member whose decision is a
-  /// worker kind wins a per-node one-shot CAS so exactly one caller per
-  /// cycle receives the kind (everyone else gets kNone — re-decisions
-  /// after a quarantine adoption see the consumed flag). Counts into
-  /// faults_injected() and journals like any node fault. Called by the
-  /// healing executors before running a claimed unit; execute() consults
-  /// the same one-shot flag, so a kind consumed here never fires again
-  /// inside the unit body.
-  chaos::FaultKind take_worker_fault(UnitId u) noexcept;
+  /// Resolve-and-consume the worker fault for node `n` this cycle: when
+  /// its decision is a worker kind, wins a one-shot CAS so exactly one
+  /// caller per cycle receives the kind (everyone else gets kNone —
+  /// re-decisions after a quarantine adoption see the consumed flag).
+  /// Counts into faults_injected() and journals like any node fault.
+  /// Called by the healing loop before running a claimed node; execute()
+  /// consults the same one-shot flag, so a kind consumed here never fires
+  /// again inside the node's body.
+  chaos::FaultKind take_worker_fault(NodeId n) noexcept;
 
   /// Hook invoked when a kNanOutput fault fires on node `n` (the graph
   /// owner decides what "corrupted audio" means). Called from worker
@@ -196,9 +184,9 @@ class CompiledGraph {
 
   // ---- per-cycle state shared by all executors ----
 
-  /// Reset dependency counters, waiter slots, and the fault/cancel
-  /// state for a new cycle. Must not run concurrently with an
-  /// executing cycle.
+  /// Reset dependency counters, waiter slots, claims, and the
+  /// fault/cancel state for a new cycle. Must not run concurrently with
+  /// an executing cycle.
   void begin_cycle() noexcept;
 
   /// Remaining unfinished predecessors of `n` this cycle.
@@ -211,102 +199,48 @@ class CompiledGraph {
     return cycle_[n].waiter;
   }
 
-  // ---- fused units (graph_opt) ----
+  // ---- node claims (self-healing executors, DESIGN.md §12) ----
   //
-  // The executors' scheduling granule. Without a fusion plan this layer
-  // is the identity: unit u == node u, unit edges == node edges, and the
-  // unit queue equals order(). Unit-level cycle state mirrors the
-  // node-level protocol (same reset in begin_cycle, same resolution
-  // discipline in every executor).
-
-  std::size_t unit_count() const noexcept { return unit_mem_off_.size() - 1; }
-  /// True when any unit has more than one member.
-  bool fused() const noexcept { return fused_; }
-
-  /// Member nodes of unit `u`, in intra-unit execution order.
-  std::span<const NodeId> unit_members(UnitId u) const noexcept {
-    return {unit_mem_list_.data() + unit_mem_off_[u],
-            unit_mem_off_[u + 1] - unit_mem_off_[u]};
-  }
-  /// Unit that node `n` belongs to.
-  UnitId unit_of(NodeId n) const noexcept { return unit_of_[n]; }
-
-  std::span<const UnitId> unit_successors(UnitId u) const noexcept {
-    return {unit_succ_list_.data() + unit_succ_off_[u],
-            unit_succ_off_[u + 1] - unit_succ_off_[u]};
-  }
-  std::uint32_t unit_in_degree(UnitId u) const noexcept {
-    return unit_indeg_[u];
-  }
-  std::uint32_t unit_depth(UnitId u) const noexcept { return unit_depth_[u]; }
-  /// Section of the unit's first member (fusion does not cross sections
-  /// unless explicitly told to).
-  std::uint32_t unit_section_index(UnitId u) const noexcept {
-    return section_idx_[unit_mem_list_[unit_mem_off_[u]]];
-  }
-
-  /// The unit-level dependency-sorted queue (== order() when unfused).
-  std::span<const UnitId> unit_order() const noexcept { return unit_order_; }
-  /// Source units grouped at the front of unit_order().
-  std::span<const UnitId> unit_sources() const noexcept {
-    return {unit_order_.data(), unit_source_count_};
-  }
-
-  /// Remaining unfinished predecessor units of `u` this cycle.
-  std::atomic<std::int32_t>& unit_pending(UnitId u) noexcept {
-    return unit_cycle_[u].pending;
-  }
-  /// Worker registered to be woken when unit `u` becomes ready (-1 =
-  /// none). Thread-sleeping strategy only.
-  std::atomic<std::int32_t>& unit_waiter(UnitId u) noexcept {
-    return unit_cycle_[u].waiter;
-  }
-
-  // ---- unit claims (self-healing executors, DESIGN.md §12) ----
-  //
-  // The healing strategy paths gate every unit execution behind a CAS on
-  // the unit's claim flag (0 free -> 1 running -> 2 done). A unit that
-  // reaches two workers — a stranded unit adopted by several survivors,
-  // an adopted unit still queued in a lane, ring or deque — still runs
+  // The healing loop gates every node execution behind a CAS on the
+  // node's claim flag (0 free -> 1 running -> 2 done). A node that
+  // reaches two workers — a stranded node adopted by several survivors,
+  // an adopted node still queued in a lane, ring or deque — still runs
   // exactly once: the claim loser just moves on, and only the winner
-  // resolves successors. units_done() is the heal paths'
+  // resolves successors. nodes_done() is the heal path's
   // cycle-completion condition (it also advances on drained cycles, so
   // cancellation still terminates every worker).
 
-  /// Claim unit `u` for execution. One winner per cycle.
-  bool unit_try_claim(UnitId u) noexcept {
+  /// Claim node `n` for execution. One winner per cycle.
+  bool try_claim(NodeId n) noexcept {
     std::uint8_t expected = 0;
-    return unit_cycle_[u].claim.compare_exchange_strong(
-        expected, 1, std::memory_order_acq_rel);
+    return cycle_[n].claim.compare_exchange_strong(expected, 1,
+                                                   std::memory_order_acq_rel);
   }
   /// Return a claim without running (the claimer took a worker fault).
-  void unit_release_claim(UnitId u) noexcept {
-    unit_cycle_[u].claim.store(0, std::memory_order_release);
+  void release_claim(NodeId n) noexcept {
+    cycle_[n].claim.store(0, std::memory_order_release);
   }
-  /// Mark a claimed unit executed and count it toward units_done().
-  void unit_mark_done(UnitId u) noexcept {
-    unit_cycle_[u].claim.store(2, std::memory_order_release);
-    units_done_.fetch_add(1, std::memory_order_acq_rel);
+  /// Mark a claimed node executed and count it toward nodes_done().
+  void mark_done(NodeId n) noexcept {
+    cycle_[n].claim.store(2, std::memory_order_release);
+    nodes_done_.fetch_add(1, std::memory_order_acq_rel);
   }
-  bool unit_done(UnitId u) noexcept {
-    return unit_cycle_[u].claim.load(std::memory_order_acquire) == 2;
+  bool claimed(NodeId n) noexcept {
+    return cycle_[n].claim.load(std::memory_order_acquire) != 0;
   }
-  bool unit_claimed(UnitId u) noexcept {
-    return unit_cycle_[u].claim.load(std::memory_order_acquire) != 0;
-  }
-  /// Units marked done this cycle (heal paths only; 0 on normal paths).
-  std::size_t units_done() const noexcept {
-    return units_done_.load(std::memory_order_acquire);
+  /// Nodes marked done this cycle (heal path only; 0 on normal paths).
+  std::size_t nodes_done() const noexcept {
+    return nodes_done_.load(std::memory_order_acquire);
   }
 
  private:
   struct alignas(64) CycleState {  // one cache line per node: the pending
     std::atomic<std::int32_t> pending{0};  // counters are the hot shared data
     std::atomic<std::int32_t> waiter{-1};
-    // Node entries: one-shot consumption flag for worker-fault decisions
-    // (take_worker_fault vs execute). Unit entries: the claim flag.
+    // One-shot consumption flag for worker-fault decisions
+    // (take_worker_fault vs execute).
     std::atomic<std::uint8_t> wfault{0};
-    std::atomic<std::uint8_t> claim{0};
+    std::atomic<std::uint8_t> claim{0};  // 0 free, 1 running, 2 done
   };
 
   std::vector<std::string> names_;
@@ -323,21 +257,6 @@ class CompiledGraph {
   std::vector<std::uint32_t> section_idx_;
   std::unique_ptr<CycleState[]> cycle_;
 
-  // Fused-unit structure (identity partition when no plan was given).
-  std::vector<std::size_t> unit_mem_off_;
-  std::vector<NodeId> unit_mem_list_;
-  std::vector<UnitId> unit_of_;
-  std::vector<std::size_t> unit_succ_off_;
-  std::vector<UnitId> unit_succ_list_;
-  std::vector<std::uint32_t> unit_indeg_;
-  std::vector<std::uint32_t> unit_depth_;
-  std::vector<UnitId> unit_order_;
-  std::size_t unit_source_count_ = 0;
-  bool fused_ = false;
-  std::unique_ptr<CycleState[]> unit_cycle_;
-
-  void build_units(const TaskGraph& g, const graph_opt::Plan& plan,
-                   QueueOrder order_mode);
   void record_fault(NodeId n, const char* what) noexcept;
 
   // Degradation / fault state. masked_/bypass_/fault_eligible_ and the
@@ -352,7 +271,7 @@ class CompiledGraph {
   std::vector<std::uint8_t> fault_eligible_;
   bool faults_armed_ = false;
   bool worker_faults_possible_ = false;
-  std::atomic<std::size_t> units_done_{0};
+  std::atomic<std::size_t> nodes_done_{0};
   std::uint64_t cycle_index_ = 0;
   std::atomic<bool> abort_cycle_{false};
   std::atomic<bool> cancelled_{false};

@@ -86,8 +86,8 @@ struct ExecOptions {
   /// enabled for the life of the engine. May be nullptr.
   support::FlightRecorder* flight = nullptr;
   /// Worker self-healing (DESIGN.md §12). With mode != kOff the parallel
-  /// executors build their Team with a medic, run every unit through the
-  /// claim gate, and adopt ready units a quarantined worker left behind.
+  /// executors build their Team with a medic, run every node through the
+  /// claim gate, and adopt ready nodes a quarantined worker left behind.
   TeamHealConfig heal{};
 };
 

@@ -43,9 +43,9 @@ enum class FaultKind : std::uint8_t {
   kStall,         ///< node runs, then the worker sleeps (stuck worker)
   // Worker faults (DESIGN.md §12): these target the *thread* that picked
   // the node up, not the node. With a healing team (HealMode != kOff,
-  // parallel strategy) they fire pre-execution at unit granule — the
-  // worker wedges with no heartbeat / dies, the medic quarantines it,
-  // and a survivor adopts the unit. Without a medic CompiledGraph::execute()
+  // parallel strategy) they fire before the node runs — the worker
+  // wedges with no heartbeat / dies, the medic quarantines it, and a
+  // survivor adopts the node. Without a medic CompiledGraph::execute()
   // degrades them so no configuration can hang: kStallForever becomes a
   // bounded kStall of stall_us, kWorkerAbort a no-op (the node still
   // runs; there is no thread-level recovery to exercise).

@@ -15,18 +15,18 @@
 //    threads at a cycle boundary.
 //  - The Team's medic thread (team.cpp) scans the board mid-cycle; a
 //    worker whose heartbeat stops longer than the budget is quarantined:
-//    the survivors adopt every ready unit it left unclaimed (the worker
-//    loop's rescue path, deduplicated by the graph's unit claims) and its
+//    the survivors adopt every ready node it left unclaimed (the worker
+//    loop's rescue path, deduplicated by the graph's node claims) and its
 //    barrier slot is credited so the cycle completes on N-1 workers.
 //  - With HealMode::kRespawn the Team joins the dead thread and spawns a
 //    replacement at the next cycle boundary; kQuarantine leaves the team
 //    permanently one worker down (still correct — survivors adopt the
 //    dead worker's share every cycle).
 //
-// Exactly-once under quarantine relies on CompiledGraph's unit claims
+// Exactly-once under quarantine relies on CompiledGraph's node claims
 // (compiled_graph.hpp): every heal-path execution is gated by a CAS on
-// the unit's claim flag, so a unit that reaches two workers (a false
-// positive quarantine, an adopted unit still queued elsewhere) still
+// the node's claim flag, so a node that reaches two workers (a false
+// positive quarantine, an adopted node still queued elsewhere) still
 // runs once.
 #pragma once
 
@@ -97,14 +97,14 @@ const char* to_string(WorkerState s) noexcept;
 struct HealStats {
   std::uint64_t quarantines = 0;    ///< workers quarantined by the medic
   std::uint64_t respawns = 0;       ///< replacement threads spawned
-  std::uint64_t rescues = 0;        ///< units adopted from dead workers
+  std::uint64_t rescues = 0;        ///< nodes adopted from dead workers
   std::uint64_t worker_faults = 0;  ///< kStallForever/kWorkerAbort fired
   unsigned live = 0;                ///< workers currently not quarantined
   unsigned threads = 0;             ///< configured team width
 };
 
 /// Per-worker heartbeat and lifecycle slots. All operations are wait-free
-/// (single atomic op); slots are cache-line separated so the per-unit
+/// (single atomic op); slots are cache-line separated so the per-node
 /// heartbeat from N workers never false-shares.
 class HealthBoard {
  public:
@@ -158,21 +158,12 @@ class HealthBoard {
     dead_.fetch_add(static_cast<unsigned>(delta), std::memory_order_acq_rel);
   }
 
-  /// Bumped on every quarantine; lets parked workers cheaply detect that
-  /// an adoption scan is worth running.
-  std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_acquire);
-  }
-  void bump_epoch() noexcept {
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  /// Units survivors adopted while a worker was quarantined.
+  /// Nodes survivors adopted while a worker was quarantined.
   void note_rescued(std::uint64_t n) noexcept {
-    rescued_units_.fetch_add(n, std::memory_order_relaxed);
+    rescued_nodes_.fetch_add(n, std::memory_order_relaxed);
   }
-  std::uint64_t rescued_units() const noexcept {
-    return rescued_units_.load(std::memory_order_relaxed);
+  std::uint64_t rescued_nodes() const noexcept {
+    return rescued_nodes_.load(std::memory_order_relaxed);
   }
   /// Worker faults that actually fired on a bound thread.
   std::uint64_t worker_faults() const noexcept {
@@ -214,8 +205,7 @@ class HealthBoard {
   std::unique_ptr<Slot[]> slots_;
   unsigned width_ = 0;
   std::atomic<unsigned> dead_{0};
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> rescued_units_{0};
+  std::atomic<std::uint64_t> rescued_nodes_{0};
   std::atomic<std::uint64_t> worker_faults_{0};
 };
 

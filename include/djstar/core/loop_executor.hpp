@@ -15,9 +15,9 @@
 // The loop itself writes once what every strategy shares: the trace and
 // flight-recorder sink, the wait span (the configuration's Fig. 11
 // colour), the self-healing claim gate and heartbeat, and the rescue of
-// units a quarantined worker left behind (DESIGN.md §12). The heal path
+// nodes a quarantined worker left behind (DESIGN.md §12). The heal path
 // is a separate instantiation of the loop, so a team without a medic
-// pays no claim CAS or heartbeat per unit.
+// pays no claim CAS or heartbeat per node.
 //
 // The ready-sources live in loop_executor.cpp; the five strategies are
 // explicitly instantiated there, and busy_wait.hpp, sleep.hpp,
@@ -32,7 +32,7 @@
 
 namespace djstar::core {
 
-/// Where a strategy's workers get ready units from (loop_executor.cpp).
+/// Where a strategy's workers get ready nodes from (loop_executor.cpp).
 template <Strategy S>
 class ReadySource;
 

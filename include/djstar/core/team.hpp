@@ -24,14 +24,14 @@
 // Self-healing (DESIGN.md §12): a team built with a TeamHealConfig whose
 // mode is not kOff runs a medic thread that scans the HealthBoard while
 // a cycle is in flight. A worker whose heartbeat goes silent past the
-// budget is quarantined: the survivors adopt the ready units it left
+// budget is quarantined: the survivors adopt the ready nodes it left
 // unclaimed (the executors' worker loop), and the medic credits the dead
 // worker's barrier slot so dispatch_cycle() still returns. The credit is
 // arbitrated by a CAS on the worker's state (kActive -> kFinished by the
 // worker itself vs kActive/kAborted -> kQuarantined by the medic), so a
 // slot is counted exactly once even when a quarantine races a late
-// finish. A falsely-quarantined worker is safe: the heal paths run every
-// unit through a claim CAS (exactly-once regardless), and the worker
+// finish. A falsely-quarantined worker is safe: the heal path runs every
+// node through a claim CAS (exactly-once regardless), and the worker
 // retires itself at its next cycle boundary. In kRespawn mode the team
 // joins retired threads and spawns replacements between cycles, seeding
 // them with the current generation so they rejoin cleanly.

@@ -51,9 +51,12 @@ class DeadlineMonitor {
   }
 
   /// Record a cycle at degradation level 0 (the unsupervised path).
-  void add(const CycleBreakdown& c) { add(c, 0); }
+  /// Returns whether it missed the deadline.
+  bool add(const CycleBreakdown& c) { return add(c, 0); }
   /// Record a cycle attributed to `level` (clamped to kMaxLevels - 1).
-  void add(const CycleBreakdown& c, unsigned level);
+  /// Returns whether it missed the deadline: the one miss predicate that
+  /// the engine hands on to telemetry, the profiler and the SLO tracker.
+  bool add(const CycleBreakdown& c, unsigned level);
   void reset();
 
   std::size_t cycles() const noexcept { return cycles_; }

@@ -37,12 +37,6 @@ struct EngineConfig {
   core::ExecOptions exec{};  ///< threads field is overwritten
   core::WorkStealingOptions ws{};
 
-  /// Graph compilation pipeline stage (core/graph_opt, DESIGN.md §11).
-  /// Overridden by DJSTAR_GRAPH_OPT=off|fuse when set.
-  core::graph_opt::Mode graph_opt = core::graph_opt::Mode::kOff;
-  /// Fusion pass tuning (used when graph_opt != kOff).
-  core::graph_opt::FusionOptions fusion{};
-
   /// Worker self-healing (DESIGN.md §12). Overridden by
   /// DJSTAR_HEAL=off|quarantine|respawn when set. With mode != kOff the
   /// parallel executors run their team with heartbeats and a medic, and
@@ -170,17 +164,9 @@ class AudioEngine {
   /// Current master tempo estimate (VC phase output).
   double master_tempo_bpm() const noexcept { return master_tempo_bpm_; }
 
-  // ---- graph optimization (core/graph_opt, DESIGN.md §11) ----
-
-  /// The fusion plan is computed once, at construction, from the graph's
-  /// reference durations.
-  core::graph_opt::Mode graph_opt_mode() const noexcept {
-    return cfg_.graph_opt;
-  }
-
  private:
   void poll_heal();
-  void profile_cycle(const CycleBreakdown& c);
+  void profile_cycle(bool missed);
   core::ExecOptions exec_options() const noexcept;
   void rebuild_executor();
   void apply_degradation(DegradationLevel target);
@@ -188,8 +174,9 @@ class AudioEngine {
   void phase_gp(CycleBreakdown& c);
   void phase_vc(CycleBreakdown& c);
   void apply_pending_poison() noexcept;
-  void finish_cycle_telemetry(const CycleBreakdown& c, unsigned level);
-  void slo_cycle(const CycleBreakdown& c, bool good);
+  void finish_cycle_telemetry(const CycleBreakdown& c, unsigned level,
+                              bool missed);
+  void slo_cycle(const CycleBreakdown& c, bool missed, bool good);
 
   EngineConfig cfg_;
   std::array<std::unique_ptr<Deck>, 4> decks_;

@@ -7,7 +7,7 @@
 // Division of labour: support/attrib owns the path reconstruction and
 // blame math over raw spans; this layer adapts a concrete graph into
 // the analyzer's predecessor shape, feeds it each cycle's flight spans,
-// keeps EWMA critical-path state for graph_opt drift invalidation,
+// keeps an EWMA of the realized critical path for the profile report,
 // publishes djstar_attrib_* metrics, emits kBlameReport/kBlame journal
 // events on every miss, and renders the JSON served by the net layer's
 // /debug/attribution and /debug/profile endpoints.

@@ -77,12 +77,14 @@ class EngineTelemetry {
   const TelemetryConfig& config() const noexcept { return cfg_; }
 
   /// Account the cycle that just finished. Called by AudioEngine between
-  /// cycles, right after DeadlineMonitor::add. `sup` is the supervisor's
-  /// current stats (null unsupervised); `faults_injected` is the graph's
-  /// cumulative fault count; `trace` is the engine's TraceRecorder for
-  /// drop accounting (may be null). Cumulative sources are delta-synced
-  /// into monotone counters, so exports always agree with the sources.
-  void on_cycle(const CycleBreakdown& c, unsigned level,
+  /// cycles, right after DeadlineMonitor::add; `missed` is that call's
+  /// verdict, so the miss counter agrees with monitor().misses(). `sup`
+  /// is the supervisor's current stats (null unsupervised);
+  /// `faults_injected` is the graph's cumulative fault count; `trace` is
+  /// the engine's TraceRecorder for drop accounting (may be null).
+  /// Cumulative sources are delta-synced into monotone counters, so
+  /// exports always agree with the sources.
+  void on_cycle(const CycleBreakdown& c, unsigned level, bool missed,
                 const SupervisorStats* sup, std::uint64_t faults_injected,
                 const support::TraceRecorder* trace);
 

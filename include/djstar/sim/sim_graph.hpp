@@ -30,14 +30,6 @@ struct SimGraph {
   static SimGraph from_compiled(const core::CompiledGraph& g,
                                 std::span<const double> durations);
 
-  /// Snapshot the *unit* graph of a compiled graph (graph_opt fusion):
-  /// one sim node per fused unit, duration = sum of the members'
-  /// durations (`durations` is still per original node), section = the
-  /// unit's section, order = the unit queue. With an identity plan this
-  /// equals from_compiled().
-  static SimGraph from_compiled_units(const core::CompiledGraph& g,
-                                      std::span<const double> durations);
-
   /// Validate: durations non-negative, order is a permutation respecting
   /// dependencies. Asserts on violation.
   void validate() const;

@@ -47,7 +47,7 @@ const char* to_string(GapKind k) noexcept;
 struct PathStep {
   std::int32_t node = -1;
   std::uint32_t worker = 0;
-  std::int32_t steal_from = -1;  ///< victim worker when the unit was stolen
+  std::int32_t steal_from = -1;  ///< victim worker when the node was stolen
   double run_begin_us = 0;
   double run_end_us = 0;
   double wait_us = 0;        ///< gap between the binding constraint

@@ -5,9 +5,8 @@
 // EXPERIMENTS.md). Before this table existed the constants were
 // duplicated: sim::OverheadModel carried inline defaults and the benches
 // restated them in comments. Now every consumer — the strategy
-// simulator's OverheadModel defaults, the graph-optimizer's fusion
-// threshold (core/graph_opt), and bench/node_profile's report — reads
-// the same constants, and bench/node_profile exports them as
+// simulator's OverheadModel defaults and bench/node_profile's report —
+// reads the same constants, and bench/node_profile exports them as
 // results/cost_table.csv so the calibration ships with the repo.
 #pragma once
 
@@ -43,8 +42,7 @@ inline constexpr double kDispatchUs = 14.0;
 
 /// Scheduling overhead attributed to dispatching ONE node through a
 /// dynamic executor: a dependency check plus one ready-queue operation.
-/// This is the per-node saving the fusion pass compares node costs
-/// against — a node cheaper than (threshold x this) is dispatch-bound.
+/// A node cheaper than a small multiple of this is dispatch-bound.
 inline constexpr double kPerNodeDispatchUs = kDepCheckUs + kDequeOpUs;
 
 /// One row of the exported table.

@@ -21,8 +21,6 @@ enum class SpanKind : std::uint8_t {
   kSleep,     ///< parked on a condition variable (paper: white areas)
   kSteal,     ///< probing other threads' deques
   kOverhead,  ///< queue management / dependency checking
-  kFused,     ///< envelope around a multi-node fused unit (graph_opt);
-              ///< the member kRun spans nest inside it
 };
 
 const char* to_string(SpanKind k) noexcept;
@@ -33,9 +31,9 @@ struct TraceSpan {
   double begin_us = 0;
   double end_us = 0;
   std::uint32_t thread = 0;
-  std::int32_t node = -1;  ///< node id (a wait span's: the unit it awaited)
+  std::int32_t node = -1;  ///< node id (a wait span's: the node it awaited)
   SpanKind kind = SpanKind::kRun;
-  /// Victim worker the unit was stolen from, -1 when the unit ran on the
+  /// Victim worker the node was stolen from, -1 when the node ran on the
   /// worker that published it. Lets attribution follow cross-worker
   /// dependency chains unambiguously (a stolen kRun's predecessor lane is
   /// the victim's, not the runner's).

@@ -17,9 +17,9 @@ namespace {
 
 using support::SpanKind;
 
-// What a ready-source's next() returns besides a unit id.
-constexpr UnitId kDone = kInvalidNode;       // this worker's cycle is over
-constexpr UnitId kRetry = kInvalidNode - 1;  // heal mode: nothing ready yet
+// What a ready-source's next() returns besides a node id.
+constexpr NodeId kDone = kInvalidNode;       // this worker's cycle is over
+constexpr NodeId kRetry = kInvalidNode - 1;  // heal mode: nothing ready yet
 
 // Heal mode bounds every wait: a worker whose waker was quarantined must
 // wake on its own to adopt what the dead worker left behind.
@@ -45,26 +45,22 @@ class Sink {
     return on_ ? support::elapsed_us(t0_, support::now()) : 0.0;
   }
 
-  void emit(support::TraceSpan s) const {
-    if (steal_from >= 0 &&
-        (s.kind == SpanKind::kRun || s.kind == SpanKind::kFused)) {
-      s.steal_from = steal_from;
-    }
+  void emit(const support::TraceSpan& s) const {
     if (trace_ != nullptr) trace_->record(w_, s);
     if (flight_ != nullptr) flight_->record(w_, s);
   }
 
   /// The wait span (the configuration's Fig. 11 colour) from `begin` to
-  /// now: ahead of the unit whose first member is `node`, or -1 when
-  /// the cycle ended before another unit came.
+  /// now: ahead of `node`, or -1 when the cycle ended before another
+  /// node came.
   void wait(double begin, std::int32_t node, SpanKind kind) const {
     const double end = clock();
     if (end - begin > 0.5) emit({begin, end, w_, node, kind});
   }
 
-  /// Victim of the steal that delivered the unit now running, -1 for
-  /// local work. Stamped on its kRun/kFused spans so attribution can
-  /// tell migrated work from local work.
+  /// Victim of the steal that delivered the node now running, -1 for
+  /// local work. Stamped on its kRun span so attribution can tell
+  /// migrated work from local work.
   std::int32_t steal_from = -1;
 
  private:
@@ -75,93 +71,80 @@ class Sink {
   bool on_;
 };
 
-/// Execute every member of unit `u` back to back through
-/// CompiledGraph::execute(), so fusion leaves the per-node fault, skip,
-/// bypass and cancel semantics alone (DESIGN.md §11). Recording emits one
-/// kRun span per member plus a kFused envelope around multi-node units.
-/// Counts members, not units, into stats.nodes_executed.
-void run_unit(CompiledGraph& g, UnitId u, ExecutorStats& stats,
+/// Execute node `n` through CompiledGraph::execute() (which owns the
+/// fault, skip, bypass and cancel semantics) and, when recording, emit
+/// its kRun span.
+void run_node(CompiledGraph& g, NodeId n, ExecutorStats& stats,
               const Sink& sink) {
-  const auto members = g.unit_members(u);
   if (!sink.on()) {
-    for (NodeId n : members) g.execute(n);
+    g.execute(n);
   } else {
-    const double unit_begin = sink.clock();
-    double begin = unit_begin;
-    for (NodeId n : members) {
-      g.execute(n);
-      const double end = sink.clock();
-      sink.emit({begin, end, sink.worker(), static_cast<std::int32_t>(n),
-                 SpanKind::kRun});
-      begin = end;
-    }
-    if (members.size() > 1) {
-      sink.emit({unit_begin, begin, sink.worker(),
-                 static_cast<std::int32_t>(members.front()),
-                 SpanKind::kFused});
-    }
+    const double begin = sink.clock();
+    g.execute(n);
+    sink.emit({begin, sink.clock(), sink.worker(),
+               static_cast<std::int32_t>(n), SpanKind::kRun,
+               sink.steal_from});
   }
-  stats.nodes_executed.fetch_add(members.size(), std::memory_order_relaxed);
+  stats.nodes_executed.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The heal path's claim gate (DESIGN.md §12). Wins the unit's claim CAS
+/// The heal path's claim gate (DESIGN.md §12). Wins the node's claim CAS
 /// (the exactly-once arbiter when an adopter and the owner race, or a
 /// queue holds a stale copy), consumes any worker fault decided for the
-/// unit — releasing the claim and wedging or retiring the calling thread
-/// instead of running — then beats, runs, and marks the unit done. Only a
+/// node — releasing the claim and wedging or retiring the calling thread
+/// instead of running — then beats, runs, and marks the node done. Only a
 /// true return may resolve successors; after a false one the caller must
 /// check HealthBoard::abandoned().
-bool claim_run(CompiledGraph& g, HealthBoard& hb, UnitId u,
+bool claim_run(CompiledGraph& g, HealthBoard& hb, NodeId n,
                ExecutorStats& stats, const Sink& sink) {
-  if (!g.unit_try_claim(u)) return false;
+  if (!g.try_claim(n)) return false;
   const unsigned w = sink.worker();
   if (g.worker_faults_armed()) {
-    const chaos::FaultKind wf = g.take_worker_fault(u);
+    const chaos::FaultKind wf = g.take_worker_fault(n);
     // Worker 0 is the caller thread and cannot be replaced: its worker
     // faults are consumed and ignored (take_worker_fault already counted
     // and journaled the injection).
     if (wf != chaos::FaultKind::kNone && w != 0) {
-      g.unit_release_claim(u);
+      g.release_claim(n);
       HealthBoard::on_worker_fault(wf);
       return false;
     }
   }
   hb.beat(w);
-  run_unit(g, u, stats, sink);
-  g.unit_mark_done(u);
+  run_node(g, n, stats, sink);
+  g.mark_done(n);
   return true;
 }
 
-/// A unit every predecessor resolved that nobody has claimed: stranded
+/// A node every predecessor resolved that nobody has claimed: stranded
 /// if its owner died, harmlessly duplicated if not (claims decide).
-bool stranded(CompiledGraph& g, UnitId u) noexcept {
-  return !g.unit_claimed(u) &&
-         g.unit_pending(u).load(std::memory_order_acquire) == 0;
+bool stranded(CompiledGraph& g, NodeId n) noexcept {
+  return !g.claimed(n) && g.pending(n).load(std::memory_order_acquire) == 0;
 }
 
-/// The first stranded unit in queue order, or kRetry.
-UnitId adopt(CompiledGraph& g) noexcept {
-  for (UnitId u : g.unit_order()) {
-    if (stranded(g, u)) return u;
+/// The first stranded node in queue order, or kRetry.
+NodeId adopt(CompiledGraph& g) noexcept {
+  for (NodeId n : g.order()) {
+    if (stranded(g, n)) return n;
   }
   return kRetry;
 }
 
 // ---- wait policies of the lane source ----
 
-/// busy: spin on the unit's dependency counter.
+/// busy: spin on the node's dependency counter.
 struct SpinWait {
   static constexpr StartMode kStart = StartMode::kSpin;
   explicit SpinWait(unsigned) {}
 
-  void until_ready(CompiledGraph& g, UnitId u, unsigned, ExecutorStats& st) {
-    auto& pending = g.unit_pending(u);
+  void until_ready(CompiledGraph& g, NodeId n, unsigned, ExecutorStats& st) {
+    auto& pending = g.pending(n);
     SpinWaiter waiter;
     while (pending.load(std::memory_order_acquire) != 0) waiter.step();
     st.busy_wait_spins.fetch_add(waiter.spins(), std::memory_order_relaxed);
   }
-  void bounded(CompiledGraph& g, UnitId u, unsigned, ExecutorStats& st) {
-    auto& pending = g.unit_pending(u);
+  void bounded(CompiledGraph& g, NodeId n, unsigned, ExecutorStats& st) {
+    auto& pending = g.pending(n);
     std::uint32_t spins = 0;
     while (spins < kHealSpinBurst &&
            pending.load(std::memory_order_acquire) != 0) {
@@ -170,12 +153,12 @@ struct SpinWait {
     }
     st.busy_wait_spins.fetch_add(spins, std::memory_order_relaxed);
   }
-  void release(CompiledGraph& g, UnitId s, ExecutorStats&) {
-    g.unit_pending(s).fetch_sub(1, std::memory_order_acq_rel);
+  void release(CompiledGraph& g, NodeId s, ExecutorStats&) {
+    g.pending(s).fetch_sub(1, std::memory_order_acq_rel);
   }
 };
 
-/// sleep: register as the unit's executor and park on an own slot; the
+/// sleep: register as the node's executor and park on an own slot; the
 /// predecessor that resolves the last dependency wakes exactly that
 /// worker (paper Fig. 6).
 class ParkWait {
@@ -184,16 +167,15 @@ class ParkWait {
   explicit ParkWait(unsigned threads)
       : slots_(std::make_unique<Slot[]>(threads)) {}
 
-  void until_ready(CompiledGraph& g, UnitId u, unsigned w,
+  void until_ready(CompiledGraph& g, NodeId n, unsigned w,
                    ExecutorStats& st) {
     // Register (Fig. 6a), then re-check: either we observe pending == 0
     // here (the resolving predecessor ran between our first check and
     // the registration), or the predecessor observes our registration
     // and wakes us. seq_cst on both sides makes the flag/counter
     // protocol race-free.
-    auto& pending = g.unit_pending(u);
-    g.unit_waiter(u).store(static_cast<std::int32_t>(w),
-                           std::memory_order_seq_cst);
+    auto& pending = g.pending(n);
+    g.waiter(n).store(static_cast<std::int32_t>(w), std::memory_order_seq_cst);
     chaos::maybe_perturb(chaos::Site::kBeforeWait);
     if (pending.load(std::memory_order_seq_cst) == 0) return;
     st.sleeps.fetch_add(1, std::memory_order_relaxed);
@@ -201,12 +183,11 @@ class ParkWait {
     slots_[w].cv.wait(
         lk, [&] { return pending.load(std::memory_order_acquire) == 0; });
   }
-  void bounded(CompiledGraph& g, UnitId u, unsigned w, ExecutorStats& st) {
+  void bounded(CompiledGraph& g, NodeId n, unsigned w, ExecutorStats& st) {
     // Leaving the registration in place across retries is harmless: a
     // notify to an awake worker is a no-op.
-    auto& pending = g.unit_pending(u);
-    g.unit_waiter(u).store(static_cast<std::int32_t>(w),
-                           std::memory_order_seq_cst);
+    auto& pending = g.pending(n);
+    g.waiter(n).store(static_cast<std::int32_t>(w), std::memory_order_seq_cst);
     if (pending.load(std::memory_order_seq_cst) == 0) return;
     st.sleeps.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lk(slots_[w].m);
@@ -214,15 +195,13 @@ class ParkWait {
       return pending.load(std::memory_order_acquire) == 0;
     });
   }
-  void release(CompiledGraph& g, UnitId s, ExecutorStats& st) {
+  void release(CompiledGraph& g, NodeId s, ExecutorStats& st) {
     // Fig. 6b: the predecessor that resolves the last dependency wakes
     // the registered executor, if any.
-    if (g.unit_pending(s).fetch_sub(1, std::memory_order_seq_cst) != 1) {
-      return;
-    }
+    if (g.pending(s).fetch_sub(1, std::memory_order_seq_cst) != 1) return;
     chaos::maybe_perturb(chaos::Site::kBeforeNotify);
     const std::int32_t sleeper =
-        g.unit_waiter(s).exchange(-1, std::memory_order_seq_cst);
+        g.waiter(s).exchange(-1, std::memory_order_seq_cst);
     if (sleeper < 0) return;
     Slot& slot = slots_[static_cast<unsigned>(sleeper)];
     // Taking the slot mutex orders this notify after the sleeper's
@@ -244,8 +223,8 @@ class ParkWait {
 
 // ---- ready-sources ----
 
-/// Round-robin lanes over the dependency-sorted unit queue: worker w owns
-/// units w, w+T, w+2T, ... and waits for each one's dependencies by Wait.
+/// Round-robin lanes over the dependency-sorted node queue: worker w owns
+/// nodes w, w+T, w+2T, ... and waits for each one's dependencies by Wait.
 template <class Wait>
 class Lanes {
  public:
@@ -261,36 +240,36 @@ class Lanes {
   Cursor start(unsigned w) { return {w}; }
 
   template <bool kHeal>
-  UnitId next(unsigned w, Cursor& c, ExecutorStats& st, Sink&) {
-    const auto order = g_.unit_order();
+  NodeId next(unsigned w, Cursor& c, ExecutorStats& st, Sink&) {
+    const auto order = g_.order();
     if (c.k >= order.size()) {
       if constexpr (!kHeal) return kDone;
       // Heal mode keeps every survivor helping until the whole graph is
       // done: a quarantined worker's lane still needs adopters.
-      if (g_.units_done() >= g_.unit_count()) return kDone;
+      if (g_.nodes_done() >= g_.node_count()) return kDone;
       std::this_thread::yield();
       return kRetry;
     }
-    const UnitId u = order[c.k];
-    auto& pending = g_.unit_pending(u);
+    const NodeId n = order[c.k];
+    auto& pending = g_.pending(n);
     if constexpr (kHeal) {
       if (pending.load(std::memory_order_acquire) != 0) {
-        wait_.bounded(g_, u, w, st);
+        wait_.bounded(g_, n, w, st);
         if (pending.load(std::memory_order_acquire) != 0) return kRetry;
       }
     } else {
       // Dependency check + wait (the gray boxes in paper Fig. 11).
       chaos::maybe_perturb(chaos::Site::kDependencyCheck);
       if (pending.load(std::memory_order_acquire) != 0) {
-        wait_.until_ready(g_, u, w, st);
+        wait_.until_ready(g_, n, w, st);
       }
     }
     c.k += threads_;
-    return u;
+    return n;
   }
 
-  void resolve(unsigned, UnitId u, ExecutorStats& st) {
-    for (UnitId s : g_.unit_successors(u)) wait_.release(g_, s, st);
+  void resolve(unsigned, NodeId n, ExecutorStats& st) {
+    for (NodeId s : g_.successors(n)) wait_.release(g_, s, st);
   }
 
  private:
@@ -299,8 +278,8 @@ class Lanes {
   Wait wait_;
 };
 
-/// shared: one mutex-protected ring of ready units, preallocated so a
-/// push on the audio path never allocates. Each unit enters it once per
+/// shared: one mutex-protected ring of ready nodes, preallocated so a
+/// push on the audio path never allocates. Each node enters it once per
 /// cycle (seeded or pushed by the resolver of its last dependency), so
 /// node_count + 1 slots never overflow.
 class Ring {
@@ -315,13 +294,13 @@ class Ring {
     const std::lock_guard<std::mutex> lk(m_);
     head_ = tail_ = 0;
     executed_ = 0;
-    for (UnitId u : g_.unit_sources()) push(u);
+    for (NodeId n : g_.sources()) push(n);
   }
   Cursor start(unsigned) { return {}; }
 
   template <bool kHeal>
-  UnitId next(unsigned, Cursor&, ExecutorStats&, Sink&) {
-    const std::size_t total = g_.unit_count();
+  NodeId next(unsigned, Cursor&, ExecutorStats&, Sink&) {
+    const std::size_t total = g_.node_count();
     chaos::maybe_perturb(chaos::Site::kBeforeWait);
     std::unique_lock<std::mutex> lk(m_);
     const auto ready = [&] { return head_ != tail_ || executed_ == total; };
@@ -331,22 +310,22 @@ class Ring {
       cv_.wait(lk, ready);
     }
     if (executed_ == total) return kDone;
-    const UnitId u = ring_[head_];
+    const NodeId n = ring_[head_];
     head_ = (head_ + 1) % ring_.size();
-    return u;
+    return n;
   }
 
-  void resolve(unsigned, UnitId u, ExecutorStats&) {
+  void resolve(unsigned, NodeId n, ExecutorStats&) {
     std::size_t newly_ready = 0;
     {
       const std::lock_guard<std::mutex> lk(m_);
-      for (UnitId s : g_.unit_successors(u)) {
-        if (g_.unit_pending(s).fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      for (NodeId s : g_.successors(n)) {
+        if (g_.pending(s).fetch_sub(1, std::memory_order_acq_rel) == 1) {
           push(s);
           ++newly_ready;
         }
       }
-      if (++executed_ == g_.unit_count()) {
+      if (++executed_ == g_.node_count()) {
         cv_.notify_all();  // everyone can exit
         return;
       }
@@ -361,20 +340,20 @@ class Ring {
   }
 
  private:
-  void push(UnitId u) {
-    ring_[tail_] = u;
+  void push(NodeId n) {
+    ring_[tail_] = n;
     tail_ = (tail_ + 1) % ring_.size();
   }
 
   CompiledGraph& g_;
   std::mutex m_;  // CP.50: the ring and its mutex live together
   std::condition_variable cv_;
-  std::vector<UnitId> ring_;
+  std::vector<NodeId> ring_;
   std::size_t head_ = 0, tail_ = 0;  // guarded by m_
   std::size_t executed_ = 0;          // guarded by m_
 };
 
-/// ws: per-worker Chase-Lev deques of ready units. The owner pops at the
+/// ws: per-worker Chase-Lev deques of ready nodes. The owner pops at the
 /// bottom (LIFO, cache-warm), thieves steal from the top (FIFO). Idle
 /// workers retry pause+yield rounds, then park on the idle cv until new
 /// work is pushed (paper: WS only sleeps when solely blocked nodes
@@ -398,20 +377,19 @@ class Deques {
     executed_.store(0, std::memory_order_relaxed);
     for (auto& pw : per_worker_) {
       pw.inbox.clear();
-      // Healing can leave stale copies behind (a unit adopted elsewhere
+      // Healing can leave stale copies behind (a node adopted elsewhere
       // stays queued); never let them leak into the next cycle.
       if (heal) pw.deque->clear();
     }
     // Paper §V-C: "the main thread fills up the processing queues of all
     // executor threads. It distributes all nodes without dependencies
     // (source nodes) to the threads", grouped by section for data
-    // locality. Fusion preserves this: units inherit their first
-    // member's section.
+    // locality.
     const auto T = static_cast<unsigned>(per_worker_.size());
     unsigned rr = 0;
-    for (UnitId u : g_.unit_sources()) {
+    for (NodeId n : g_.sources()) {
       unsigned target = ws_.seed == SeedMode::kBySection
-                            ? g_.unit_section_index(u) % T
+                            ? g_.section_index(n) % T
                             : rr++ % T;
       // A quarantined worker never drains its inbox (kQuarantine mode
       // runs degraded on the survivors), so donate its seeds to worker 0
@@ -420,29 +398,29 @@ class Deques {
           team->health().state(target) == WorkerState::kQuarantined) {
         target = 0;
       }
-      per_worker_[target].inbox.push_back(u);
+      per_worker_[target].inbox.push_back(n);
     }
   }
 
   // The inbox was seeded before the team's generation bump, which
   // publishes it (release/acquire).
   Cursor start(unsigned w) {
-    for (UnitId u : per_worker_[w].inbox) {
-      per_worker_[w].deque->push(static_cast<ChaseLevDeque::Item>(u));
+    for (NodeId n : per_worker_[w].inbox) {
+      per_worker_[w].deque->push(static_cast<ChaseLevDeque::Item>(n));
     }
     return {};
   }
 
   template <bool kHeal>
-  UnitId next(unsigned w, Cursor& c, ExecutorStats& st, Sink& sink) {
+  NodeId next(unsigned w, Cursor& c, ExecutorStats& st, Sink& sink) {
     for (;;) {
-      if (executed_.load(std::memory_order_acquire) >= g_.unit_count()) {
+      if (executed_.load(std::memory_order_acquire) >= g_.node_count()) {
         return kDone;
       }
-      UnitId u;
-      if (try_get(w, u, sink.steal_from, st)) {
+      NodeId n;
+      if (try_get(w, n, sink.steal_from, st)) {
         c.failed_rounds = 0;
-        return u;
+        return n;
       }
       if (++c.failed_rounds < ws_.steal_rounds_before_park) {
         cpu_pause();
@@ -454,11 +432,11 @@ class Deques {
     }
   }
 
-  void resolve(unsigned w, UnitId u, ExecutorStats& st) {
-    // Successors whose last dependency this unit resolved join *our*
+  void resolve(unsigned w, NodeId n, ExecutorStats& st) {
+    // Successors whose last dependency this node resolved join *our*
     // deque (LIFO) for cache locality (paper §V-C).
-    for (UnitId s : g_.unit_successors(u)) {
-      if (g_.unit_pending(s).fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    for (NodeId s : g_.successors(n)) {
+      if (g_.pending(s).fetch_sub(1, std::memory_order_acq_rel) != 1) {
         continue;
       }
       per_worker_[w].deque->push(static_cast<ChaseLevDeque::Item>(s));
@@ -472,7 +450,7 @@ class Deques {
       }
     }
     if (executed_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        g_.unit_count()) {
+        g_.node_count()) {
       // Everyone still parked must observe completion promptly.
       idle_epoch_.fetch_add(1, std::memory_order_release);
       idle_cv_.notify_all();
@@ -485,12 +463,12 @@ class Deques {
  private:
   // Own deque bottom first, then one steal round over every other
   // worker's top. `from` reports the victim of a successful steal.
-  bool try_get(unsigned w, UnitId& out, std::int32_t& from,
+  bool try_get(unsigned w, NodeId& out, std::int32_t& from,
                ExecutorStats& st) {
     from = -1;
     const auto own = per_worker_[w].deque->pop();
     if (own >= 0) {
-      out = static_cast<UnitId>(own);
+      out = static_cast<NodeId>(own);
       return true;
     }
     const auto T = static_cast<unsigned>(per_worker_.size());
@@ -498,7 +476,7 @@ class Deques {
       const unsigned victim = (w + d) % T;
       const auto got = per_worker_[victim].deque->steal();
       if (got >= 0) {
-        out = static_cast<UnitId>(got);
+        out = static_cast<NodeId>(got);
         from = static_cast<std::int32_t>(victim);
         st.steals.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -517,7 +495,7 @@ class Deques {
       std::unique_lock<std::mutex> lk(idle_mutex_);
       idle_cv_.wait_for(lk, kIdlePark, [&] {
         return idle_epoch_.load(std::memory_order_acquire) != epoch ||
-               executed_.load(std::memory_order_acquire) >= g_.unit_count();
+               executed_.load(std::memory_order_acquire) >= g_.node_count();
       });
     }
     idlers_.fetch_sub(1, std::memory_order_acq_rel);
@@ -525,7 +503,7 @@ class Deques {
 
   struct alignas(64) PerWorker {
     std::unique_ptr<ChaseLevDeque> deque;
-    std::vector<UnitId> inbox;
+    std::vector<NodeId> inbox;
   };
 
   CompiledGraph& g_;
@@ -650,39 +628,37 @@ void LoopExecutor<S>::loop(unsigned w) {
       kHeal ? &(shared_ != nullptr ? *shared_ : *team_).health() : nullptr;
   for (;;) {
     const double wait_begin = sink.clock();
-    UnitId u = src.template next<kHeal>(w, cursor, stats_, sink);
+    NodeId n = src.template next<kHeal>(w, cursor, stats_, sink);
     bool adopted = false;
     if constexpr (kHeal) {
-      while (u == detail::kRetry) {
+      while (n == detail::kRetry) {
         // The rescue path (DESIGN.md §12): with a worker quarantined,
-        // adopt any ready unit nobody claimed, whichever lane or queue
+        // adopt any ready node nobody claimed, whichever lane or queue
         // the dead worker stranded it in.
-        if (hb->dead() > 0 && (u = detail::adopt(graph_)) != detail::kRetry) {
+        if (hb->dead() > 0 && (n = detail::adopt(graph_)) != detail::kRetry) {
           adopted = true;
           break;
         }
         hb->beat(w);
-        u = src.template next<kHeal>(w, cursor, stats_, sink);
+        n = src.template next<kHeal>(w, cursor, stats_, sink);
       }
     }
     if (S != Strategy::kSequential && sink.on()) {
       sink.wait(wait_begin,
-                u == detail::kDone
-                    ? -1
-                    : static_cast<std::int32_t>(graph_.unit_members(u).front()),
+                n == detail::kDone ? -1 : static_cast<std::int32_t>(n),
                 detail::kWaitSpan<S>);
     }
-    if (u == detail::kDone) return;
+    if (n == detail::kDone) return;
     if constexpr (kHeal) {
-      if (!detail::claim_run(graph_, *hb, u, stats_, sink)) {
+      if (!detail::claim_run(graph_, *hb, n, stats_, sink)) {
         if (HealthBoard::abandoned()) return;  // wedged or aborted
-        continue;  // lost the claim: the unit ran elsewhere
+        continue;  // lost the claim: the node ran elsewhere
       }
       if (adopted) hb->note_rescued(1);
     } else {
-      detail::run_unit(graph_, u, stats_, sink);
+      detail::run_node(graph_, n, stats_, sink);
     }
-    src.resolve(w, u, stats_);
+    src.resolve(w, n, stats_);
   }
 }
 

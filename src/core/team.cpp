@@ -92,7 +92,7 @@ HealStats Team::heal_stats() const noexcept {
   HealStats s;
   s.quarantines = quarantines_.load(std::memory_order_relaxed);
   s.respawns = respawns_.load(std::memory_order_relaxed);
-  s.rescues = health_.rescued_units();
+  s.rescues = health_.rescued_nodes();
   s.worker_faults = health_.worker_faults();
   s.live = live_threads();
   s.threads = threads_;
@@ -249,9 +249,9 @@ void Team::await_retirements() {
   // (executed counters, deques, the orphan buffer) — a straggler racing
   // that reset could resurrect into the new cycle mid-teardown and
   // corrupt it (e.g. an owner-side pop against Deque::clear()), losing a
-  // unit and hanging the team. Hold the cycle boundary until every
+  // node and hanging the team. Hold the cycle boundary until every
   // quarantined slot's thread has actually left the body. Bounded: the
-  // old cycle's exit condition (all units executed) still holds here, so
+  // old cycle's exit condition (all nodes executed) still holds here, so
   // live stragglers unwind within one bounded-wait period, wedge loops
   // exit on the state change, and aborted workers are already returning.
   if (health_.dead() == 0) return;  // dead() > 0 iff a slot is quarantined
@@ -338,9 +338,8 @@ void Team::quarantine(unsigned w) {
   health_.add_dead(1);
   quarantines_.fetch_add(1, std::memory_order_relaxed);
   // Survivors see dead() > 0 from here on and adopt the victim's
-  // stranded units. (Cycle completion is gated on units_done(), so
+  // stranded nodes. (Cycle completion is gated on nodes_done(), so
   // crediting the slot now cannot end the cycle early.)
-  health_.bump_epoch();
   credit_done();
 }
 

@@ -4,7 +4,7 @@
 
 namespace djstar::engine {
 
-void DeadlineMonitor::add(const CycleBreakdown& c, unsigned level) {
+bool DeadlineMonitor::add(const CycleBreakdown& c, unsigned level) {
   ++cycles_;
   tp_.add(c.tp_us);
   gp_.add(c.gp_us);
@@ -22,6 +22,7 @@ void DeadlineMonitor::add(const CycleBreakdown& c, unsigned level) {
     graph_samples_.push_back(c.graph_us);
     total_samples_.push_back(total);
   }
+  return miss;
 }
 
 void DeadlineMonitor::reset() {

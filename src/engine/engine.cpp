@@ -57,8 +57,6 @@ AudioEngine::AudioEngine(EngineConfig cfg)
       monitor_(cfg.deadline_us, cfg.keep_samples) {
   // Hardened: DJSTAR_THREADS overrides, 0 = auto, garbage throws.
   cfg_.threads = core::resolve_thread_count(cfg_.threads);
-  // Hardened: DJSTAR_GRAPH_OPT overrides, garbage throws.
-  if (auto mode = core::graph_opt::mode_from_env()) cfg_.graph_opt = *mode;
   // Hardened: DJSTAR_HEAL overrides, garbage throws.
   cfg_.heal.mode = core::heal_mode_from_env(cfg_.heal.mode);
   // Hardened: DJSTAR_PROF overrides, garbage throws.
@@ -70,17 +68,7 @@ AudioEngine::AudioEngine(EngineConfig cfg)
     cfg_.slo.spec = slo->spec;
   }
 
-  // Fusion plans once, here, from costs seeded offline with the graph's
-  // reference durations (DESIGN.md §11).
-  const std::size_t nodes = graph_nodes_.graph().node_count();
-  core::graph_opt::CostModel costs(nodes);
-  costs.seed(graph_nodes_.reference_durations());
-  const auto plan =
-      cfg_.graph_opt == core::graph_opt::Mode::kOff
-          ? core::graph_opt::Plan::identity(nodes)
-          : core::graph_opt::plan_fusion(graph_nodes_.graph(), costs,
-                                         cfg_.fusion);
-  compiled_ = std::make_unique<core::CompiledGraph>(graph_nodes_.graph(), plan);
+  compiled_ = std::make_unique<core::CompiledGraph>(graph_nodes_.graph());
 
   // Register the bypass forms once; masking toggles them per level.
   for (core::NodeId n = 0; n < compiled_->node_count(); ++n) {
@@ -187,7 +175,7 @@ void AudioEngine::enable_profiler(const ProfilerConfig& pcfg) {
 }
 
 // Attribute the finished cycle from its flight spans (DESIGN.md §14).
-void AudioEngine::profile_cycle(const CycleBreakdown& c) {
+void AudioEngine::profile_cycle(bool missed) {
   if (profiler_ == nullptr || telemetry_ == nullptr) return;
   if (hw_sampler_ != nullptr && !hw_armed_) {
     // Arm perf counters lazily after the first cycle: by then every
@@ -205,9 +193,6 @@ void AudioEngine::profile_cycle(const CycleBreakdown& c) {
   }
   const std::uint64_t fcycle = telemetry_->flight().cycle();
   telemetry_->flight().collect_cycle(fcycle, prof_spans_);
-  // Identical miss predicate to DeadlineMonitor::add, so blame reports
-  // and miss counters always agree.
-  const bool missed = c.total_us() > cfg_.deadline_us;
   profiler_->on_cycle(prof_spans_, missed, fcycle);
 }
 
@@ -249,11 +234,9 @@ void AudioEngine::enable_slo(const support::SloConfig& scfg) {
 // clock sealed a tsdb window, re-evaluate the burn rates. A page-level
 // escalation is handed to the supervisor as an early-degradation signal
 // and to the flight recorder as an incident-dump trigger (DESIGN.md §15).
-void AudioEngine::slo_cycle(const CycleBreakdown& c, bool good) {
+void AudioEngine::slo_cycle(const CycleBreakdown& c, bool missed,
+                            bool good) {
   if (slo_ == nullptr) return;
-  // Identical miss predicate to DeadlineMonitor::add, so burn rates and
-  // monitor().misses() always agree.
-  const bool missed = c.total_us() > cfg_.deadline_us;
   slo_->record_cycle(c.total_us(), missed, good);
   ++slo_cycles_seen_;
   // Virtual clock: cycles × deadline. Deterministic, so the whole alert
@@ -351,7 +334,7 @@ void AudioEngine::apply_pending_poison() noexcept {
 }
 
 void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
-                                         unsigned level) {
+                                         unsigned level, bool missed) {
   // DJSTAR_TRACE: the armed first cycle just finished — dump and disarm
   // (workers see the disarm at the next cycle's synchronization).
   if (env_trace_pending_ && env_trace_ != nullptr) {
@@ -368,7 +351,8 @@ void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
     }
     const support::TraceRecorder* trace =
         env_trace_ != nullptr ? env_trace_.get() : cfg_.exec.trace;
-    telemetry_->on_cycle(c, level, sp, compiled_->faults_injected(), trace);
+    telemetry_->on_cycle(c, level, missed, sp, compiled_->faults_injected(),
+                         trace);
   }
 }
 
@@ -385,12 +369,15 @@ CycleBreakdown AudioEngine::run_cycle() {
   poll_heal();
   apply_pending_poison();
   phase_vc(c);
-  monitor_.add(c);
-  finish_cycle_telemetry(c, 0);
-  profile_cycle(c);
+  // DeadlineMonitor::add decides the miss; every consumer below takes
+  // its verdict, so blame reports, exported counters and burn rates
+  // always agree with monitor().misses().
+  const bool missed = monitor_.add(c);
+  finish_cycle_telemetry(c, 0, missed);
+  profile_cycle(missed);
   // Unsupervised cycles have no structural-failure signal: every cycle
   // counts as available; misses still burn the miss budget.
-  slo_cycle(c, /*good=*/true);
+  slo_cycle(c, missed, /*good=*/true);
   return c;
 }
 
@@ -427,10 +414,10 @@ CycleBreakdown AudioEngine::run_cycle_supervised() {
     // but skip GP/Graph/VC; the supervisor feeds the sound card.
     phase_tp(c);
     supervisor_->supervise_safe_mode_cycle(c);
-    monitor_.add(c, level);
-    finish_cycle_telemetry(c, level);
-    profile_cycle(c);  // no graph spans in safe mode; keeps counts exact
-    slo_cycle(c, /*good=*/false);  // fallback packet: the graph is down
+    const bool missed = monitor_.add(c, level);
+    finish_cycle_telemetry(c, level, missed);
+    profile_cycle(missed);  // no graph spans in safe mode; keeps counts exact
+    slo_cycle(c, missed, /*good=*/false);  // fallback packet: graph is down
     return c;
   }
 
@@ -451,13 +438,14 @@ CycleBreakdown AudioEngine::run_cycle_supervised() {
   phase_vc(c);
   const CycleOutcome outcome =
       supervisor_->supervise_cycle(c, graph_nodes_.output());
-  monitor_.add(c, level);
-  finish_cycle_telemetry(c, level);
-  profile_cycle(c);
+  const bool missed = monitor_.add(c, level);
+  finish_cycle_telemetry(c, level, missed);
+  profile_cycle(missed);
   // Availability: a clean or merely-late cycle emitted real audio; a
   // faulted / cancelled / NaN cycle shipped a repaired packet — down.
-  slo_cycle(c, outcome == CycleOutcome::kClean ||
-                   outcome == CycleOutcome::kOverrun);
+  slo_cycle(c, missed,
+            outcome == CycleOutcome::kClean ||
+                outcome == CycleOutcome::kOverrun);
   return c;
 }
 

@@ -53,7 +53,7 @@ EngineTelemetry::EngineTelemetry(const TelemetryConfig& cfg,
           "Replacement workers that rejoined the team")),
       rescued_units_(registry_.counter(
           "djstar_rescued_units_total",
-          "Units survivors adopted from quarantined workers")),
+          "Nodes survivors adopted from quarantined workers")),
       live_workers_(registry_.gauge(
           "djstar_live_workers",
           "Workers currently alive in the team (threads minus "
@@ -75,7 +75,7 @@ void EngineTelemetry::on_threads_changed(unsigned threads) {
 }
 
 void EngineTelemetry::on_cycle(const CycleBreakdown& c, unsigned level,
-                               const SupervisorStats* sup,
+                               bool missed, const SupervisorStats* sup,
                                std::uint64_t faults_injected,
                                const support::TraceRecorder* trace) {
   ++cycle_count_;
@@ -86,9 +86,6 @@ void EngineTelemetry::on_cycle(const CycleBreakdown& c, unsigned level,
   graph_us_.record(c.graph_us);
   level_gauge_.set(static_cast<double>(level));
 
-  // Same predicate as DeadlineMonitor::add — the exports must agree with
-  // monitor().misses() exactly.
-  const bool missed = total > deadline_us_;
   if (missed) {
     misses_.inc();
     journal_.push(support::EventKind::kDeadlineMiss, cycle_count_,

@@ -27,28 +27,6 @@ SimGraph SimGraph::from_compiled(const core::CompiledGraph& g,
   return s;
 }
 
-SimGraph SimGraph::from_compiled_units(const core::CompiledGraph& g,
-                                       std::span<const double> durations) {
-  DJSTAR_ASSERT_MSG(durations.size() == g.node_count(),
-                    "need one duration per node");
-  SimGraph s;
-  const std::size_t nu = g.unit_count();
-  s.successors.resize(nu);
-  s.predecessors.resize(nu);
-  s.duration_us.assign(nu, 0.0);
-  s.section.resize(nu);
-  for (core::UnitId u = 0; u < nu; ++u) {
-    for (NodeId m : g.unit_members(u)) s.duration_us[u] += durations[m];
-    s.section[u] = g.unit_section_index(u);
-    for (core::UnitId succ : g.unit_successors(u)) {
-      s.successors[u].push_back(succ);
-      s.predecessors[succ].push_back(u);
-    }
-  }
-  s.order.assign(g.unit_order().begin(), g.unit_order().end());
-  return s;
-}
-
 void SimGraph::validate() const {
   const std::size_t n = node_count();
   DJSTAR_ASSERT(successors.size() == n && predecessors.size() == n);

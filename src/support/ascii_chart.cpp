@@ -113,10 +113,6 @@ std::string render_gantt(std::span<const TraceSpan> spans, std::size_t width,
         case SpanKind::kSleep: fill = ' '; break;
         case SpanKind::kSteal: fill = '~'; break;
         case SpanKind::kOverhead: fill = ':'; break;
-        case SpanKind::kFused:
-          // Envelope around member kRun spans — drawing it would paint
-          // over the members it contains.
-          continue;
       }
       for (std::size_t c = c0; c < c1; ++c) row[c] = fill;
       // Stamp the node id at the start of a run span when it fits.

@@ -188,7 +188,6 @@ const CycleAttribution& CriticalPathAnalyzer::analyze(
     double last_end = 0;
     for (std::uint32_t i = lane_begin_[w]; i < lane_end_[w]; ++i) {
       const TraceSpan& s = spans[i];
-      if (s.kind == SpanKind::kFused) continue;  // envelope of member runs
       const double lo = std::clamp(s.begin_us, 0.0, r.makespan_us);
       const double hi = std::clamp(s.end_us, 0.0, r.makespan_us);
       const double d = hi - lo;
@@ -225,8 +224,7 @@ double BlameTracker::node_baseline_us(std::int32_t node) const noexcept {
 const BlameReport& BlameTracker::on_cycle(const CycleAttribution& at,
                                           std::span<const TraceSpan> spans,
                                           bool missed, double deadline_us) {
-  // Per-node actual cost this cycle (a node can run as several spans
-  // inside a fused unit re-run; sum them).
+  // Per-node actual cost this cycle.
   touched_.clear();
   for (const TraceSpan& s : spans) {
     if (s.kind != SpanKind::kRun || s.node < 0) continue;

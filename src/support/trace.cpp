@@ -105,7 +105,6 @@ const char* to_string(SpanKind k) noexcept {
     case SpanKind::kSleep: return "sleep";
     case SpanKind::kSteal: return "steal";
     case SpanKind::kOverhead: return "overhead";
-    case SpanKind::kFused: return "fused";
   }
   return "?";
 }

@@ -194,7 +194,7 @@ TEST_P(ExecutorTest, WaitSpansCarryTheConfigurationsFig11Colour) {
   if (p.strategy == dc::Strategy::kWorkStealing) expected = SpanKind::kSteal;
   int waits = 0;
   for (const auto& s : trace.collect()) {
-    if (s.kind == SpanKind::kRun || s.kind == SpanKind::kFused) continue;
+    if (s.kind == SpanKind::kRun) continue;
     ++waits;
     EXPECT_EQ(s.kind, expected) << djstar::support::to_string(s.kind);
   }

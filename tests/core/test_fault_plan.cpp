@@ -1,9 +1,11 @@
 // Fault-injection plumbing: FaultPlan parsing, deterministic decisions,
 // and CompiledGraph's skip-mask / bypass / fault / cancel machinery on
-// small graphs (the full executor matrix lives in the `faults` suite).
+// small graphs, under every strategy where the outcome is deterministic
+// (the randomized executor matrix lives in the `faults` suite).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "djstar/core/compiled_graph.hpp"
@@ -143,22 +145,25 @@ struct Chain {
 };
 
 TEST(CompiledGraphFaults, MaskSkipsNodeAndCountsIt) {
-  Chain chain;
-  core::CompiledGraph cg(chain.g);
-  cg.set_node_masked(1, true);
-  auto exec = core::make_executor(core::Strategy::kSequential, cg);
-  exec->run_cycle();
-  EXPECT_EQ(chain.runs[0], 1);
-  EXPECT_EQ(chain.runs[1], 0);  // masked, no bypass
-  EXPECT_EQ(chain.runs[2], 1);  // successors still run
-  EXPECT_EQ(cg.skipped_this_cycle(), 1u);
-  EXPECT_EQ(cg.bypassed_this_cycle(), 0u);
-  EXPECT_FALSE(cg.cycle_failed());
+  for (const core::Strategy s : core::kAllStrategies) {
+    SCOPED_TRACE(core::to_string(s));
+    Chain chain;
+    core::CompiledGraph cg(chain.g);
+    cg.set_node_masked(1, true);
+    auto exec = core::make_executor(s, cg);
+    exec->run_cycle();
+    EXPECT_EQ(chain.runs[0], 1);
+    EXPECT_EQ(chain.runs[1], 0);  // masked, no bypass
+    EXPECT_EQ(chain.runs[2], 1);  // successors still run
+    EXPECT_EQ(cg.skipped_this_cycle(), 1u);
+    EXPECT_EQ(cg.bypassed_this_cycle(), 0u);
+    EXPECT_FALSE(cg.cycle_failed());
 
-  cg.set_node_masked(1, false);
-  exec->run_cycle();
-  EXPECT_EQ(chain.runs[1], 1);
-  EXPECT_EQ(cg.skipped_this_cycle(), 0u);
+    cg.set_node_masked(1, false);
+    exec->run_cycle();
+    EXPECT_EQ(chain.runs[1], 1);
+    EXPECT_EQ(cg.skipped_this_cycle(), 0u);
+  }
 }
 
 TEST(CompiledGraphFaults, MaskedNodeRunsBypassForm) {
@@ -212,51 +217,63 @@ TEST(CompiledGraphFaults, RequestCancelDrainsWholeCycle) {
   // Cancelling while idle poisons the *next* cycle only up to its
   // begin_cycle() reset, so: cancel, run, observe a clean run (the
   // flag was cleared) — then cancel *through the first node* instead.
-  core::TaskGraph g2;
-  int after = 0;
-  bool do_cancel = true;
-  core::CompiledGraph* cgp = nullptr;
-  g2.add_node("first", [&] { if (do_cancel) cgp->request_cancel(); }, "s");
-  g2.add_node("second", [&] { ++after; }, "s");
-  g2.add_edge(0, 1);
-  core::CompiledGraph cg2(g2);
-  cgp = &cg2;
-  auto exec2 = core::make_executor(core::Strategy::kSequential, cg2);
-  exec2->run_cycle();
-  EXPECT_TRUE(cg2.cycle_failed());
-  EXPECT_TRUE(cg2.cancel_requested());
-  EXPECT_EQ(cg2.fault_node(), -1);  // cancel, not a node fault
-  EXPECT_EQ(after, 0);
+  for (const core::Strategy s : core::kAllStrategies) {
+    SCOPED_TRACE(core::to_string(s));
+    core::TaskGraph g2;
+    int after = 0;
+    bool do_cancel = true;
+    core::CompiledGraph* cgp = nullptr;
+    g2.add_node("first", [&] { if (do_cancel) cgp->request_cancel(); }, "s");
+    g2.add_node("second", [&] { ++after; }, "s");
+    g2.add_edge(0, 1);
+    core::CompiledGraph cg2(g2);
+    cgp = &cg2;
+    auto exec2 = core::make_executor(s, cg2);
+    exec2->run_cycle();
+    EXPECT_TRUE(cg2.cycle_failed());
+    EXPECT_TRUE(cg2.cancel_requested());
+    EXPECT_EQ(cg2.fault_node(), -1);  // cancel, not a node fault
+    EXPECT_EQ(cg2.skipped_this_cycle(), 1u);
+    EXPECT_EQ(after, 0);
 
-  do_cancel = false;
-  exec2->run_cycle();  // flag clears at the next cycle start
-  EXPECT_FALSE(cg2.cycle_failed());
-  EXPECT_EQ(after, 1);
+    do_cancel = false;
+    exec2->run_cycle();  // flag clears at the next cycle start
+    EXPECT_FALSE(cg2.cycle_failed());
+    EXPECT_EQ(after, 1);
+  }
 }
 
 TEST(CompiledGraphFaults, ArmedThrowPlanInjectsDeterministically) {
   FaultPlan plan;
   plan.seed = 11;
   plan.throw_permille = 200;  // dense enough to hit within a few cycles
+  plan.latency_permille = 200;  // spikes never fail a cycle, still count
+  plan.latency_min_us = 1.0;
+  plan.latency_max_us = 5.0;
 
-  auto run = [&plan] {
+  // (failed cycles, faults injected) over 50 cycles.
+  auto run = [&plan](core::Strategy s) {
     Chain chain;
     core::CompiledGraph cg(chain.g);
     cg.arm_faults(plan);
-    auto exec = core::make_executor(core::Strategy::kSequential, cg);
+    auto exec = core::make_executor(s, cg);
     std::vector<int> failed_cycles;
     for (int c = 0; c < 50; ++c) {
       exec->run_cycle();
       if (cg.cycle_failed()) failed_cycles.push_back(c);
     }
-    EXPECT_GT(cg.faults_injected(), 0u);
-    return failed_cycles;
+    return std::make_pair(failed_cycles, cg.faults_injected());
   };
 
-  const auto first = run();
-  const auto second = run();
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, second);  // exact replay from the seed
+  const auto first = run(core::Strategy::kSequential);
+  EXPECT_FALSE(first.first.empty());
+  EXPECT_GT(first.second, first.first.size());  // spikes counted too
+  // Decisions are a pure function of (seed, cycle, node), and on a chain
+  // a failure drains the same nodes whoever runs them: an exact replay
+  // from the seed under every strategy, sequential included.
+  for (const core::Strategy s : core::kAllStrategies) {
+    EXPECT_EQ(run(s), first) << core::to_string(s);
+  }
 }
 
 TEST(CompiledGraphFaults, TargetsRestrictEligibility) {

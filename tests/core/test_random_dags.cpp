@@ -12,6 +12,8 @@
 #include "djstar/core/factory.hpp"
 
 namespace dc = djstar::core;
+using djstar::test::ChainFanDag;
+using djstar::test::InstrumentedDag;
 using djstar::test::RandomDag;
 
 namespace {
@@ -30,35 +32,52 @@ std::string case_name(const testing::TestParamInfo<Case>& info) {
 
 class RandomDagTest : public testing::TestWithParam<Case> {};
 
+/// Runs `dag` for 30 cycles: every node exactly once, every
+/// predecessor first, and the executor's own accounting agreeing (one
+/// execution per node per cycle).
+void check_exactly_once(InstrumentedDag& dag, const Case& p,
+                        const std::string& shape) {
+  constexpr int kCycles = 30;
+  ASSERT_TRUE(dag.g.is_acyclic());
+  dc::CompiledGraph cg(dag.g);
+  dc::ExecOptions opts;
+  opts.threads = p.threads;
+  auto exec = dc::make_executor(p.strategy, cg, opts);
+  const auto before = exec->stats().snapshot();
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    dag.reset();
+    exec->run_cycle();
+    for (std::size_t i = 0; i < dag.done.size(); ++i) {
+      ASSERT_EQ(dag.done[i].load(), 1)
+          << "shape " << shape << " cycle " << cycle << " node " << i;
+    }
+    for (dc::NodeId v = 0; v < dag.g.node_count(); ++v) {
+      for (dc::NodeId pred : dag.g.predecessors(v)) {
+        ASSERT_LT(dag.stamp[pred], dag.stamp[v])
+            << "shape " << shape << " cycle " << cycle;
+      }
+    }
+  }
+  EXPECT_EQ(exec->stats().snapshot().nodes_executed - before.nodes_executed,
+            kCycles * dag.g.node_count())
+      << "shape " << shape;
+}
+
 }  // namespace
 
 TEST_P(RandomDagTest, ExactlyOnceAndOrderedOverManyCycles) {
   const auto p = GetParam();
-  // Mix of shapes: sparse wide graph, denser graph, near-chain.
+  // Mix of shapes: sparse wide graph, denser graph, near-chain...
   const double densities[] = {0.04, 0.15, 0.5};
   const std::size_t sizes[] = {40, 67, 25};
   for (int shape = 0; shape < 3; ++shape) {
     RandomDag dag(sizes[shape], densities[shape], p.seed * 17 + shape);
-    ASSERT_TRUE(dag.g.is_acyclic());
-    dc::CompiledGraph cg(dag.g);
-    dc::ExecOptions opts;
-    opts.threads = p.threads;
-    auto exec = dc::make_executor(p.strategy, cg, opts);
-    for (int cycle = 0; cycle < 30; ++cycle) {
-      dag.reset();
-      exec->run_cycle();
-      for (std::size_t i = 0; i < dag.done.size(); ++i) {
-        ASSERT_EQ(dag.done[i].load(), 1)
-            << "shape " << shape << " cycle " << cycle << " node " << i;
-      }
-      for (dc::NodeId v = 0; v < dag.g.node_count(); ++v) {
-        for (dc::NodeId pred : dag.g.predecessors(v)) {
-          ASSERT_LT(dag.stamp[pred], dag.stamp[v])
-              << "shape " << shape << " cycle " << cycle;
-        }
-      }
-    }
+    check_exactly_once(dag, p, std::to_string(shape));
   }
+  // ...and the chain-then-fan that is the thread-sleeping strategy's
+  // worst case.
+  ChainFanDag chain_fan(17, 6);
+  check_exactly_once(chain_fan, p, "chain-fan");
 }
 
 INSTANTIATE_TEST_SUITE_P(

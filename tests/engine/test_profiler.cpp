@@ -1,7 +1,7 @@
 // engine/profiler integration (DESIGN.md §14): mode parsing and the
 // hardened DJSTAR_PROF hook, HwSampler graceful degradation, forced-stall
-// blame attribution on the real DJ graph, critical-path/makespan
-// reconciliation across every strategy, and attribution over fused units.
+// blame attribution on the real DJ graph, and critical-path/makespan
+// reconciliation across every strategy.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -263,22 +263,4 @@ TEST(ProfilerReconciliation, PathSumMatchesMakespanOnEveryStrategy) {
                   at.makespan_us, 0.05 * at.makespan_us + 1.0);
     }
   }
-}
-
-// ---- graph_opt fusion ----------------------------------------------------
-
-TEST(ProfilerFusion, CoexistsWithFusedUnits) {
-  // Fused units emit kFused envelopes around their members' kRun spans;
-  // a run under fusion and the profiler must stay coherent (attribution,
-  // no crash, exact cycle counts).
-  de::EngineConfig cfg = base_config(Strategy::kWorkStealing, 4);
-  cfg.graph_opt = djstar::core::graph_opt::Mode::kFuse;
-  cfg.profiler.mode = de::ProfMode::kAttrib;
-  de::AudioEngine engine(cfg);
-  engine.run_cycles(30);
-  EXPECT_EQ(engine.profiler().cycles_profiled(), 30u);
-  EXPECT_GT(engine.profiler().cp_ewma_us(), 0.0);
-  const std::string json = engine.profiler().profile_json();
-  EXPECT_NE(json.find("\"mode\":\"attrib\""), std::string::npos);
-  EXPECT_NE(json.find("\"hw_available\""), std::string::npos);
 }

@@ -46,15 +46,12 @@ TEST(HealthBoard, TransitionCasArbitratesDoneCredit) {
                                  dc::WorkerState::kFinished));
 }
 
-TEST(HealthBoard, DeadCountAndEpochTrackQuarantines) {
+TEST(HealthBoard, DeadCountTracksQuarantines) {
   dc::HealthBoard hb;
   hb.configure(4);
   EXPECT_EQ(hb.dead(), 0u);
-  const std::uint64_t e0 = hb.epoch();
   hb.add_dead(1);
-  hb.bump_epoch();
   EXPECT_EQ(hb.dead(), 1u);
-  EXPECT_GT(hb.epoch(), e0);
   hb.add_dead(-1);
   EXPECT_EQ(hb.dead(), 0u);
 }

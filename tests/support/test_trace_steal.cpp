@@ -27,7 +27,7 @@ TEST(TraceSteal, DefaultSpanHasNoStealOrigin) {
 }
 
 TEST(TraceSteal, ExportOmitsOriginForLocalRuns) {
-  // Backward compatibility: a trace with no stolen units must serialize
+  // Backward compatibility: a trace with no stolen nodes must serialize
   // exactly as before the field existed — no steal_from args anywhere.
   ds::TraceRecorder tr;
   tr.arm(2);
