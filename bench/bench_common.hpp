@@ -5,13 +5,13 @@
 // simulated reproduction on a virtual 4-core machine (the paper itself
 // used RESCON simulation for its schedule analyses), and, where it makes
 // sense, (c) numbers measured live on this host. The host of record for
-// this repository has a single CPU core, so measured parallel speedups
-// are not expected to reproduce — see DESIGN.md §2 and EXPERIMENTS.md.
+// this repository is a 4-vCPU virtual machine, half the paper's 8-core
+// testbed — see DESIGN.md §2 and EXPERIMENTS.md.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,26 +24,35 @@
 #include "djstar/sim/strategy_sim.hpp"
 #include "djstar/support/ascii_chart.hpp"
 #include "djstar/support/csv.hpp"
+#include "djstar/support/env.hpp"
 #include "djstar/support/stats.hpp"
 
 namespace djstar::bench {
 
+/// A positive-integer knob: `fallback` when `var` is unset; a blank,
+/// zero or malformed value throws std::invalid_argument.
+inline std::size_t iters_knob(const char* var, std::size_t fallback) {
+  const auto text = support::env::get(var);
+  if (!text) return fallback;
+  const auto n = support::env::parse_uint(*text);
+  if (!n || *n == 0) {
+    throw std::invalid_argument(std::string(var) +
+                                ": expected a positive integer, got '" +
+                                *text + "'");
+  }
+  return static_cast<std::size_t>(*n);
+}
+
 /// Iteration count for simulated sweeps; the paper uses 10k APCs.
 inline std::size_t sim_iters() {
-  if (const char* env = std::getenv("DJSTAR_SIM_ITERS")) {
-    return static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  return 10000;
+  return iters_knob("DJSTAR_SIM_ITERS", 10000);
 }
 
 /// Iteration count for live measured sweeps (kept smaller by default so
 /// the full bench suite stays fast; export DJSTAR_MEASURE_ITERS=10000
 /// for a paper-scale run).
 inline std::size_t measure_iters() {
-  if (const char* env = std::getenv("DJSTAR_MEASURE_ITERS")) {
-    return static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  return 1500;
+  return iters_knob("DJSTAR_MEASURE_ITERS", 1500);
 }
 
 /// The canonical graph + reference durations + compiled form, bundled.
@@ -145,12 +154,14 @@ inline void banner(const char* experiment, const char* paper_claim) {
   std::printf("================================================================\n\n");
 }
 
-/// Resolve the output directory for CSV artifacts (default: cwd).
-inline std::string out_path(const std::string& file) {
-  if (const char* env = std::getenv("DJSTAR_BENCH_OUT")) {
-    return std::string(env) + "/" + file;
+/// Where a harness writes `file`: $DJSTAR_BENCH_OUT/<file> when set,
+/// else <fallback_dir>/<file> (default: the cwd).
+inline std::string out_path(const std::string& file,
+                            const std::string& fallback_dir = "") {
+  if (auto dir = support::env::get("DJSTAR_BENCH_OUT", "path")) {
+    return *dir + "/" + file;
   }
-  return file;
+  return fallback_dir.empty() ? file : fallback_dir + "/" + file;
 }
 
 }  // namespace djstar::bench

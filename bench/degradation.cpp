@@ -105,9 +105,7 @@ int main() {
 
   std::error_code ec;
   std::filesystem::create_directories("results", ec);
-  const auto path = std::getenv("DJSTAR_BENCH_OUT")
-                        ? bench::out_path("degradation.csv")
-                        : std::string("results/degradation.csv");
+  const auto path = bench::out_path("degradation.csv", "results");
   if (csv.save(path)) std::printf("\nwrote %s\n", path.c_str());
   return 0;
 }

@@ -163,9 +163,7 @@ int main(int argc, char** argv) {
 
   std::error_code ec;
   std::filesystem::create_directories("results", ec);
-  const auto path = std::getenv("DJSTAR_BENCH_OUT")
-                        ? bench::out_path("obs_overhead.csv")
-                        : std::string("results/obs_overhead.csv");
+  const auto path = bench::out_path("obs_overhead.csv", "results");
   if (csv.save(path)) std::printf("\nwrote %s\n", path.c_str());
 
   std::printf("%s: %s (gate: mean overhead < %.0f%%, telemetry, "

@@ -149,9 +149,7 @@ int main(int argc, char** argv) {
 
   std::error_code ec;
   std::filesystem::create_directories("results", ec);
-  const auto path = std::getenv("DJSTAR_BENCH_OUT")
-                        ? bench::out_path("self_heal.csv")
-                        : std::string("results/self_heal.csv");
+  const auto path = bench::out_path("self_heal.csv", "results");
   if (csv.save(path)) std::printf("\nwrote %s\n", path.c_str());
 
   std::printf("%s: %s (gate: mean overhead < %.0f%%)\n",

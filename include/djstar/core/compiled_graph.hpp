@@ -186,7 +186,8 @@ class CompiledGraph {
 
   /// Reset dependency counters, waiter slots, claims, and the
   /// fault/cancel state for a new cycle. Must not run concurrently with
-  /// an executing cycle.
+  /// an executing cycle; the stores are relaxed, and the Team's
+  /// generation bump publishes them to the workers.
   void begin_cycle() noexcept;
 
   /// Remaining unfinished predecessors of `n` this cycle.

@@ -19,8 +19,8 @@
 //
 // Off by default: an unarmed graph pays one branch per node execution.
 // Arm programmatically via CompiledGraph::arm_faults(), or for any
-// binary via the DJSTAR_FAULTS environment variable (parsed by
-// FaultPlan::from_env; see README "Fault injection").
+// engine via the DJSTAR_FAULTS environment variable (AudioEngine parses
+// it with FaultPlan::parse; see README "Fault injection").
 #pragma once
 
 #include <cstdint>
@@ -101,10 +101,6 @@ struct FaultPlan {
   /// Unknown keys or malformed values yield nullopt. Rates are clamped
   /// to 1000.
   static std::optional<FaultPlan> parse(std::string_view spec);
-
-  /// Parse the DJSTAR_FAULTS environment variable (nullopt when unset
-  /// or malformed — malformed specs are reported on stderr, not fatal).
-  static std::optional<FaultPlan> from_env(const char* var = "DJSTAR_FAULTS");
 };
 
 /// Decide the fault for node `node` in cycle `cycle` under `plan`.

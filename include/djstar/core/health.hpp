@@ -1,6 +1,6 @@
 // djstar/core/health.hpp
 // Worker-level self-healing: heartbeat board, quarantine states, and the
-// strict DJSTAR_HEAL configuration (DESIGN.md §12).
+// strict DJSTAR_HEAL grammar (DESIGN.md §12).
 //
 // core/fault injects faults into *nodes*; this layer handles faults in
 // the *workers themselves* — a thread wedged in a blocking syscall
@@ -52,11 +52,6 @@ const char* to_string(HealMode m) noexcept;
 /// std::invalid_argument on anything else, quoting the input — same
 /// strictness contract as core/thread_count.
 HealMode parse_heal_mode(std::string_view text);
-
-/// Resolve the heal mode: DJSTAR_HEAL (if set) overrides `fallback`.
-/// Unset returns `fallback`; empty or garbage values throw.
-HealMode heal_mode_from_env(HealMode fallback = HealMode::kOff,
-                            const char* env_var = "DJSTAR_HEAL");
 
 /// Team self-healing configuration (ExecOptions::heal / EngineConfig /
 /// serve::HostConfig carry one of these down to the Team).

@@ -3,10 +3,11 @@
 //
 // Every layer that sizes a worker pool (AudioEngine, serve::EngineHost,
 // benches) resolves its thread count through here instead of trusting a
-// raw integer or getenv() string. The rules:
+// raw integer or environment string. The rules:
 //
 //   - DJSTAR_THREADS, when set, overrides the configured count (it is an
-//     explicit runtime request).
+//     explicit runtime request); support/env reads it, so a set-but-blank
+//     value throws.
 //   - "0" (env or config) means "auto": std::thread::hardware_concurrency,
 //     clamped to at least 1.
 //   - Negative, non-numeric, empty, or trailing-garbage values throw
@@ -32,8 +33,7 @@ unsigned parse_thread_count(std::string_view text);
 /// Resolve the effective worker count: DJSTAR_THREADS (if set) overrides
 /// `requested`; 0 resolves to hardware concurrency; the result is
 /// clamped to [1, kMaxThreads]. Throws std::invalid_argument when the
-/// environment value fails to parse.
-unsigned resolve_thread_count(unsigned requested = 0,
-                              const char* env_var = "DJSTAR_THREADS");
+/// environment value is blank or fails to parse.
+unsigned resolve_thread_count(unsigned requested = 0);
 
 }  // namespace djstar::core

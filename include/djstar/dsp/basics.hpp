@@ -1,9 +1,8 @@
 // djstar/dsp/basics.hpp
-// Small building blocks: gain/pan, crossfader law, parameter smoothing,
-// envelope follower, level meter, bitcrusher, waveshaper.
+// Small building blocks: gain, crossfader law, parameter smoothing, level
+// meter, bitcrusher, waveshaper.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 
 #include "djstar/audio/buffer.hpp"
@@ -41,16 +40,6 @@ class Gain {
   SmoothedValue g_;
 };
 
-/// Equal-power stereo panner. `pan` in [-1, 1].
-class Pan {
- public:
-  void set_pan(float pan) noexcept { pan_.set_target(pan); }
-  void process(audio::AudioBuffer& buf) noexcept;
-
- private:
-  SmoothedValue pan_{0.0f};
-};
-
 /// DJ crossfader gain law. `position` in [0,1]: 0 = full A, 1 = full B.
 /// Returns the pair of channel gains using a constant-power curve.
 struct CrossfadeGains {
@@ -68,21 +57,6 @@ class LevelMeter {
 
  private:
   float peak_ = 0.0f, rms_ = 0.0f;
-};
-
-/// Attack/release envelope follower producing one value per buffer.
-class EnvelopeFollower {
- public:
-  void set(float attack_ms, float release_ms,
-           double sample_rate = audio::kSampleRate) noexcept;
-  /// Consume a buffer; returns the post-buffer envelope value.
-  float process(const audio::AudioBuffer& buf) noexcept;
-  float value() const noexcept { return env_; }
-  void reset() noexcept { env_ = 0.0f; }
-
- private:
-  float attack_coef_ = 0.99f, release_coef_ = 0.999f;
-  float env_ = 0.0f;
 };
 
 /// Sample-rate / bit-depth reducer (lo-fi effect).

@@ -56,6 +56,14 @@ struct EngineConfig {
   support::SloConfig slo{};
 };
 
+/// Apply DJSTAR_HEAL (heal.mode), DJSTAR_PROF (profiler.mode) and
+/// DJSTAR_SLO (slo.enabled and slo.spec; the embedder's window geometry
+/// and retention stay) when set. AudioEngine and serve::EngineHost both
+/// resolve their configuration through here. Blank or malformed values
+/// throw std::invalid_argument.
+void apply_env_overrides(core::TeamHealConfig& heal, ProfilerConfig& profiler,
+                         support::SloConfig& slo);
+
 /// DJ Star's audio engine. Single-threaded control interface: construct,
 /// tweak parameters, call run_cycle() per audio packet.
 class AudioEngine {

@@ -47,10 +47,6 @@ enum class ProfMode : std::uint8_t {
 std::string_view to_string(ProfMode m) noexcept;
 /// "off" | "attrib" | "attrib+hw" -> mode; nullopt on anything else.
 std::optional<ProfMode> parse_prof_mode(std::string_view name) noexcept;
-/// Hardened DJSTAR_PROF parsing, matching DJSTAR_THREADS style: unset
-/// returns nullopt, whitespace is trimmed, anything else that is not a
-/// valid mode (including an empty value) throws std::invalid_argument.
-std::optional<ProfMode> prof_mode_from_env();
 
 /// Profiler construction knobs (EngineConfig::profiler).
 struct ProfilerConfig {

@@ -1,8 +1,7 @@
 // djstar/net/config.hpp
-// Hardened DJSTAR_NET configuration, in the DJSTAR_THREADS /
-// DJSTAR_HEAL / DJSTAR_BREAKER style: an explicitly-set but malformed
-// value throws std::invalid_argument naming the offending text — never
-// a silent default.
+// Hardened DJSTAR_NET configuration under the one support/env contract:
+// an explicitly-set but malformed value throws std::invalid_argument
+// naming the offending text — never a silent default.
 //
 //   DJSTAR_NET=<port>[,max_conns[,send_ring_kb]]
 //
@@ -19,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace djstar::net {
@@ -33,15 +31,11 @@ struct NetConfig {
   unsigned max_conns = 64;
   unsigned send_ring_kb = 256;
 
-  /// Parse "<port>[,max_conns[,send_ring_kb]]". Throws
-  /// std::invalid_argument (message quotes the input) on any malformed
-  /// or out-of-range field.
+  /// Parse "<port>[,max_conns[,send_ring_kb]]" (fields trimmed).
+  /// Throws std::invalid_argument (message quotes the input) on any
+  /// malformed or out-of-range field. net::Server applies DJSTAR_NET
+  /// through here.
   static NetConfig parse(std::string_view text);
-
-  /// DJSTAR_NET override: unset returns nullopt, set goes through
-  /// parse() (so an empty or bad value throws instead of being
-  /// ignored).
-  static std::optional<NetConfig> from_env(const char* var = "DJSTAR_NET");
 };
 
 }  // namespace djstar::net

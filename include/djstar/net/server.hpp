@@ -87,6 +87,8 @@ class Server {
 
   /// The actual bound port (differs from cfg.net.port when that was 0).
   std::uint16_t port() const noexcept { return port_; }
+  /// The configuration in force (DJSTAR_NET applied).
+  const ServerConfig& config() const noexcept { return cfg_; }
 
   /// The hosted engine. Control-plane calls are safe while running;
   /// data-plane introspection only after stop().

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 #include "djstar/serve/qos.hpp"
@@ -50,11 +49,6 @@ struct BreakerConfig {
   /// empty string, missing comma, garbage numbers, negative backoff —
   /// throws std::invalid_argument. K == 0 is valid (explicitly off).
   static BreakerConfig parse(std::string_view text);
-
-  /// DJSTAR_BREAKER override: unset returns nullopt, set goes through
-  /// parse() (set-but-garbage throws; it must not be silently ignored).
-  static std::optional<BreakerConfig> from_env(
-      const char* var = "DJSTAR_BREAKER");
 };
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };

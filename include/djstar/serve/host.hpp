@@ -168,6 +168,8 @@ class EngineHost {
   void set_tick_observer(TickObserver fn) { tick_observer_ = std::move(fn); }
 
   unsigned threads() const noexcept { return threads_; }
+  /// The configuration in force (environment overrides applied).
+  const HostConfig& config() const noexcept { return cfg_; }
   std::size_t active_sessions() const noexcept { return active_.size(); }
   std::size_t queued_sessions() const noexcept { return queued_.size(); }
   /// Sessions currently parked by their circuit breaker.

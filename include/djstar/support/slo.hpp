@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -86,12 +85,12 @@ struct SloConfig {
   /// ("" = count the incident, skip the file).
   std::string incident_dump_path;
 
-  /// Parse DJSTAR_SLO=off|on[,<miss_ratio>[,<p99_us>]]. Unset returns
-  /// nullopt; set-but-empty, unknown modes, malformed or out-of-range
-  /// numbers, and trailing fields all throw std::invalid_argument (the
-  /// DJSTAR_PROF/DJSTAR_NET contract: a typo'd production env must fail
-  /// loudly, not silently run unobserved).
-  static std::optional<SloConfig> from_env();
+  /// Parse the DJSTAR_SLO grammar off|on[,<miss_ratio>[,<p99_us>]]
+  /// into enabled + spec (fields trimmed). Empty input or fields,
+  /// unknown modes, malformed or out-of-range numbers, and trailing
+  /// fields all throw std::invalid_argument: a typo'd production env
+  /// must fail loudly, not silently run unobserved.
+  static SloConfig parse(std::string_view text);
 };
 
 /// One objective's burn rates at the last evaluation.

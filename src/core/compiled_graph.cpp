@@ -82,8 +82,6 @@ void CompiledGraph::begin_cycle() noexcept {
   bypassed_.store(0, std::memory_order_relaxed);
   cancelled_.store(false, std::memory_order_relaxed);
   abort_cycle_.store(false, std::memory_order_relaxed);
-  // Publish the reset before any worker reads the counters.
-  std::atomic_thread_fence(std::memory_order_release);
 }
 
 void CompiledGraph::arm_faults(const chaos::FaultPlan& plan) {

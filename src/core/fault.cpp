@@ -1,9 +1,6 @@
 #include "djstar/core/fault.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <cstdlib>
-
+#include "djstar/support/env.hpp"
 #include "djstar/support/rng.hpp"
 
 namespace djstar::core::chaos {
@@ -14,21 +11,15 @@ constexpr std::uint64_t kCycleMix = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t kNodeMix = 0xbf58476d1ce4e5b9ULL;
 
 bool parse_u64(std::string_view s, std::uint64_t& out) {
-  const auto* end = s.data() + s.size();
-  const auto r = std::from_chars(s.data(), end, out);
-  return r.ec == std::errc{} && r.ptr == end;
+  const auto v = support::env::parse_uint(s);
+  if (v) out = *v;
+  return v.has_value();
 }
 
 bool parse_double(std::string_view s, double& out) {
-  // from_chars<double> is still patchy across libstdc++ versions in the
-  // field; strtod on a bounded copy is portable and just as strict here.
-  char buf[64];
-  if (s.empty() || s.size() >= sizeof(buf)) return false;
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + s.size();
+  const auto v = support::env::parse_double(s);
+  if (v) out = *v;
+  return v.has_value();
 }
 
 bool parse_rate(std::string_view s, std::uint32_t& out) {
@@ -55,11 +46,7 @@ const char* to_string(FaultKind k) noexcept {
 
 std::optional<FaultPlan> FaultPlan::parse(std::string_view spec) {
   FaultPlan plan;
-  while (!spec.empty()) {
-    const auto comma = spec.find(',');
-    std::string_view item = spec.substr(0, comma);
-    spec = comma == std::string_view::npos ? std::string_view{}
-                                           : spec.substr(comma + 1);
+  for (const std::string_view item : support::env::split(spec)) {
     if (item.empty()) continue;
 
     const auto eq = item.find('=');
@@ -103,16 +90,6 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view spec) {
     } else {
       return std::nullopt;
     }
-  }
-  return plan;
-}
-
-std::optional<FaultPlan> FaultPlan::from_env(const char* var) {
-  const char* raw = std::getenv(var);
-  if (raw == nullptr || raw[0] == '\0') return std::nullopt;
-  auto plan = parse(raw);
-  if (!plan) {
-    std::fprintf(stderr, "djstar: ignoring malformed %s=\"%s\"\n", var, raw);
   }
   return plan;
 }

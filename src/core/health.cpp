@@ -1,7 +1,6 @@
 #include "djstar/core/health.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -45,14 +44,6 @@ HealMode parse_heal_mode(std::string_view text) {
   if (text == "respawn") return HealMode::kRespawn;
   throw std::invalid_argument("invalid heal mode \"" + std::string(text) +
                               "\" (expected off|quarantine|respawn)");
-}
-
-HealMode heal_mode_from_env(HealMode fallback, const char* env_var) {
-  const char* raw = std::getenv(env_var);
-  if (raw == nullptr) return fallback;
-  // Empty is an explicit-but-meaningless request: throw, like
-  // DJSTAR_THREADS= does, instead of silently picking a default.
-  return parse_heal_mode(raw);
 }
 
 void HealthBoard::configure(unsigned width) {

@@ -1,51 +1,29 @@
 #include "djstar/core/thread_count.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "djstar/support/env.hpp"
+
 namespace djstar::core {
-namespace {
-
-[[noreturn]] void bad_value(std::string_view text, const char* why) {
-  throw std::invalid_argument("invalid thread count '" + std::string(text) +
-                              "': " + why +
-                              " (expected a non-negative integer; 0 = auto)");
-}
-
-}  // namespace
 
 unsigned parse_thread_count(std::string_view text) {
-  // Trim surrounding whitespace so "DJSTAR_THREADS= 4 " still works.
-  std::size_t b = 0, e = text.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
-  const std::string_view t = text.substr(b, e - b);
-
-  if (t.empty()) bad_value(text, "empty");
-  if (t[0] == '-') bad_value(text, "negative");
-  if (t[0] == '+') bad_value(text, "sign prefix not accepted");
-
-  unsigned long long v = 0;
-  for (char c : t) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      bad_value(text, "not a number");
-    }
-    v = v * 10 + static_cast<unsigned long long>(c - '0');
-    if (v > 10ULL * kMaxThreads) break;  // avoid overflow; clamps below
+  // Values above kMaxThreads clamp to it, however many digits they have.
+  namespace env = support::env;
+  const auto v = env::parse_uint(env::trim(text), kMaxThreads);
+  if (!v) {
+    throw std::invalid_argument("invalid thread count '" + std::string(text) +
+                                "' (expected a non-negative integer; 0 = "
+                                "auto)");
   }
-  if (v > kMaxThreads) return kMaxThreads;
-  return static_cast<unsigned>(v);
+  return static_cast<unsigned>(*v);
 }
 
-unsigned resolve_thread_count(unsigned requested, const char* env_var) {
+unsigned resolve_thread_count(unsigned requested) {
   unsigned n = requested;
-  if (env_var != nullptr) {
-    if (const char* env = std::getenv(env_var)) {
-      n = parse_thread_count(env);
-    }
+  if (auto env = support::env::get("DJSTAR_THREADS")) {
+    n = parse_thread_count(*env);
   }
   if (n == 0) {
     n = std::thread::hardware_concurrency();

@@ -27,19 +27,6 @@ void Gain::process(audio::AudioBuffer& buf) noexcept {
   }
 }
 
-void Pan::process(audio::AudioBuffer& buf) noexcept {
-  if (buf.channels() < 2) return;
-  auto l = buf.channel(0);
-  auto r = buf.channel(1);
-  constexpr float kQuarterPi = static_cast<float>(std::numbers::pi / 4.0);
-  for (std::size_t i = 0; i < buf.frames(); ++i) {
-    const float p = std::clamp(pan_.next(), -1.0f, 1.0f);
-    const float angle = (p + 1.0f) * kQuarterPi;  // 0..pi/2
-    l[i] *= std::cos(angle) * std::numbers::sqrt2_v<float>;
-    r[i] *= std::sin(angle) * std::numbers::sqrt2_v<float>;
-  }
-}
-
 CrossfadeGains crossfader_law(float position) noexcept {
   const float p = std::clamp(position, 0.0f, 1.0f);
   constexpr float kHalfPi = static_cast<float>(std::numbers::pi / 2.0);
@@ -49,29 +36,6 @@ CrossfadeGains crossfader_law(float position) noexcept {
 void LevelMeter::process(const audio::AudioBuffer& buf) noexcept {
   peak_ = buf.peak();
   rms_ = buf.rms();
-}
-
-void EnvelopeFollower::set(float attack_ms, float release_ms,
-                           double sample_rate) noexcept {
-  auto coef = [&](float ms) {
-    if (ms <= 0.0f) return 0.0f;
-    return std::exp(-1.0f / (ms * 0.001f * static_cast<float>(sample_rate)));
-  };
-  attack_coef_ = coef(attack_ms);
-  release_coef_ = coef(release_ms);
-}
-
-float EnvelopeFollower::process(const audio::AudioBuffer& buf) noexcept {
-  const std::size_t nch = std::min<std::size_t>(buf.channels(), 2);
-  for (std::size_t i = 0; i < buf.frames(); ++i) {
-    float peak = 0.0f;
-    for (std::size_t c = 0; c < nch; ++c) {
-      peak = std::max(peak, std::fabs(buf.at(c, i)));
-    }
-    const float coef = peak > env_ ? attack_coef_ : release_coef_;
-    env_ = coef * env_ + (1.0f - coef) * peak;
-  }
-  return env_;
 }
 
 void Bitcrusher::set(int bits, int downsample) noexcept {

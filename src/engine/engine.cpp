@@ -1,33 +1,17 @@
 #include "djstar/engine/engine.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "djstar/core/team.hpp"
 #include "djstar/core/thread_count.hpp"
 #include "djstar/support/assert.hpp"
+#include "djstar/support/env.hpp"
 #include "djstar/support/time.hpp"
 
 namespace djstar::engine {
 namespace {
-
-// Read a path-valued env var, hardened like DJSTAR_THREADS: unset (or
-// all-whitespace absent) returns nullopt, set-but-empty after trimming
-// throws — a misspelled value must not be silently ignored.
-std::optional<std::string> env_path(const char* var) {
-  const char* raw = std::getenv(var);
-  if (raw == nullptr) return std::nullopt;
-  std::string s(raw);
-  const auto b = s.find_first_not_of(" \t");
-  const auto e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) {
-    throw std::invalid_argument(std::string(var) + ": empty path");
-  }
-  return s.substr(b, e - b + 1);
-}
 
 std::array<std::unique_ptr<Deck>, 4> make_decks(const EngineConfig& cfg) {
   std::array<std::unique_ptr<Deck>, 4> decks;
@@ -50,23 +34,34 @@ std::array<const audio::AudioBuffer*, 4> deck_inputs(
 
 }  // namespace
 
+void apply_env_overrides(core::TeamHealConfig& heal, ProfilerConfig& profiler,
+                         support::SloConfig& slo) {
+  if (auto v = support::env::get("DJSTAR_HEAL")) {
+    heal.mode = core::parse_heal_mode(*v);
+  }
+  if (auto v = support::env::get("DJSTAR_PROF")) {
+    const auto mode = parse_prof_mode(*v);
+    if (!mode) {
+      throw std::invalid_argument(
+          "DJSTAR_PROF: expected off, attrib, or attrib+hw, got '" + *v + "'");
+    }
+    profiler.mode = *mode;
+  }
+  if (auto v = support::env::get("DJSTAR_SLO")) {
+    const support::SloConfig parsed = support::SloConfig::parse(*v);
+    slo.enabled = parsed.enabled;
+    slo.spec = parsed.spec;
+  }
+}
+
 AudioEngine::AudioEngine(EngineConfig cfg)
     : cfg_(cfg),
       decks_(make_decks(cfg)),
       graph_nodes_(deck_inputs(decks_)),
       monitor_(cfg.deadline_us, cfg.keep_samples) {
-  // Hardened: DJSTAR_THREADS overrides, 0 = auto, garbage throws.
+  // DJSTAR_THREADS overrides, 0 = auto; blank or garbage throws.
   cfg_.threads = core::resolve_thread_count(cfg_.threads);
-  // Hardened: DJSTAR_HEAL overrides, garbage throws.
-  cfg_.heal.mode = core::heal_mode_from_env(cfg_.heal.mode);
-  // Hardened: DJSTAR_PROF overrides, garbage throws.
-  if (auto pmode = prof_mode_from_env()) cfg_.profiler.mode = *pmode;
-  // Hardened: DJSTAR_SLO overrides enabled/spec, garbage throws. Window
-  // geometry and retention stay whatever the embedder configured.
-  if (auto slo = support::SloConfig::from_env()) {
-    cfg_.slo.enabled = slo->enabled;
-    cfg_.slo.spec = slo->spec;
-  }
+  apply_env_overrides(cfg_.heal, cfg_.profiler, cfg_.slo);
 
   compiled_ = std::make_unique<core::CompiledGraph>(graph_nodes_.graph());
 
@@ -81,12 +76,17 @@ AudioEngine::AudioEngine(EngineConfig cfg)
   compiled_->set_poison_hook([this](core::NodeId) {
     poison_pending_.store(true, std::memory_order_relaxed);
   });
-  if (auto faults = core::chaos::FaultPlan::from_env()) {
-    compiled_->arm_faults(*faults);
+  if (auto spec = support::env::get("DJSTAR_FAULTS")) {
+    const auto plan = core::chaos::FaultPlan::parse(*spec);
+    if (!plan) {
+      throw std::invalid_argument("DJSTAR_FAULTS: malformed fault plan '" +
+                                  *spec + "'");
+    }
+    compiled_->arm_faults(*plan);
   }
 
   // DJSTAR_FLIGHT=<path>: telemetry on, incidents auto-dump to <path>.
-  if (auto path = env_path("DJSTAR_FLIGHT")) {
+  if (auto path = support::env::get("DJSTAR_FLIGHT", "path")) {
     TelemetryConfig tcfg;
     tcfg.flight_dump_path = *path;
     telemetry_ =
@@ -94,7 +94,7 @@ AudioEngine::AudioEngine(EngineConfig cfg)
     compiled_->set_journal(&telemetry_->journal());
   }
   // DJSTAR_TRACE=<path>: capture the first cycle as a Chrome trace.
-  if (auto path = env_path("DJSTAR_TRACE")) {
+  if (auto path = support::env::get("DJSTAR_TRACE", "path")) {
     env_trace_path_ = *path;
     env_trace_ = std::make_unique<support::TraceRecorder>();
     env_trace_->arm(cfg_.threads);

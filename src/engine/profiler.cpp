@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -73,23 +72,6 @@ std::optional<ProfMode> parse_prof_mode(std::string_view name) noexcept {
   if (name == "attrib") return ProfMode::kAttrib;
   if (name == "attrib+hw") return ProfMode::kAttribHw;
   return std::nullopt;
-}
-
-std::optional<ProfMode> prof_mode_from_env() {
-  const char* raw = std::getenv("DJSTAR_PROF");
-  if (raw == nullptr) return std::nullopt;
-  std::string s(raw);
-  const auto b = s.find_first_not_of(" \t");
-  const auto e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) {
-    throw std::invalid_argument("DJSTAR_PROF: empty value");
-  }
-  const auto mode = parse_prof_mode(std::string_view(s).substr(b, e - b + 1));
-  if (!mode) {
-    throw std::invalid_argument(
-        "DJSTAR_PROF: expected off, attrib, or attrib+hw, got '" + s + "'");
-  }
-  return mode;
 }
 
 // ---- HwSampler ----

@@ -1,12 +1,15 @@
 #include "djstar/net/config.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "djstar/support/env.hpp"
 
 namespace djstar::net {
 namespace {
+
+namespace env = support::env;
 
 [[noreturn]] void bad_value(std::string_view text, const char* why) {
   throw std::invalid_argument(
@@ -14,77 +17,43 @@ namespace {
       " (expected <port>[,max_conns[,send_ring_kb]] — e.g. \"7000,64,256\")");
 }
 
-std::string_view trim(std::string_view t) {
-  std::size_t b = 0, e = t.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(t[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(t[e - 1]))) --e;
-  return t.substr(b, e - b);
-}
-
-unsigned long long parse_uint(std::string_view full, std::string_view t,
-                              const char* field) {
-  if (t.empty()) bad_value(full, field);
-  if (t[0] == '-') bad_value(full, "negative");
-  if (t[0] == '+') bad_value(full, "sign prefix not accepted");
-  unsigned long long v = 0;
-  for (char c : t) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      bad_value(full, "not a number");
-    }
-    v = v * 10 + static_cast<unsigned long long>(c - '0');
-    if (v > 10'000'000ULL) bad_value(full, "out of range");
-  }
-  return v;
+// Every field is at most kMaxSendRingKb; parse_uint saturates one past it
+// so longer digit strings fail the caller's range check.
+std::uint64_t parse_field(std::string_view full, std::string_view field,
+                          const char* name) {
+  const auto v = env::parse_uint(env::trim(field), kMaxSendRingKb + 1ULL);
+  if (!v) bad_value(full, name);
+  return *v;
 }
 
 }  // namespace
 
 NetConfig NetConfig::parse(std::string_view text) {
-  const std::string_view t = trim(text);
-  if (t.empty()) bad_value(text, "empty");
-
-  // Split on commas; 1 to 3 fields.
-  std::string_view fields[3];
-  std::size_t n_fields = 0;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= t.size(); ++i) {
-    if (i == t.size() || t[i] == ',') {
-      if (n_fields == 3) bad_value(text, "too many fields");
-      fields[n_fields++] = trim(t.substr(start, i - start));
-      start = i + 1;
-    }
-  }
+  const std::vector<std::string_view> fields = env::split(text);
+  if (fields.size() > 3) bad_value(text, "too many fields");
 
   NetConfig cfg;
-  const unsigned long long port = parse_uint(text, fields[0], "empty port");
+  const std::uint64_t port = parse_field(text, fields[0], "malformed port");
   if (port > 65535) bad_value(text, "port out of range (0..65535)");
   cfg.port = static_cast<std::uint16_t>(port);
 
-  if (n_fields >= 2) {
-    const unsigned long long mc =
-        parse_uint(text, fields[1], "empty max_conns");
+  if (fields.size() >= 2) {
+    const std::uint64_t mc =
+        parse_field(text, fields[1], "malformed max_conns");
     if (mc == 0 || mc > kMaxConns) {
       bad_value(text, "max_conns out of range (1..4096)");
     }
     cfg.max_conns = static_cast<unsigned>(mc);
   }
-  if (n_fields == 3) {
-    const unsigned long long kb =
-        parse_uint(text, fields[2], "empty send_ring_kb");
+  if (fields.size() == 3) {
+    const std::uint64_t kb =
+        parse_field(text, fields[2], "malformed send_ring_kb");
     if (kb < kMinSendRingKb || kb > kMaxSendRingKb) {
       bad_value(text, "send_ring_kb out of range (16..1048576)");
     }
     cfg.send_ring_kb = static_cast<unsigned>(kb);
   }
   return cfg;
-}
-
-std::optional<NetConfig> NetConfig::from_env(const char* var) {
-  const char* env = std::getenv(var);
-  if (env == nullptr) return std::nullopt;
-  // Empty is an explicit-but-meaningless request: throw, like
-  // DJSTAR_THREADS= does, instead of silently picking a default.
-  return parse(env);
 }
 
 }  // namespace djstar::net

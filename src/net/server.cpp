@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "djstar/net/io.hpp"
+#include "djstar/support/env.hpp"
 #include "djstar/support/time.hpp"
 
 namespace djstar::net {
@@ -72,7 +73,9 @@ constexpr const char* kDebugIndexJson =
 }  // namespace
 
 Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)), host_(cfg_.host) {
-  if (const auto env = NetConfig::from_env()) cfg_.net = *env;
+  if (const auto env = support::env::get("DJSTAR_NET")) {
+    cfg_.net = NetConfig::parse(*env);
+  }
   ring_cap_bytes_ = static_cast<std::size_t>(cfg_.net.send_ring_kb) * 1024;
 
   // djstar_net_* families live in the host's registry so one /metrics

@@ -1,13 +1,16 @@
 #include "djstar/serve/breaker.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "djstar/support/env.hpp"
 
 namespace djstar::serve {
 namespace {
+
+namespace env = support::env;
 
 [[noreturn]] void bad_value(std::string_view text, const char* why) {
   throw std::invalid_argument(
@@ -15,27 +18,12 @@ namespace {
       " (expected K,backoff_ms — e.g. \"4,50\"; K = 0 disables)");
 }
 
-std::string_view trim(std::string_view t) {
-  std::size_t b = 0, e = t.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(t[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(t[e - 1]))) --e;
-  return t.substr(b, e - b);
-}
-
-unsigned long long parse_uint(std::string_view full, std::string_view t,
-                              const char* field) {
-  if (t.empty()) bad_value(full, field);
-  if (t[0] == '-') bad_value(full, "negative");
-  if (t[0] == '+') bad_value(full, "sign prefix not accepted");
-  unsigned long long v = 0;
-  for (char c : t) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      bad_value(full, "not a number");
-    }
-    v = v * 10 + static_cast<unsigned long long>(c - '0');
-    if (v > 1'000'000'000ULL) break;  // far past any sane value; clamps
-  }
-  return std::min(v, 1'000'000'000ULL);
+// Both fields clamp at 1e9, far past any sane value.
+std::uint64_t parse_field(std::string_view full, std::string_view field,
+                          const char* name) {
+  const auto v = env::parse_uint(env::trim(field), 1'000'000'000ULL);
+  if (!v) bad_value(full, name);
+  return *v;
 }
 
 // SplitMix64: tiny, stateless, and good enough to decorrelate probe
@@ -51,28 +39,18 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
 }  // namespace
 
 BreakerConfig BreakerConfig::parse(std::string_view text) {
-  const std::string_view t = trim(text);
-  if (t.empty()) bad_value(text, "empty");
-  const std::size_t comma = t.find(',');
-  if (comma == std::string_view::npos) bad_value(text, "missing comma");
-  if (t.find(',', comma + 1) != std::string_view::npos) {
-    bad_value(text, "too many fields");
+  const std::vector<std::string_view> fields = env::split(text);
+  if (fields.size() != 2) {
+    bad_value(text, fields.size() < 2 ? "missing comma" : "too many fields");
   }
   BreakerConfig cfg;
   cfg.trip_failures = static_cast<unsigned>(
-      parse_uint(text, trim(t.substr(0, comma)), "empty failure count"));
-  const unsigned long long ms =
-      parse_uint(text, trim(t.substr(comma + 1)), "empty backoff");
+      parse_field(text, fields[0], "malformed failure count"));
+  const std::uint64_t ms = parse_field(text, fields[1], "malformed backoff");
   if (cfg.trip_failures > 0 && ms == 0) bad_value(text, "zero backoff");
   cfg.backoff_ms = static_cast<double>(ms);
   cfg.max_backoff_ms = std::max(cfg.max_backoff_ms, cfg.backoff_ms);
   return cfg;
-}
-
-std::optional<BreakerConfig> BreakerConfig::from_env(const char* var) {
-  const char* env = std::getenv(var);
-  if (env == nullptr) return std::nullopt;
-  return parse(env);
 }
 
 const char* to_string(BreakerState s) noexcept {

@@ -1,47 +1,28 @@
 #include "djstar/serve/host.hpp"
 
 #include "djstar/core/thread_count.hpp"
+#include "djstar/engine/engine.hpp"
 #include "djstar/engine/telemetry.hpp"
 #include "djstar/support/build_info.hpp"
+#include "djstar/support/env.hpp"
 #include "djstar/support/time.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 namespace djstar::serve {
 namespace {
 
-// DJSTAR_METRICS parsing, hardened like DJSTAR_THREADS: unset returns
-// nullopt, set-but-empty after trimming throws.
-std::optional<std::string> metrics_env_path() {
-  const char* raw = std::getenv("DJSTAR_METRICS");
-  if (raw == nullptr) return std::nullopt;
-  std::string s(raw);
-  const auto b = s.find_first_not_of(" \t");
-  const auto e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) {
-    throw std::invalid_argument("DJSTAR_METRICS: empty path");
-  }
-  return s.substr(b, e - b + 1);
-}
-
 // Environment overrides resolved before the member-init list runs so the
 // shared team is constructed with the final heal config.
-HostConfig apply_env_overrides(HostConfig cfg) {
-  cfg.heal.mode = core::heal_mode_from_env(cfg.heal.mode);
-  if (auto b = BreakerConfig::from_env()) cfg.breaker = *b;
-  if (auto pmode = engine::prof_mode_from_env()) cfg.profiler.mode = *pmode;
-  if (auto slo = support::SloConfig::from_env()) {
-    // The env hook flips the engine and (optionally) the objectives; the
-    // embedder's window geometry / tsdb sizing stays authoritative.
-    cfg.slo.enabled = slo->enabled;
-    cfg.slo.spec = slo->spec;
+HostConfig with_env_overrides(HostConfig cfg) {
+  engine::apply_env_overrides(cfg.heal, cfg.profiler, cfg.slo);
+  if (auto v = support::env::get("DJSTAR_BREAKER")) {
+    cfg.breaker = BreakerConfig::parse(*v);
   }
   return cfg;
 }
@@ -65,7 +46,7 @@ void append_json_escaped(std::string& out, std::string_view s) {
 }  // namespace
 
 EngineHost::EngineHost(HostConfig cfg)
-    : cfg_(apply_env_overrides(std::move(cfg))),
+    : cfg_(with_env_overrides(std::move(cfg))),
       threads_(core::resolve_thread_count(cfg_.threads)),
       team_(threads_, core::StartMode::kCondvar, cfg_.heal),
       admission_(cfg_.admission),
@@ -156,7 +137,7 @@ EngineHost::EngineHost(HostConfig cfg)
         "djstar_slo_alert_state", "Fleet alert state (0 ok, 1 warn, 2 page)");
     g_slo_budget_.set(1.0);
   }
-  if (auto path = metrics_env_path()) {
+  if (auto path = support::env::get("DJSTAR_METRICS", "path")) {
     start_metrics_exporter(*path);
   }
 }

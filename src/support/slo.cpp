@@ -2,38 +2,30 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "djstar/support/env.hpp"
 
 namespace djstar::support {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  const auto b = s.find_first_not_of(" \t");
-  if (b == std::string_view::npos) return {};
-  const auto e = s.find_last_not_of(" \t");
-  return s.substr(b, e - b + 1);
-}
-
 /// Strict positive-double parse: the whole field must be consumed and
 /// the value must land in (0, `max`]. Throws otherwise.
 double parse_positive(std::string_view field, const char* what,
                       double max_value) {
-  const std::string tmp(field);  // strtod needs NUL termination
-  char* end = nullptr;
-  const double v = std::strtod(tmp.c_str(), &end);
-  if (end == tmp.c_str() || *end != '\0') {
+  const auto v = env::parse_double(field);
+  if (!v) {
     throw std::invalid_argument(std::string("DJSTAR_SLO: malformed ") +
-                                what + " '" + tmp + "'");
+                                what + " '" + std::string(field) + "'");
   }
-  if (!(v > 0) || v > max_value) {
+  if (!(*v > 0) || *v > max_value) {
     throw std::invalid_argument(std::string("DJSTAR_SLO: ") + what +
                                 " out of range (0, " +
-                                std::to_string(max_value) + "]: '" + tmp +
-                                "'");
+                                std::to_string(max_value) + "]: '" +
+                                std::string(field) + "'");
   }
-  return v;
+  return *v;
 }
 
 std::size_t windows_for(double seconds, double window_us) noexcept {
@@ -79,36 +71,23 @@ SloWindows SloWindows::sre_defaults(double window_us) noexcept {
   return w;
 }
 
-std::optional<SloConfig> SloConfig::from_env() {
-  const char* raw = std::getenv("DJSTAR_SLO");
-  if (raw == nullptr) return std::nullopt;
-  const std::string_view value = trim(raw);
-  if (value.empty()) {
+SloConfig SloConfig::parse(std::string_view text) {
+  const std::string_view value = env::trim(text);
+  // At most 3 trimmed fields; empty fields throw.
+  std::vector<std::string_view> fields = env::split(value);
+  if (fields.size() > 3) {
     throw std::invalid_argument(
-        "DJSTAR_SLO: empty value (expected off or "
-        "on[,<miss_ratio>[,<p99_us>]])");
+        "DJSTAR_SLO: too many fields (expected "
+        "off or on[,<miss_ratio>[,<p99_us>]])");
   }
-
-  // Split on ',' into at most 3 trimmed fields; empty fields throw.
-  std::string_view fields[3];
-  std::size_t nfields = 0;
-  std::string_view rest = value;
-  while (true) {
-    const auto comma = rest.find(',');
-    const std::string_view field = trim(rest.substr(0, comma));
-    if (nfields == 3) {
-      throw std::invalid_argument(
-          "DJSTAR_SLO: too many fields (expected "
-          "off or on[,<miss_ratio>[,<p99_us>]])");
-    }
+  for (std::string_view& field : fields) {
+    field = env::trim(field);
     if (field.empty()) {
       throw std::invalid_argument("DJSTAR_SLO: empty field in '" +
                                   std::string(value) + "'");
     }
-    fields[nfields++] = field;
-    if (comma == std::string_view::npos) break;
-    rest = rest.substr(comma + 1);
   }
+  const std::size_t nfields = fields.size();
 
   SloConfig cfg;
   if (fields[0] == "off") {

@@ -6,8 +6,10 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "djstar/core/chaos.hpp"
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/factory.hpp"
 #include "djstar/support/trace.hpp"
@@ -164,20 +166,65 @@ TEST_P(ExecutorTest, TracingRecordsOneRunSpanPerNode) {
 }
 
 TEST_P(ExecutorTest, WaitSpansCarryTheConfigurationsFig11Colour) {
-  // A 2-thread chain of 50 us nodes forces waits; every configuration
-  // records them in its own colour (sequential never waits).
+  // Two sources joined by one node, on 2 threads. The sources rendezvous,
+  // so each worker runs one. The source on the caller thread (worker 0)
+  // returns at once; the other keeps running until worker 0 reached the
+  // site where it waits for the join (lanes: the join's dependency
+  // check; shared and ws: the ready-queue wait), then 20 us more. So
+  // every cycle worker 0 waits at least 20 us, whatever the scheduler
+  // does, and every configuration records the wait in its own colour
+  // (sequential never waits).
+  namespace chaos = dc::chaos;
   const auto p = GetParam();
-  const unsigned threads = p.strategy == dc::Strategy::kSequential ? 1 : 2;
-  dc::TaskGraph g;
-  for (dc::NodeId i = 0; i < 8; ++i) {
-    g.add_node("c" + std::to_string(i), [] {
-      const auto until =
-          std::chrono::steady_clock::now() + std::chrono::microseconds(50);
-      while (std::chrono::steady_clock::now() < until) {
+  const bool parallel = p.strategy != dc::Strategy::kSequential;
+  const unsigned threads = parallel ? 2 : 1;
+  const chaos::Site wait_site = p.strategy == dc::Strategy::kBusyWait ||
+                                        p.strategy == dc::Strategy::kSleep
+                                    ? chaos::Site::kDependencyCheck
+                                    : chaos::Site::kBeforeWait;
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<std::uint64_t> hits_at_rendezvous{0};
+  std::atomic<bool> armed{false};
+  std::atomic<bool> timed_out{false};
+  // Spin until `done` holds; a 10 s guard keeps a broken executor from
+  // hanging the suite (and fails the test below).
+  const auto spin_until = [&](const auto& done) {
+    const auto guard =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > guard) {
+        timed_out.store(true);
+        return;
       }
+    }
+  };
+  const auto source = [&] {
+    if (!parallel) return;
+    started.fetch_add(1);
+    spin_until([&] { return started.load() == 2; });
+    if (std::this_thread::get_id() == caller) {
+      spin_until([&] { return armed.load(); });
+      return;
+    }
+    // Worker 0 is in its body until `armed`, so every later hit of the
+    // wait site is its own.
+    hits_at_rendezvous.store(chaos::site_hits(wait_site));
+    armed.store(true);
+    spin_until([&] {
+      return chaos::site_hits(wait_site) > hits_at_rendezvous.load();
     });
-    if (i > 0) g.add_edge(i - 1, i);
-  }
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  dc::TaskGraph g;
+  const dc::NodeId a = g.add_node("a", source);
+  const dc::NodeId b = g.add_node("b", source);
+  const dc::NodeId join = g.add_node("join", [] {});
+  g.add_edge(a, join);
+  g.add_edge(b, join);
   dc::CompiledGraph cg(g);
   djstar::support::TraceRecorder trace;
   trace.arm(threads);
@@ -186,22 +233,31 @@ TEST_P(ExecutorTest, WaitSpansCarryTheConfigurationsFig11Colour) {
   opts.trace = &trace;
   auto exec = dc::make_executor(p.strategy, cg, opts);
   EXPECT_EQ(exec->name(), dc::to_string(p.strategy));
-  for (int c = 0; c < 5; ++c) exec->run_cycle();
+  // Intensity 0: the hook counts site hits and never delays.
+  const chaos::ScopedChaos counting(/*seed=*/1, /*intensity_permille=*/0);
+  for (int c = 0; c < 5; ++c) {
+    started.store(0);
+    armed.store(false);
+    exec->run_cycle();
+  }
+  EXPECT_FALSE(timed_out.load());
 
   using djstar::support::SpanKind;
   SpanKind expected = SpanKind::kSleep;  // sleep, shared
   if (p.strategy == dc::Strategy::kBusyWait) expected = SpanKind::kBusyWait;
   if (p.strategy == dc::Strategy::kWorkStealing) expected = SpanKind::kSteal;
   int waits = 0;
+  int long_waits = 0;
   for (const auto& s : trace.collect()) {
     if (s.kind == SpanKind::kRun) continue;
     ++waits;
+    if (s.thread == 0 && s.end_us - s.begin_us >= 20.0) ++long_waits;
     EXPECT_EQ(s.kind, expected) << djstar::support::to_string(s.kind);
   }
-  if (p.strategy == dc::Strategy::kSequential) {
-    EXPECT_EQ(waits, 0);
+  if (parallel) {
+    EXPECT_GE(long_waits, 5) << "worker 0 waits at least 20 us every cycle";
   } else {
-    EXPECT_GT(waits, 0);
+    EXPECT_EQ(waits, 0);
   }
 }
 

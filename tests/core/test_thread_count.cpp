@@ -7,30 +7,12 @@
 #include <string>
 #include <thread>
 
+#include "common/env.hpp"
 #include "djstar/core/thread_count.hpp"
 
 namespace dc = djstar::core;
 
-namespace {
-
-// RAII environment override so a failing expectation cannot leak a
-// DJSTAR_THREADS value into later tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-}  // namespace
+using djstar_test::ScopedEnv;
 
 TEST(ParseThreadCount, AcceptsPlainAndPaddedNumbers) {
   EXPECT_EQ(dc::parse_thread_count("4"), 4u);

@@ -51,33 +51,6 @@ TEST(Gain, DbSetterMatchesLinear) {
   EXPECT_NEAR(b.at(0, b.frames() - 1), 0.5012f, 0.01f);
 }
 
-TEST(Pan, CenterKeepsEqualPower) {
-  dd::Pan p;
-  p.set_pan(0.0f);
-  da::AudioBuffer b(2, 8192);
-  for (std::size_t i = 0; i < b.frames(); ++i) {
-    b.at(0, i) = 1.0f;
-    b.at(1, i) = 1.0f;
-  }
-  p.process(b);
-  // cos(pi/4)*sqrt2 = 1: center pan leaves both channels at unity.
-  EXPECT_NEAR(b.at(0, 8000), 1.0f, 1e-3f);
-  EXPECT_NEAR(b.at(1, 8000), 1.0f, 1e-3f);
-}
-
-TEST(Pan, HardLeftSilencesRight) {
-  dd::Pan p;
-  p.set_pan(-1.0f);
-  da::AudioBuffer b(2, 44100);
-  for (std::size_t i = 0; i < b.frames(); ++i) {
-    b.at(0, i) = 1.0f;
-    b.at(1, i) = 1.0f;
-  }
-  p.process(b);
-  EXPECT_NEAR(b.at(1, b.frames() - 1), 0.0f, 1e-3f);
-  EXPECT_GT(b.at(0, b.frames() - 1), 1.2f);  // sqrt(2) boost on the kept side
-}
-
 TEST(CrossfaderLaw, EndpointsAndCenter) {
   const auto a = dd::crossfader_law(0.0f);
   EXPECT_NEAR(a.a, 1.0f, 1e-6f);
@@ -105,21 +78,6 @@ TEST(LevelMeter, TracksPeakAndRms) {
   m.process(b);
   EXPECT_FLOAT_EQ(m.peak(), 0.9f);
   EXPECT_NEAR(m.rms(), 0.5f, 0.05f);
-}
-
-TEST(EnvelopeFollower, RisesAndFalls) {
-  dd::EnvelopeFollower e;
-  e.set(1.0f, 50.0f);
-  da::AudioBuffer loud(2, 4096), quiet(2, 4096);
-  for (std::size_t i = 0; i < 4096; ++i) {
-    loud.at(0, i) = 0.8f;
-    loud.at(1, i) = 0.8f;
-  }
-  const float up = e.process(loud);
-  EXPECT_GT(up, 0.7f);
-  float down = up;
-  for (int k = 0; k < 30; ++k) down = e.process(quiet);
-  EXPECT_LT(down, 0.05f);
 }
 
 TEST(Bitcrusher, QuantizesToSteps) {

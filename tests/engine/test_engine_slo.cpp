@@ -10,11 +10,14 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "djstar/engine/engine.hpp"
 
 namespace de = djstar::engine;
 namespace ds = djstar::support;
 namespace chaos = djstar::core::chaos;
+
+using djstar_test::ScopedEnv;
 
 namespace {
 
@@ -61,24 +64,6 @@ const ds::MetricValue* find_metric(const ds::MetricsSnapshot& snap,
   }
   return nullptr;
 }
-
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 }  // namespace
 
@@ -180,9 +165,7 @@ TEST(EngineSlo, MissPredicateAgreesWithTheDeadlineMonitor) {
 }
 
 TEST(EngineSlo, EnvHookEnablesOverridesAndDisables) {
-  EnvGuard guard("DJSTAR_SLO");
-
-  ::setenv("DJSTAR_SLO", "on,0.05", 1);
+  ScopedEnv guard("DJSTAR_SLO", "on,0.05");
   {
     de::AudioEngine engine(sequential_config());
     ASSERT_TRUE(engine.slo_enabled());
@@ -193,7 +176,7 @@ TEST(EngineSlo, EnvHookEnablesOverridesAndDisables) {
   }
 
   // off wins over a config that asked for it.
-  ::setenv("DJSTAR_SLO", "off", 1);
+  guard.set("off");
   {
     de::EngineConfig cfg = sequential_config();
     cfg.slo.enabled = true;
@@ -201,7 +184,7 @@ TEST(EngineSlo, EnvHookEnablesOverridesAndDisables) {
     EXPECT_FALSE(engine.slo_enabled());
   }
 
-  ::setenv("DJSTAR_SLO", "on,nonsense", 1);
+  guard.set("on,nonsense");
   EXPECT_THROW(de::AudioEngine engine(sequential_config()),
                std::invalid_argument);
 }

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "djstar/engine/engine.hpp"
 
 namespace de = djstar::engine;
@@ -15,6 +16,8 @@ namespace ds = djstar::support;
 namespace da = djstar::support::attrib;
 namespace chaos = djstar::core::chaos;
 using djstar::core::Strategy;
+
+using djstar_test::ScopedEnv;
 
 namespace {
 
@@ -45,24 +48,6 @@ chaos::FaultPlan stall_node(djstar::core::NodeId node, double stall_us) {
   return plan;
 }
 
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
 }  // namespace
 
 // ---- mode parsing and the DJSTAR_PROF env hook ------------------------------
@@ -81,29 +66,30 @@ TEST(ProfMode, ParseAndToStringRoundTrip) {
 }
 
 TEST(ProfMode, EnvUnsetIsNullopt) {
-  EnvGuard guard("DJSTAR_PROF");
-  ::unsetenv("DJSTAR_PROF");
-  EXPECT_FALSE(de::prof_mode_from_env().has_value());
+  ScopedEnv guard("DJSTAR_PROF", nullptr);
+  de::EngineConfig cfg;
+  cfg.profiler.mode = de::ProfMode::kAttrib;
+  EXPECT_EQ(djstar_test::with_env_overrides(cfg).profiler.mode,
+            de::ProfMode::kAttrib);
 }
 
 TEST(ProfMode, EnvTrimsWhitespace) {
-  EnvGuard guard("DJSTAR_PROF");
-  ::setenv("DJSTAR_PROF", "  attrib+hw  ", 1);
-  EXPECT_EQ(de::prof_mode_from_env(), de::ProfMode::kAttribHw);
+  ScopedEnv guard("DJSTAR_PROF", "  attrib+hw  ");
+  EXPECT_EQ(djstar_test::with_env_overrides().profiler.mode,
+            de::ProfMode::kAttribHw);
 }
 
 TEST(ProfMode, MalformedEnvThrows) {
-  EnvGuard guard("DJSTAR_PROF");
+  ScopedEnv guard("DJSTAR_PROF", nullptr);
   for (const char* bad : {"", "   ", "bogus", "attrib,hw", "on"}) {
-    ::setenv("DJSTAR_PROF", bad, 1);
-    EXPECT_THROW(de::prof_mode_from_env(), std::invalid_argument)
+    guard.set(bad);
+    EXPECT_THROW(djstar_test::with_env_overrides(), std::invalid_argument)
         << "DJSTAR_PROF=\"" << bad << "\"";
   }
 }
 
 TEST(ProfMode, EnvAutoEnablesProfilerOnConstruction) {
-  EnvGuard guard("DJSTAR_PROF");
-  ::setenv("DJSTAR_PROF", "attrib", 1);
+  ScopedEnv guard("DJSTAR_PROF", "attrib");
   de::AudioEngine engine(base_config(Strategy::kSequential, 1));
   ASSERT_TRUE(engine.profiler_enabled());
   EXPECT_TRUE(engine.telemetry_enabled()) << "profiler implies telemetry";
@@ -113,8 +99,7 @@ TEST(ProfMode, EnvAutoEnablesProfilerOnConstruction) {
 }
 
 TEST(ProfMode, MalformedEnvFailsConstructionLoudly) {
-  EnvGuard guard("DJSTAR_PROF");
-  ::setenv("DJSTAR_PROF", "fastplease", 1);
+  ScopedEnv guard("DJSTAR_PROF", "fastplease");
   EXPECT_THROW(de::AudioEngine engine(base_config(Strategy::kSequential, 1)),
                std::invalid_argument);
 }

@@ -11,11 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "djstar/engine/engine.hpp"
 
 namespace de = djstar::engine;
 namespace ds = djstar::support;
 namespace chaos = djstar::core::chaos;
+
+using djstar_test::ScopedEnv;
 
 namespace {
 
@@ -56,24 +59,6 @@ chaos::FaultPlan stall_every_cycle(double stall_us) {
   plan.targets = {0};
   return plan;
 }
-
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 }  // namespace
 
@@ -196,9 +181,9 @@ TEST(EngineTelemetry, SupervisedDegradationIsCountedAndJournaled) {
 }
 
 TEST(EngineTelemetry, EnvFlightVariableEnablesTelemetry) {
-  EnvGuard guard("DJSTAR_FLIGHT");
+  ScopedEnv guard("DJSTAR_FLIGHT", nullptr);
   const std::string dump = testing::TempDir() + "/env_flight_trace.json";
-  ::setenv("DJSTAR_FLIGHT", dump.c_str(), 1);
+  guard.set(dump.c_str());
   de::AudioEngine engine(sequential_config());
   EXPECT_TRUE(engine.telemetry_enabled());
   EXPECT_EQ(engine.telemetry().config().flight_dump_path, dump);
@@ -211,17 +196,16 @@ TEST(EngineTelemetry, EnvFlightVariableEnablesTelemetry) {
 }
 
 TEST(EngineTelemetry, EnvFlightEmptyValueThrows) {
-  EnvGuard guard("DJSTAR_FLIGHT");
-  ::setenv("DJSTAR_FLIGHT", "   ", 1);
+  ScopedEnv guard("DJSTAR_FLIGHT", "   ");
   EXPECT_THROW(de::AudioEngine engine(sequential_config()),
                std::invalid_argument);
 }
 
 TEST(EngineTelemetry, EnvTraceCapturesFirstCycleThenDisarms) {
-  EnvGuard guard("DJSTAR_TRACE");
+  ScopedEnv guard("DJSTAR_TRACE", nullptr);
   const std::string path = testing::TempDir() + "/env_first_cycle.json";
   std::remove(path.c_str());
-  ::setenv("DJSTAR_TRACE", path.c_str(), 1);
+  guard.set(path.c_str());
 
   de::AudioEngine engine(sequential_config());
   EXPECT_FALSE(engine.telemetry_enabled());  // trace alone, no telemetry
@@ -239,8 +223,7 @@ TEST(EngineTelemetry, EnvTraceCapturesFirstCycleThenDisarms) {
 }
 
 TEST(EngineTelemetry, EnvTraceEmptyValueThrows) {
-  EnvGuard guard("DJSTAR_TRACE");
-  ::setenv("DJSTAR_TRACE", "", 1);
+  ScopedEnv guard("DJSTAR_TRACE", "");
   EXPECT_THROW(de::AudioEngine engine(sequential_config()),
                std::invalid_argument);
 }

@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/env.hpp"
 #include "djstar/serve/breaker.hpp"
+#include "djstar/serve/host.hpp"
 
 namespace ds = djstar::serve;
 
@@ -48,16 +50,19 @@ TEST(BreakerConfig, ParseRejectsGarbage) {
 }
 
 TEST(BreakerConfig, EnvUnsetReturnsNulloptSetGoesThroughParse) {
-  ::unsetenv("DJSTAR_BREAKER");
-  EXPECT_FALSE(ds::BreakerConfig::from_env().has_value());
-  ::setenv("DJSTAR_BREAKER", "5,75", 1);
-  const auto cfg = ds::BreakerConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->trip_failures, 5u);
-  EXPECT_EQ(cfg->backoff_ms, 75.0);
-  ::setenv("DJSTAR_BREAKER", "garbage", 1);
-  EXPECT_THROW(ds::BreakerConfig::from_env(), std::invalid_argument);
-  ::unsetenv("DJSTAR_BREAKER");
+  // serve::EngineHost applies DJSTAR_BREAKER in its constructor.
+  ds::HostConfig one_thread;
+  one_thread.threads = 1;
+  djstar_test::ScopedEnv guard("DJSTAR_BREAKER", nullptr);
+  EXPECT_FALSE(ds::EngineHost(one_thread).config().breaker.enabled());
+  guard.set("5,75");
+  {
+    const ds::EngineHost host(one_thread);
+    EXPECT_EQ(host.config().breaker.trip_failures, 5u);
+    EXPECT_EQ(host.config().breaker.backoff_ms, 75.0);
+  }
+  guard.set("garbage");
+  EXPECT_THROW(ds::EngineHost host(one_thread), std::invalid_argument);
 }
 
 TEST(CircuitBreaker, TripsAfterKConsecutiveFailuresOnly) {

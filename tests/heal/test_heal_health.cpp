@@ -6,7 +6,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
-
+#include "common/env.hpp"
 #include "common/random_dag.hpp"
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/factory.hpp"
@@ -84,17 +84,20 @@ TEST(HealMode, ParseAcceptsExactNamesOnly) {
 }
 
 TEST(HealMode, EnvOverridesFallbackAndRejectsGarbage) {
-  ::unsetenv("DJSTAR_HEAL");
-  EXPECT_EQ(dc::heal_mode_from_env(dc::HealMode::kQuarantine),
+  const auto env_heal_mode = [](dc::HealMode configured) {
+    djstar::engine::EngineConfig cfg;
+    cfg.heal.mode = configured;
+    return djstar_test::with_env_overrides(cfg).heal.mode;
+  };
+  djstar_test::ScopedEnv guard("DJSTAR_HEAL", nullptr);
+  EXPECT_EQ(env_heal_mode(dc::HealMode::kQuarantine),
             dc::HealMode::kQuarantine);
-  ::setenv("DJSTAR_HEAL", "respawn", 1);
-  EXPECT_EQ(dc::heal_mode_from_env(dc::HealMode::kOff),
-            dc::HealMode::kRespawn);
-  ::setenv("DJSTAR_HEAL", "", 1);
-  EXPECT_THROW(dc::heal_mode_from_env(), std::invalid_argument);
-  ::setenv("DJSTAR_HEAL", "maybe", 1);
-  EXPECT_THROW(dc::heal_mode_from_env(), std::invalid_argument);
-  ::unsetenv("DJSTAR_HEAL");
+  guard.set("respawn");
+  EXPECT_EQ(env_heal_mode(dc::HealMode::kOff), dc::HealMode::kRespawn);
+  guard.set("");
+  EXPECT_THROW(env_heal_mode(dc::HealMode::kOff), std::invalid_argument);
+  guard.set("maybe");
+  EXPECT_THROW(env_heal_mode(dc::HealMode::kOff), std::invalid_argument);
 }
 
 TEST(FaultPlan, ParsesWorkerFaultKeys) {

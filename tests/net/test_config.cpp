@@ -9,31 +9,13 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/env.hpp"
 #include "djstar/net/config.hpp"
+#include "djstar/net/server.hpp"
 
 namespace dn = djstar::net;
 
-namespace {
-
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-}  // namespace
+using djstar_test::ScopedEnv;
 
 TEST(NetConfig, DefaultsAreSane) {
   const dn::NetConfig c{};
@@ -125,30 +107,34 @@ TEST(NetConfig, ThrownMessageQuotesTheInput) {
   }
 }
 
+// net::Server applies DJSTAR_NET in its constructor.
+dn::ServerConfig one_thread_server(unsigned max_conns = 5) {
+  dn::ServerConfig cfg;
+  cfg.host.threads = 1;
+  cfg.net.max_conns = max_conns;
+  return cfg;
+}
+
 TEST(NetConfig, FromEnvUnsetReturnsNullopt) {
-  EnvGuard guard("DJSTAR_NET");
-  ::unsetenv("DJSTAR_NET");
-  EXPECT_FALSE(dn::NetConfig::from_env().has_value());
+  ScopedEnv guard("DJSTAR_NET", nullptr);
+  const dn::Server server(one_thread_server(5));
+  EXPECT_EQ(server.config().net.max_conns, 5u);
 }
 
 TEST(NetConfig, FromEnvParsesASetValue) {
-  EnvGuard guard("DJSTAR_NET");
-  ::setenv("DJSTAR_NET", "9100,16,32", 1);
-  const auto c = dn::NetConfig::from_env();
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->port, 9100);
-  EXPECT_EQ(c->max_conns, 16u);
-  EXPECT_EQ(c->send_ring_kb, 32u);
+  ScopedEnv guard("DJSTAR_NET", "0,16,32");
+  const dn::Server server(one_thread_server());
+  EXPECT_EQ(server.config().net.port, 0);
+  EXPECT_EQ(server.config().net.max_conns, 16u);
+  EXPECT_EQ(server.config().net.send_ring_kb, 32u);
 }
 
 TEST(NetConfig, FromEnvSetButEmptyThrows) {
-  EnvGuard guard("DJSTAR_NET");
-  ::setenv("DJSTAR_NET", "", 1);
-  EXPECT_THROW(dn::NetConfig::from_env(), std::invalid_argument);
+  ScopedEnv guard("DJSTAR_NET", "");
+  EXPECT_THROW(dn::Server server(one_thread_server()), std::invalid_argument);
 }
 
 TEST(NetConfig, FromEnvGarbageThrows) {
-  EnvGuard guard("DJSTAR_NET");
-  ::setenv("DJSTAR_NET", "not-a-port", 1);
-  EXPECT_THROW(dn::NetConfig::from_env(), std::invalid_argument);
+  ScopedEnv guard("DJSTAR_NET", "not-a-port");
+  EXPECT_THROW(dn::Server server(one_thread_server()), std::invalid_argument);
 }

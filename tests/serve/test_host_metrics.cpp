@@ -13,12 +13,15 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "djstar/audio/buffer.hpp"
 #include "djstar/serve/host.hpp"
 #include "djstar/serve/synthetic.hpp"
 
 namespace ds = djstar::serve;
 namespace sup = djstar::support;
+
+using djstar_test::ScopedEnv;
 
 namespace {
 
@@ -61,24 +64,6 @@ std::uint64_t metric_value(const sup::MetricsRegistry& reg,
   ADD_FAILURE() << "metric not found: " << name;
   return ~std::uint64_t(0);
 }
-
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 }  // namespace
 
@@ -202,10 +187,10 @@ TEST(HostMetrics, BackgroundExporterRewritesTheFile) {
 }
 
 TEST(HostMetrics, EnvMetricsVariableStartsExporter) {
-  EnvGuard guard("DJSTAR_METRICS");
+  ScopedEnv guard("DJSTAR_METRICS", nullptr);
   const std::string path = testing::TempDir() + "/host_env_metrics.prom";
   std::remove(path.c_str());
-  ::setenv("DJSTAR_METRICS", path.c_str(), 1);
+  guard.set(path.c_str());
   {
     ds::EngineHost host(small_host());
     for (int i = 0; i < 200 && !file_exists(path); ++i) {
@@ -217,8 +202,7 @@ TEST(HostMetrics, EnvMetricsVariableStartsExporter) {
 }
 
 TEST(HostMetrics, EnvMetricsEmptyValueThrows) {
-  EnvGuard guard("DJSTAR_METRICS");
-  ::setenv("DJSTAR_METRICS", " ", 1);
+  ScopedEnv guard("DJSTAR_METRICS", " ");
   EXPECT_THROW(ds::EngineHost host(small_host()), std::invalid_argument);
 }
 

@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
-
+#include "common/env.hpp"
 #include "common/prometheus_check.hpp"
 #include "djstar/support/build_info.hpp"
 #include "djstar/support/metrics.hpp"
@@ -18,25 +18,9 @@
 
 namespace ds = djstar::support;
 
-namespace {
+using djstar_test::ScopedEnv;
 
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+namespace {
 
 // Tiny deterministic geometry: page pair = last 1 / last 2 windows,
 // warn pair = last 2 / last 4, two clean evaluations per de-escalation.
@@ -67,6 +51,11 @@ bool feed_window(ds::TimeSeriesStore& store, ds::SloTracker& tr, int n,
   now_us += store.window_us();
   store.advance(now_us);
   return tr.evaluate();
+}
+
+/// The SloConfig an engine resolves from DJSTAR_SLO.
+ds::SloConfig slo_from_env() {
+  return djstar_test::with_env_overrides().slo;
 }
 
 }  // namespace
@@ -215,47 +204,44 @@ TEST(SloTracker, DestructionReleasesItsSeries) {
 // ---- DJSTAR_SLO env hook ---------------------------------------------------
 
 TEST(SloEnv, UnsetReturnsNullopt) {
-  EnvGuard guard("DJSTAR_SLO");
-  ::unsetenv("DJSTAR_SLO");
-  EXPECT_FALSE(ds::SloConfig::from_env().has_value());
+  ScopedEnv guard("DJSTAR_SLO", nullptr);
+  djstar::engine::EngineConfig cfg;
+  cfg.slo.enabled = true;
+  cfg.slo.spec.miss_ratio = 0.3;
+  const ds::SloConfig slo = djstar_test::with_env_overrides(cfg).slo;
+  EXPECT_TRUE(slo.enabled);
+  EXPECT_DOUBLE_EQ(slo.spec.miss_ratio, 0.3);
 }
 
 TEST(SloEnv, ValidFormsParse) {
-  EnvGuard guard("DJSTAR_SLO");
+  ScopedEnv guard("DJSTAR_SLO", "off");
+  ds::SloConfig cfg = slo_from_env();
+  EXPECT_FALSE(cfg.enabled);
 
-  ::setenv("DJSTAR_SLO", "off", 1);
-  auto cfg = ds::SloConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_FALSE(cfg->enabled);
+  guard.set("on");
+  cfg = slo_from_env();
+  EXPECT_TRUE(cfg.enabled);
+  EXPECT_DOUBLE_EQ(cfg.spec.miss_ratio, ds::SloSpec{}.miss_ratio);
 
-  ::setenv("DJSTAR_SLO", "on", 1);
-  cfg = ds::SloConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_TRUE(cfg->enabled);
-  EXPECT_DOUBLE_EQ(cfg->spec.miss_ratio, ds::SloSpec{}.miss_ratio);
+  guard.set("on,0.01");
+  cfg = slo_from_env();
+  EXPECT_DOUBLE_EQ(cfg.spec.miss_ratio, 0.01);
+  EXPECT_DOUBLE_EQ(cfg.spec.p99_us, 0.0);
 
-  ::setenv("DJSTAR_SLO", "on,0.01", 1);
-  cfg = ds::SloConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_DOUBLE_EQ(cfg->spec.miss_ratio, 0.01);
-  EXPECT_DOUBLE_EQ(cfg->spec.p99_us, 0.0);
-
-  ::setenv("DJSTAR_SLO", "on,0.01,5000", 1);
-  cfg = ds::SloConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_DOUBLE_EQ(cfg->spec.miss_ratio, 0.01);
-  EXPECT_DOUBLE_EQ(cfg->spec.p99_us, 5000.0);
+  guard.set("on,0.01,5000");
+  cfg = slo_from_env();
+  EXPECT_DOUBLE_EQ(cfg.spec.miss_ratio, 0.01);
+  EXPECT_DOUBLE_EQ(cfg.spec.p99_us, 5000.0);
 
   // Whitespace around fields is tolerated (shell-quoting artifacts).
-  ::setenv("DJSTAR_SLO", "  on , 0.01 , 5000  ", 1);
-  cfg = ds::SloConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_TRUE(cfg->enabled);
-  EXPECT_DOUBLE_EQ(cfg->spec.p99_us, 5000.0);
+  guard.set("  on , 0.01 , 5000  ");
+  cfg = slo_from_env();
+  EXPECT_TRUE(cfg.enabled);
+  EXPECT_DOUBLE_EQ(cfg.spec.p99_us, 5000.0);
 }
 
 TEST(SloEnv, EveryMalformedFormThrows) {
-  EnvGuard guard("DJSTAR_SLO");
+  ScopedEnv guard("DJSTAR_SLO", nullptr);
   const char* bad[] = {
       "",              // set-but-empty
       "   ",           // whitespace only
@@ -277,8 +263,8 @@ TEST(SloEnv, EveryMalformedFormThrows) {
       "off,0.01",      // off takes no arguments
   };
   for (const char* v : bad) {
-    ::setenv("DJSTAR_SLO", v, 1);
-    EXPECT_THROW((void)ds::SloConfig::from_env(), std::invalid_argument)
+    guard.set(v);
+    EXPECT_THROW((void)slo_from_env(), std::invalid_argument)
         << "value accepted: '" << v << "'";
   }
 }
