@@ -14,7 +14,7 @@
 #include <cstring>
 
 #include "bench_common.hpp"
-#include "djstar/support/trace.hpp"
+#include "djstar/support/flight.hpp"
 
 namespace {
 
@@ -82,34 +82,20 @@ int main(int argc, char** argv) {
       cfg.ws.seed = core::SeedMode::kRoundRobin;
     }
     engine::AudioEngine e(cfg);
-    e.run_cycles(50);  // warm up
+    e.enable_telemetry();  // keeps the engine's span ring recording
+    e.run_cycles(50);      // warm up
 
     // Trace a handful of cycles; keep the one nearest the running mean.
-    support::TraceRecorder trace;
-    double mean = e.monitor().graph().mean();
+    const support::FlightRecorder& ring = e.telemetry().flight();
+    const double mean = e.monitor().graph().mean();
     std::vector<support::TraceSpan> best_spans;
     double best_delta = 1e18;
     for (int i = 0; i < 20; ++i) {
-      trace.arm(4);
-      // Rebind the recorder for this cycle.
-      e.set_strategy(s, 4);  // note: re-creates executor without trace
-      // Executor options cannot carry the recorder through set_strategy;
-      // use a dedicated executor instead:
-      core::ExecOptions opts;
-      opts.threads = 4;
-      opts.trace = &trace;
-      auto exec = core::make_executor(s, e.compiled(), opts,
-                                      ablate_seed
-                                          ? core::WorkStealingOptions{core::SeedMode::kRoundRobin}
-                                          : core::WorkStealingOptions{});
-      const auto t0 = support::now();
-      exec->run_cycle();
-      const double us = support::since_us(t0);
+      const double us = e.run_cycle().graph_us;
       if (std::abs(us - mean) < best_delta) {
         best_delta = std::abs(us - mean);
-        best_spans = trace.collect();
+        ring.collect_cycle(ring.cycle(), best_spans);
       }
-      trace.disarm();
     }
     std::printf("%s\n",
                 support::render_gantt(best_spans, 100, 0,

@@ -125,9 +125,9 @@ int main(int argc, char** argv) {
   };
 
   if (smoke) {
-    // CI gate: sequential only (the container is single-core, so a
-    // parallel strategy measures the scheduler's oversubscription, not
-    // the observability). Retry to ride out scheduling noise on shared
+    // CI gate: sequential only, so the difference measured is the
+    // observability hot paths, not the parallel strategies' wake-up and
+    // spin jitter, which exceeds 2% on shared runners. Retry to ride out scheduling noise on shared
     // runners; one clean attempt proves the hot paths are cheap. All
     // three columns must come up calm in the same attempt.
     const std::size_t iters = 400;

@@ -4,8 +4,8 @@
 //
 // Two reproductions are reported:
 //  * simulated — virtual-time models on a modelled 4-core machine with
-//    calibrated overheads (the shape-faithful reproduction; this host
-//    has one core);
+//    calibrated overheads (the shape-faithful reproduction, whatever
+//    the host's core count);
 //  * measured — the real executors running the real DSP graph on this
 //    host (absolute values are host-dependent).
 #include "bench_common.hpp"

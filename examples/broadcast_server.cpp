@@ -40,7 +40,7 @@ int main() {
   ds::HostConfig cfg;
   cfg.threads = 0;  // DJSTAR_THREADS or hardware concurrency
   ds::EngineHost host(cfg);
-  host.arm_tracing();
+  host.enable_flight();  // each channel's span ring, for the trace export
   std::printf("broadcast host: %u workers, admission bound %.2f\n\n",
               host.threads(), cfg.admission.utilization_bound);
 

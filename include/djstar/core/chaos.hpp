@@ -22,7 +22,7 @@
 //
 // Thread safety: enable()/disable()/reset_counters() must not race with
 // an executing cycle (call them from the controlling thread between
-// runs, like TraceRecorder::arm). maybe_perturb() is safe from any
+// runs, like FlightRecorder::configure). maybe_perturb() is safe from any
 // thread at any time.
 #pragma once
 

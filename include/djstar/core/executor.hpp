@@ -9,7 +9,6 @@
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/health.hpp"
 #include "djstar/support/flight.hpp"
-#include "djstar/support/trace.hpp"
 
 namespace djstar::core {
 
@@ -78,12 +77,10 @@ struct ExecOptions {
   /// fixes this to 4 ("increasing the thread count above four does not
   /// accelerate the computations any further", §VI).
   unsigned threads = 4;
-  /// Optional schedule tracing (arm the recorder with `threads` lanes to
-  /// capture Fig.-11-style realizations). May be nullptr.
-  support::TraceRecorder* trace = nullptr;
-  /// Optional always-on flight recorder (configure with `threads` lanes).
-  /// Unlike `trace` it overwrites instead of filling up, so it can stay
-  /// enabled for the life of the engine. May be nullptr.
+  /// Optional span ring, the one span sink (configure it with `threads`
+  /// lanes): while it is enabled, every worker writes each of its run and
+  /// wait spans there, once (Fig.-11 realizations, attribution, incident
+  /// dumps). May be nullptr.
   support::FlightRecorder* flight = nullptr;
   /// Worker self-healing (DESIGN.md §12). With mode != kOff the parallel
   /// executors build their Team with a medic, run every node through the

@@ -46,7 +46,8 @@ struct EngineConfig {
 
   /// Cycle attribution profiler (engine/profiler, DESIGN.md §14). Mode
   /// overridden by DJSTAR_PROF=off|attrib|attrib+hw when set. mode !=
-  /// kOff implies telemetry (the flight recorder is the span source).
+  /// kOff implies telemetry (it keeps the span ring on and carries the
+  /// profiler's series).
   ProfilerConfig profiler{};
 
   /// SLO engine (support/slo + support/tsdb, DESIGN.md §15). enabled/
@@ -105,8 +106,8 @@ class AudioEngine {
   // ---- telemetry (engine/telemetry.hpp) ----
 
   /// Attach the telemetry bundle: metrics registry, event journal, and
-  /// always-on flight recorder (wired into the workers — rebuilds the
-  /// executor). The constructor calls this automatically when
+  /// incident dumps of the engine's span ring, which records from the
+  /// next cycle on. The constructor calls this automatically when
   /// DJSTAR_FLIGHT=<dump-path> is set.
   void enable_telemetry(const TelemetryConfig& tcfg = {});
   bool telemetry_enabled() const noexcept { return telemetry_ != nullptr; }
@@ -117,8 +118,8 @@ class AudioEngine {
 
   /// Attach the attribution profiler: per-cycle realized-critical-path
   /// analysis, ranked blame reports on misses, and (attrib+hw mode)
-  /// per-worker perf_event counters. Enables telemetry when absent (the
-  /// flight recorder is the span source). The constructor calls this
+  /// per-worker perf_event counters. Enables telemetry when absent (it
+  /// keeps the span ring on). The constructor calls this
   /// automatically when DJSTAR_PROF names a mode other than off.
   void enable_profiler(const ProfilerConfig& pcfg);
   bool profiler_enabled() const noexcept { return profiler_ != nullptr; }
@@ -175,7 +176,8 @@ class AudioEngine {
  private:
   void poll_heal();
   void profile_cycle(bool missed);
-  core::ExecOptions exec_options() const noexcept;
+  core::ExecOptions exec_options() noexcept;
+  void configure_flight();
   void rebuild_executor();
   void apply_degradation(DegradationLevel target);
   void phase_tp(CycleBreakdown& c);
@@ -190,11 +192,13 @@ class AudioEngine {
   std::array<std::unique_ptr<Deck>, 4> decks_;
   DjStarGraph graph_nodes_;
   // Declared before the graph and executors so workers and the graph's
-  // journal pointer never outlive their sinks.
+  // journal pointer never outlive their sinks. The span ring (DESIGN.md
+  // §10) is the one sink of every worker's spans; telemetry's dumps, the
+  // profiler and DJSTAR_TRACE read it, and it records while one of them
+  // does (configure_flight).
+  support::FlightRecorder flight_;
   std::unique_ptr<EngineTelemetry> telemetry_;
-  // DJSTAR_TRACE support: armed at construction, dumped after the first
-  // cycle, then disarmed (record() becomes a no-op).
-  std::unique_ptr<support::TraceRecorder> env_trace_;
+  // DJSTAR_TRACE: the first cycle's spans are written to this path once.
   std::string env_trace_path_;
   bool env_trace_pending_ = false;
   std::unique_ptr<core::CompiledGraph> compiled_;

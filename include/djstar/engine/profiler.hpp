@@ -6,11 +6,12 @@
 //
 // Division of labour: support/attrib owns the path reconstruction and
 // blame math over raw spans; this layer adapts a concrete graph into
-// the analyzer's predecessor shape, feeds it each cycle's flight spans,
-// keeps an EWMA of the realized critical path for the profile report,
-// publishes djstar_attrib_* metrics, emits kBlameReport/kBlame journal
-// events on every miss, and renders the JSON served by the net layer's
-// /debug/attribution and /debug/profile endpoints.
+// the analyzer's predecessor shape, feeds it each cycle's spans from its
+// owner's span ring, keeps an EWMA of the realized critical path for the
+// profile report, publishes djstar_attrib_* metrics, emits
+// kBlameReport/kBlame journal events on every miss, and renders the JSON
+// served by the net layer's /debug/attribution and /debug/profile
+// endpoints.
 //
 // Hardware counters (ProfMode::kAttribHw): one perf_event_open fd per
 // (worker tid, event) for cycles / instructions / cache-misses /
@@ -28,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "djstar/core/graph.hpp"
 #include "djstar/support/attrib.hpp"
 #include "djstar/support/journal.hpp"
 #include "djstar/support/metrics.hpp"
@@ -123,7 +125,7 @@ struct NodeHw {
 class CycleProfiler {
  public:
   /// `preds[n]` = graph predecessors of node n (adapt a TaskGraph via
-  /// preds_from_successors). `registry`/`journal` may be null; metric
+  /// predecessor_lists). `registry`/`journal` may be null; metric
   /// names are fixed, so several profilers sharing one registry share
   /// the same djstar_attrib_* series (register-or-fetch semantics).
   CycleProfiler(const ProfilerConfig& cfg,
@@ -191,9 +193,9 @@ class CycleProfiler {
   support::HistogramMetric h_cp_wait_us_;
 };
 
-/// Invert a successor adjacency into the analyzer's predecessor shape.
-std::vector<std::vector<std::int32_t>> preds_from_successors(
-    std::size_t node_count,
-    const std::vector<std::vector<std::int32_t>>& succs);
+/// `g`'s predecessor lists (TaskGraph::predecessors) in the analyzer's
+/// shape, each in ascending node order.
+std::vector<std::vector<std::int32_t>> predecessor_lists(
+    const core::TaskGraph& g);
 
 }  // namespace djstar::engine

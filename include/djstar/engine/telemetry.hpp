@@ -1,13 +1,13 @@
 // djstar/engine/telemetry.hpp
 // Per-engine telemetry bundle (DESIGN.md §10): a metrics registry, a
-// structured event journal, and an always-on flight recorder, wired into
-// the APC driver so every cycle is accounted with zero locks and zero
-// allocation on the audio path.
+// structured event journal, and incident dumps of the engine's span ring,
+// wired into the APC driver so every cycle is accounted with zero locks
+// and zero allocation on the audio path.
 //
 // Division of labour: AudioEngine owns the cycle loop and calls
 // on_cycle() between cycles with what just happened; EngineTelemetry
 // owns the sinks and the *policy* of what to export — counter deltas,
-// histograms, journal records, and the automatic flight-recorder dump
+// histograms, journal records, and the automatic dump of the span ring
 // when a cycle misses its deadline, the degradation ladder moves, or
 // the watchdog fires.
 //
@@ -26,13 +26,13 @@
 #include "djstar/support/flight.hpp"
 #include "djstar/support/journal.hpp"
 #include "djstar/support/metrics.hpp"
-#include "djstar/support/trace.hpp"
 
 namespace djstar::engine {
 
 /// Telemetry construction knobs.
 struct TelemetryConfig {
-  /// Flight-recorder ring capacity per worker lane (spans).
+  /// The engine's span-ring capacity per worker lane (spans); raised to
+  /// at least one whole cycle.
   std::size_t flight_spans_per_thread = 2048;
   /// Event-journal ring capacity (events).
   std::size_t journal_capacity = 4096;
@@ -58,10 +58,10 @@ enum class FlightDumpTrigger : std::uint8_t {
 
 class EngineTelemetry {
  public:
-  /// `deadline_us` doubles as the flight-recorder timeline period;
-  /// `threads` sizes the flight lanes (lane per worker).
+  /// `deadline_us` doubles as the dump timeline's period; `flight` is the
+  /// engine's span ring, which the engine sizes and feeds.
   EngineTelemetry(const TelemetryConfig& cfg, double deadline_us,
-                  unsigned threads);
+                  const support::FlightRecorder& flight);
 
   EngineTelemetry(const EngineTelemetry&) = delete;
   EngineTelemetry& operator=(const EngineTelemetry&) = delete;
@@ -71,7 +71,7 @@ class EngineTelemetry {
     return registry_;
   }
   support::EventJournal& journal() noexcept { return journal_; }
-  support::FlightRecorder& flight() noexcept { return flight_; }
+  /// The engine's span ring, which incident dumps read.
   const support::FlightRecorder& flight() const noexcept { return flight_; }
 
   const TelemetryConfig& config() const noexcept { return cfg_; }
@@ -80,17 +80,11 @@ class EngineTelemetry {
   /// cycles, right after DeadlineMonitor::add; `missed` is that call's
   /// verdict, so the miss counter agrees with monitor().misses(). `sup`
   /// is the supervisor's current stats (null unsupervised);
-  /// `faults_injected` is the graph's cumulative fault count; `trace` is
-  /// the engine's TraceRecorder for drop accounting (may be null).
+  /// `faults_injected` is the graph's cumulative fault count.
   /// Cumulative sources are delta-synced into monotone counters, so
   /// exports always agree with the sources.
   void on_cycle(const CycleBreakdown& c, unsigned level, bool missed,
-                const SupervisorStats* sup, std::uint64_t faults_injected,
-                const support::TraceRecorder* trace);
-
-  /// Resize the flight lanes after a thread-count change. Discards
-  /// retained spans; call between cycles only.
-  void on_threads_changed(unsigned threads);
+                const SupervisorStats* sup, std::uint64_t faults_injected);
 
   /// Account the team's self-healing state (DESIGN.md §12). Called by
   /// AudioEngine between cycles when healing is armed. Delta-syncs the
@@ -124,7 +118,7 @@ class EngineTelemetry {
 
   support::MetricsRegistry registry_;
   support::EventJournal journal_;
-  support::FlightRecorder flight_;
+  const support::FlightRecorder& flight_;
 
   // Handles resolved once at construction; hot-path use is inc/record.
   support::Counter cycles_;
@@ -133,7 +127,6 @@ class EngineTelemetry {
   support::Counter degrades_;
   support::Counter recoveries_;
   support::Counter watchdog_cancels_;
-  support::Counter trace_dropped_;
   support::Counter journal_dropped_;
   support::Counter flight_dumps_total_;
   support::Counter quarantines_;
@@ -150,7 +143,6 @@ class EngineTelemetry {
   std::uint64_t seen_degrades_ = 0;
   std::uint64_t seen_recoveries_ = 0;
   std::uint64_t seen_wd_cancels_ = 0;
-  std::uint64_t seen_trace_dropped_ = 0;
   std::uint64_t seen_journal_dropped_ = 0;
   std::uint64_t seen_quarantines_ = 0;
   std::uint64_t seen_respawns_ = 0;

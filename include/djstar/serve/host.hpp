@@ -41,6 +41,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -219,13 +220,11 @@ class EngineHost {
   /// `path`. Thread-safe. Returns false on I/O failure.
   bool write_metrics(const std::string& path) const;
 
-  /// Enable the always-on flight recorder, shared by all sessions: one
-  /// lane per pool worker (the team runs one graph at a time, so lanes
-  /// stay single-writer). Sessions submitted after this call record
-  /// into it; the cycle tag advances once per fleet tick.
+  /// Turn on span capture for current and future sessions: each
+  /// session's own span ring (Session::enable_flight) keeps
+  /// `spans_per_thread` spans per pool worker, at least one whole cycle.
+  /// write_chrome_trace() and SLO incident dumps read the rings.
   void enable_flight(std::size_t spans_per_thread = 2048);
-  support::FlightRecorder& flight() noexcept { return flight_; }
-  const support::FlightRecorder& flight() const noexcept { return flight_; }
 
   /// Start a background exporter rewriting `path` every `period_ms`
   /// (the constructor starts one automatically when DJSTAR_METRICS=
@@ -233,9 +232,6 @@ class EngineHost {
   void start_metrics_exporter(const std::string& path,
                               double period_ms = 1000.0);
   void stop_metrics_exporter();
-
-  /// Arm schedule tracing on all current and future sessions.
-  void arm_tracing(std::size_t capacity_per_worker = 4096);
 
   // ---- attribution / profiling (DESIGN.md §14) ----
 
@@ -257,7 +253,9 @@ class EngineHost {
   std::string debug_profile_json() const;
 
   /// Export the fleet schedule as Chrome trace_event JSON: one pid per
-  /// session, one tid per worker. Returns false on I/O failure.
+  /// session (live ones, and departed ones after enable_flight), one tid
+  /// per worker, each session's retained cycles stitched on its own
+  /// deadline. Returns false on I/O failure.
   bool write_chrome_trace(const std::string& path) const;
 
   // ---- SLO engine (DESIGN.md §15) ----
@@ -361,7 +359,6 @@ class EngineHost {
   // (incremented at the same call sites); gauges refresh per tick.
   support::MetricsRegistry registry_;
   support::EventJournal journal_{4096};
-  support::FlightRecorder flight_;
   support::Counter m_ticks_;
   support::Counter m_submitted_;
   support::Counter m_admitted_;
@@ -433,8 +430,9 @@ class EngineHost {
   std::mutex exporter_mutex_;
   std::condition_variable exporter_cv_;
   bool exporter_stop_ = false;
-  bool tracing_armed_ = false;
-  std::size_t trace_capacity_ = 0;
+  /// Span-ring size per worker for every session, once enable_flight()
+  /// ran.
+  std::optional<std::size_t> flight_spans_;
   /// Spans of departed sessions, kept so a fleet trace still shows
   /// sessions that closed or were shed mid-run.
   std::vector<support::TraceProcess> retired_traces_;

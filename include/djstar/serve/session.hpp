@@ -38,9 +38,9 @@
 #include "djstar/engine/profiler.hpp"
 #include "djstar/engine/supervisor.hpp"
 #include "djstar/serve/qos.hpp"
+#include "djstar/support/flight.hpp"
 #include "djstar/support/histogram.hpp"
 #include "djstar/support/time.hpp"
-#include "djstar/support/trace.hpp"
 
 namespace djstar::serve {
 
@@ -152,19 +152,20 @@ class Session {
   /// than 32 cycles have run.
   double observed_cost_p99_us() const;
 
-  /// Schedule tracing (host-driven): spans land in recorder() with one
-  /// lane per worker; the host exports one pid per session.
-  void arm_tracing(std::size_t capacity_per_worker);
-  const support::TraceRecorder& recorder() const noexcept { return trace_; }
+  /// The session's span ring (DESIGN.md §10), one lane per pool worker.
+  /// Both of its executors write every span there once, tagged with the
+  /// session's own cycle count; its profiler and the host's fleet trace
+  /// and incident dumps read it. Off until enable_flight() or
+  /// enable_profiler(); `spans_per_thread` is raised to one whole cycle.
+  void enable_flight(std::size_t spans_per_thread);
+  const support::FlightRecorder& flight() const noexcept { return flight_; }
 
   // ---- cycle attribution (engine/profiler.hpp, DESIGN.md §14) ----
 
-  /// Attach a per-session attribution profiler. The session's trace
-  /// recorder doubles as the per-cycle span buffer (armed here when the
-  /// host has not armed it; cleared between cycles), so with profiling
-  /// on, a fleet Chrome-trace export covers only each session's most
-  /// recent cycle. `registry`/`journal` are the host's (shared metric
-  /// series via register-or-fetch; may be null).
+  /// Attach a per-session attribution profiler, which reads each cycle's
+  /// spans from the span ring (enabled here when the host has not).
+  /// `registry`/`journal` are the host's (shared metric series via
+  /// register-or-fetch; may be null).
   void enable_profiler(const engine::ProfilerConfig& pcfg,
                        support::MetricsRegistry* registry,
                        support::EventJournal* journal);
@@ -204,6 +205,8 @@ class Session {
   double cost_estimate_us_ = 0;
   double next_due_us_ = 0;
   support::Clock::time_point submitted_at_{};
+  // Declared before the executors that write to it.
+  support::FlightRecorder flight_;
 
   std::unique_ptr<core::CompiledGraph> compiled_;
   std::unique_ptr<core::WorkStealingExecutor> hosted_;
@@ -214,7 +217,6 @@ class Session {
   engine::CycleOutcome last_outcome_ = engine::CycleOutcome::kClean;
   support::Histogram latency_;
   SessionCounters counters_;
-  support::TraceRecorder trace_;
   std::unique_ptr<engine::CycleProfiler> profiler_;
   std::vector<support::TraceSpan> prof_spans_;  // per-cycle scratch
   audio::AudioBuffer silent_{2, audio::kBlockSize};

@@ -35,7 +35,7 @@ std::string render_bars(std::span<const Bar> bars, std::size_t width = 50,
 
 /// Render per-thread Gantt lanes from trace spans. Each lane is a row of
 /// characters; node runs show the node id (or '#'), busy-wait shows '.',
-/// sleep shows ' ', steal probes show '~', overhead shows ':'.
+/// sleep shows ' ', steal probes show '~'.
 /// `total_us` <= 0 auto-scales to the last span end.
 std::string render_gantt(std::span<const TraceSpan> spans,
                          std::size_t width = 100, double total_us = 0,

@@ -2,7 +2,7 @@
 // Deadline-miss attribution: realized-critical-path reconstruction and
 // blame ranking over one cycle's span timeline (DESIGN.md §14).
 //
-// TraceRecorder/FlightRecorder answer "what was every thread doing";
+// The span ring (FlightRecorder) answers "what was every thread doing";
 // this layer answers "why did the cycle take this long". Following He et
 // al. ("Longer Is Shorter"), a DAG cycle's response time is governed by
 // its realized critical path: the chain of kRun spans in which each step

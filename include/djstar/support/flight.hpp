@@ -1,23 +1,24 @@
 // djstar/support/flight.hpp
-// Always-on flight recorder (DESIGN.md §10).
+// The span ring (DESIGN.md §10): the one sink executors write spans to.
 //
-// TraceRecorder must be armed per run and drops spans once a lane fills —
-// fine for capturing one Fig.-11 schedule, useless for post-mortems. The
-// flight recorder is the black box: every worker continuously writes
-// spans into its own fixed-size overwriting ring (newest span evicts the
-// oldest; it never fills up and never allocates after configure()), and
-// when something goes wrong — deadline miss, degradation step, watchdog
-// fire — the owner dumps the last N cycles as a Chrome/Perfetto trace
-// showing exactly what every thread was doing leading into the incident.
+// Every worker writes its spans into its own fixed-size overwriting ring
+// (the newest span evicts the oldest; it never fills up and never
+// allocates after configure()), each tagged with the cycle it belongs to.
+// Each AudioEngine and each hosted session owns one ring, and every span
+// reader reads it: the Fig.-11 capture (DJSTAR_TRACE, the fleet's Chrome
+// export), the per-cycle attribution profiler, and the incident dumps
+// that show what every thread was doing leading into a deadline miss,
+// degradation step, or watchdog fire.
 //
 // Thread safety: record() is called by the owning worker only (one lane
-// per worker, same contract as TraceRecorder). configure() and the
-// collect/dump calls run between cycles, when workers are quiescent at
-// the executor's cycle barrier; begin_cycle() is called by the cycle
-// driver and read by workers through that same barrier.
+// per worker). configure() and the collect/dump calls run between
+// cycles, when workers are quiescent at the executor's cycle barrier;
+// begin_cycle() is called by the cycle driver and read by workers
+// through that same barrier.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -26,6 +27,14 @@
 #include "djstar/support/trace.hpp"
 
 namespace djstar::support {
+
+/// Ring capacity per lane that holds one whole cycle of a `nodes`-node
+/// graph: a kRun span per node, at most one wait span ahead of each, and
+/// a margin. Per-cycle readers (the profiler, one-cycle captures) size
+/// their rings at least this large.
+constexpr std::size_t whole_cycle_spans(std::size_t nodes) noexcept {
+  return 2 * nodes + 64;
+}
 
 /// One recorded span tagged with the cycle it belongs to (span times are
 /// relative to that cycle's start, as everywhere else).

@@ -29,26 +29,23 @@ constexpr std::uint32_t kHealSpinBurst = 256;
 // against the push-vs-park race.
 constexpr auto kIdlePark = std::chrono::microseconds(100);
 
-/// One worker's trace and flight-recorder sink for one cycle.
+/// One worker's span sink for one cycle: its lane of the span ring.
 class Sink {
  public:
   Sink(const ExecOptions& o, unsigned w, support::Clock::time_point t0)
-      : trace_(o.trace != nullptr && o.trace->armed() ? o.trace : nullptr),
-        flight_(o.flight != nullptr && o.flight->enabled() ? o.flight
+      : flight_(o.flight != nullptr && o.flight->enabled() ? o.flight
                                                            : nullptr),
-        w_(w), t0_(t0), on_(trace_ != nullptr || flight_ != nullptr) {}
+        w_(w), t0_(t0) {}
 
-  bool on() const noexcept { return on_; }
+  bool on() const noexcept { return flight_ != nullptr; }
   unsigned worker() const noexcept { return w_; }
   /// Microseconds since cycle start; 0 when nothing records.
   double clock() const noexcept {
-    return on_ ? support::elapsed_us(t0_, support::now()) : 0.0;
+    return on() ? support::elapsed_us(t0_, support::now()) : 0.0;
   }
 
-  void emit(const support::TraceSpan& s) const {
-    if (trace_ != nullptr) trace_->record(w_, s);
-    if (flight_ != nullptr) flight_->record(w_, s);
-  }
+  /// Record `s`; only while on().
+  void emit(const support::TraceSpan& s) const { flight_->record(w_, s); }
 
   /// The wait span (the configuration's Fig. 11 colour) from `begin` to
   /// now: ahead of `node`, or -1 when the cycle ended before another
@@ -64,11 +61,9 @@ class Sink {
   std::int32_t steal_from = -1;
 
  private:
-  support::TraceRecorder* trace_;
   support::FlightRecorder* flight_;
   unsigned w_;
   support::Clock::time_point t0_;
-  bool on_;
 };
 
 /// Execute node `n` through CompiledGraph::execute() (which owns the

@@ -1,5 +1,6 @@
 #include "djstar/engine/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -90,30 +91,42 @@ AudioEngine::AudioEngine(EngineConfig cfg)
     TelemetryConfig tcfg;
     tcfg.flight_dump_path = *path;
     telemetry_ =
-        std::make_unique<EngineTelemetry>(tcfg, cfg_.deadline_us, cfg_.threads);
+        std::make_unique<EngineTelemetry>(tcfg, cfg_.deadline_us, flight_);
     compiled_->set_journal(&telemetry_->journal());
   }
   // DJSTAR_TRACE=<path>: capture the first cycle as a Chrome trace.
   if (auto path = support::env::get("DJSTAR_TRACE", "path")) {
     env_trace_path_ = *path;
-    env_trace_ = std::make_unique<support::TraceRecorder>();
-    env_trace_->arm(cfg_.threads);
     env_trace_pending_ = true;
   }
 
+  configure_flight();
   rebuild_executor();
 
   if (cfg_.profiler.mode != ProfMode::kOff) enable_profiler(cfg_.profiler);
   if (cfg_.slo.enabled) enable_slo(cfg_.slo);
 }
 
-core::ExecOptions AudioEngine::exec_options() const noexcept {
+core::ExecOptions AudioEngine::exec_options() noexcept {
   core::ExecOptions opts = cfg_.exec;
   opts.threads = cfg_.threads;
   opts.heal = cfg_.heal;
-  if (env_trace_ != nullptr) opts.trace = env_trace_.get();
-  if (telemetry_ != nullptr) opts.flight = &telemetry_->flight();
+  opts.flight = &flight_;
   return opts;
+}
+
+// The span ring records while something reads it: telemetry (and through
+// it the profiler) or a pending DJSTAR_TRACE capture. Between cycles only.
+void AudioEngine::configure_flight() {
+  if (telemetry_ == nullptr && !env_trace_pending_) {
+    flight_.disable();
+    return;
+  }
+  const std::size_t spans =
+      telemetry_ != nullptr ? telemetry_->config().flight_spans_per_thread : 0;
+  flight_.configure(cfg_.threads,
+                    std::max(spans, support::whole_cycle_spans(
+                                        compiled_->node_count())));
 }
 
 void AudioEngine::rebuild_executor() {
@@ -153,17 +166,10 @@ void AudioEngine::enable_profiler(const ProfilerConfig& pcfg) {
     hw_sampler_.reset();
     return;
   }
-  // The flight recorder is the per-cycle span source.
+  // Telemetry keeps the span ring on and carries the profiler's series.
   if (telemetry_ == nullptr) enable_telemetry();
-  const auto& g = graph_nodes_.graph();
-  std::vector<std::vector<std::int32_t>> preds(g.node_count());
-  for (core::NodeId n = 0; n < g.node_count(); ++n) {
-    for (core::NodeId s : g.successors(n)) {
-      preds[s].push_back(static_cast<std::int32_t>(n));
-    }
-  }
   profiler_ = std::make_unique<CycleProfiler>(
-      cfg_.profiler, std::move(preds), cfg_.deadline_us,
+      cfg_.profiler, predecessor_lists(graph_nodes_.graph()), cfg_.deadline_us,
       &telemetry_->registry(), &telemetry_->journal());
   if (cfg_.profiler.mode == ProfMode::kAttribHw) {
     hw_sampler_ = std::make_unique<HwSampler>();
@@ -174,7 +180,7 @@ void AudioEngine::enable_profiler(const ProfilerConfig& pcfg) {
   hw_armed_ = false;
 }
 
-// Attribute the finished cycle from its flight spans (DESIGN.md §14).
+// Attribute the finished cycle from its spans in the ring (DESIGN.md §14).
 void AudioEngine::profile_cycle(bool missed) {
   if (profiler_ == nullptr || telemetry_ == nullptr) return;
   if (hw_sampler_ != nullptr && !hw_armed_) {
@@ -191,9 +197,8 @@ void AudioEngine::profile_cycle(bool missed) {
     hw_sampler_->open(tids);
     hw_armed_ = true;
   }
-  const std::uint64_t fcycle = telemetry_->flight().cycle();
-  telemetry_->flight().collect_cycle(fcycle, prof_spans_);
-  profiler_->on_cycle(prof_spans_, missed, fcycle);
+  flight_.collect_cycle(flight_.cycle(), prof_spans_);
+  profiler_->on_cycle(prof_spans_, missed, flight_.cycle());
 }
 
 void AudioEngine::enable_slo(const support::SloConfig& scfg) {
@@ -267,17 +272,16 @@ void AudioEngine::slo_cycle(const CycleBreakdown& c, bool missed,
 
 void AudioEngine::enable_telemetry(const TelemetryConfig& tcfg) {
   telemetry_ =
-      std::make_unique<EngineTelemetry>(tcfg, cfg_.deadline_us, cfg_.threads);
+      std::make_unique<EngineTelemetry>(tcfg, cfg_.deadline_us, flight_);
   compiled_->set_journal(&telemetry_->journal());
   if (supervisor_) supervisor_->set_journal(&telemetry_->journal());
-  rebuild_executor();  // wire the flight recorder into the workers
+  configure_flight();
 }
 
 void AudioEngine::set_strategy(core::Strategy s, unsigned threads) {
   cfg_.strategy = s;
   cfg_.threads = core::resolve_thread_count(threads);
-  if (telemetry_) telemetry_->on_threads_changed(cfg_.threads);
-  if (env_trace_ && env_trace_pending_) env_trace_->arm(cfg_.threads);
+  configure_flight();  // one lane per worker
   rebuild_executor();
   // The compiled graph (including any degradation masks) and the
   // monitor are untouched; tell the supervisor so it can keep its
@@ -335,12 +339,13 @@ void AudioEngine::apply_pending_poison() noexcept {
 
 void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
                                          unsigned level, bool missed) {
-  // DJSTAR_TRACE: the armed first cycle just finished — dump and disarm
-  // (workers see the disarm at the next cycle's synchronization).
-  if (env_trace_pending_ && env_trace_ != nullptr) {
-    env_trace_->write_chrome_trace(env_trace_path_);
-    env_trace_->disarm();
+  // DJSTAR_TRACE: the first cycle just finished — write it once, and stop
+  // the ring unless telemetry reads it (workers see the disable at the
+  // next cycle's synchronization).
+  if (env_trace_pending_) {
+    flight_.dump_chrome_trace(env_trace_path_, 1, cfg_.deadline_us, "djstar");
     env_trace_pending_ = false;
+    if (telemetry_ == nullptr) flight_.disable();
   }
   if (telemetry_ != nullptr) {
     SupervisorStats sup{};
@@ -349,15 +354,12 @@ void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
       sup = supervisor_->stats();
       sp = &sup;
     }
-    const support::TraceRecorder* trace =
-        env_trace_ != nullptr ? env_trace_.get() : cfg_.exec.trace;
-    telemetry_->on_cycle(c, level, missed, sp, compiled_->faults_injected(),
-                         trace);
+    telemetry_->on_cycle(c, level, missed, sp, compiled_->faults_injected());
   }
 }
 
 CycleBreakdown AudioEngine::run_cycle() {
-  if (telemetry_) telemetry_->flight().begin_cycle();
+  flight_.begin_cycle();
   CycleBreakdown c;
   phase_tp(c);
   phase_gp(c);
@@ -406,7 +408,7 @@ CycleBreakdown AudioEngine::run_cycle_supervised() {
   // cycle; all graph mutation happens here, between cycles.
   apply_degradation(supervisor_->level());
   const auto level = static_cast<unsigned>(applied_level_);
-  if (telemetry_) telemetry_->flight().begin_cycle();
+  flight_.begin_cycle();
 
   CycleBreakdown c;
   if (applied_level_ == DegradationLevel::kSafeMode) {

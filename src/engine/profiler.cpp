@@ -350,17 +350,13 @@ std::string CycleProfiler::profile_json() const {
   return out;
 }
 
-std::vector<std::vector<std::int32_t>> preds_from_successors(
-    std::size_t node_count,
-    const std::vector<std::vector<std::int32_t>>& succs) {
-  std::vector<std::vector<std::int32_t>> preds(node_count);
-  for (std::size_t n = 0; n < succs.size() && n < node_count; ++n) {
-    for (std::int32_t s : succs[n]) {
-      if (s >= 0 && static_cast<std::size_t>(s) < node_count) {
-        preds[static_cast<std::size_t>(s)].push_back(
-            static_cast<std::int32_t>(n));
-      }
-    }
+std::vector<std::vector<std::int32_t>> predecessor_lists(
+    const core::TaskGraph& g) {
+  std::vector<std::vector<std::int32_t>> preds(g.node_count());
+  for (core::NodeId n = 0; n < g.node_count(); ++n) {
+    const auto ps = g.predecessors(n);
+    preds[n].assign(ps.begin(), ps.end());
+    std::sort(preds[n].begin(), preds[n].end());
   }
   return preds;
 }

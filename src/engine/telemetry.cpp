@@ -18,10 +18,12 @@ constexpr std::array<double, 7> kGraphBounds = {50,  100, 200, 400,
 }  // namespace
 
 EngineTelemetry::EngineTelemetry(const TelemetryConfig& cfg,
-                                 double deadline_us, unsigned threads)
+                                 double deadline_us,
+                                 const support::FlightRecorder& flight)
     : cfg_(cfg),
       deadline_us_(deadline_us),
       journal_(cfg.journal_capacity),
+      flight_(flight),
       cycles_(registry_.counter("djstar_cycles_total",
                                 "Audio processing cycles executed")),
       misses_(registry_.counter("djstar_deadline_misses_total",
@@ -36,9 +38,6 @@ EngineTelemetry::EngineTelemetry(const TelemetryConfig& cfg,
       watchdog_cancels_(registry_.counter(
           "djstar_watchdog_cancels_total",
           "Cycles cancelled by the watchdog thread")),
-      trace_dropped_(registry_.counter(
-          "djstar_trace_dropped_spans_total",
-          "Trace-recorder spans dropped because a lane was full")),
       journal_dropped_(registry_.counter(
           "djstar_journal_dropped_events_total",
           "Journal events dropped because the ring was full")),
@@ -67,17 +66,11 @@ EngineTelemetry::EngineTelemetry(const TelemetryConfig& cfg,
                                     "Task-graph phase per cycle (us)",
                                     kGraphBounds)) {
   uptime_ = support::register_build_info(registry_);
-  flight_.configure(threads, cfg_.flight_spans_per_thread);
-}
-
-void EngineTelemetry::on_threads_changed(unsigned threads) {
-  flight_.configure(threads, cfg_.flight_spans_per_thread);
 }
 
 void EngineTelemetry::on_cycle(const CycleBreakdown& c, unsigned level,
                                bool missed, const SupervisorStats* sup,
-                               std::uint64_t faults_injected,
-                               const support::TraceRecorder* trace) {
+                               std::uint64_t faults_injected) {
   ++cycle_count_;
   cycles_.inc();
   uptime_.set(support::process_uptime_seconds());
@@ -107,13 +100,6 @@ void EngineTelemetry::on_cycle(const CycleBreakdown& c, unsigned level,
     if (sup->recoveries > seen_recoveries_) {
       recoveries_.inc(sup->recoveries - seen_recoveries_);
       seen_recoveries_ = sup->recoveries;
-    }
-  }
-  if (trace != nullptr) {
-    const std::uint64_t dropped = trace->total_dropped();
-    if (dropped > seen_trace_dropped_) {
-      trace_dropped_.inc(dropped - seen_trace_dropped_);
-      seen_trace_dropped_ = dropped;
     }
   }
   {

@@ -32,6 +32,15 @@ HostConfig with_env_overrides(HostConfig cfg) {
 constexpr double kStageBounds[] = {10,   25,   50,    100,   250,  500,
                                    1000, 2500, 5000,  10000, 25000, 100000};
 
+// One Chrome-trace process per session: the last `cycles` cycles its span
+// ring holds (0 = all of them), stitched on the session's own deadline.
+support::TraceProcess session_trace(const Session& s,
+                                    std::uint64_t cycles = 0) {
+  const support::FlightRecorder& f = s.flight();
+  return {s.name(), static_cast<std::uint32_t>(s.id()),
+          f.collect_last(cycles != 0 ? cycles : f.cycle(), s.deadline_us())};
+}
+
 void append_json_escaped(std::string& out, std::string_view s) {
   for (char ch : s) {
     if (ch == '"' || ch == '\\') {
@@ -207,9 +216,9 @@ std::unique_ptr<Session> EngineHost::build_session(SessionId id,
                                                    SessionSpec spec) {
   core::ExecOptions exec;
   exec.heal = cfg_.heal;
-  if (flight_.enabled()) exec.flight = &flight_;
   auto s = std::make_unique<Session>(id, std::move(spec), team_, exec,
                                      cfg_.ws, cfg_.supervisor);
+  if (flight_spans_) s->enable_flight(*flight_spans_);
   if (profiler_enabled()) {
     // Sessions share the host registry (register-or-fetch: one
     // djstar_attrib_* family fleet-wide) and journal. HW stays host-level.
@@ -258,7 +267,6 @@ void EngineHost::activate(std::unique_ptr<Session> s) {
   }
   active_density_ += s->density();
   s->set_next_due_us(fleet_now_us_ + s->deadline_us());
-  if (tracing_armed_) s->arm_tracing(trace_capacity_);
   if (cfg_.breaker.enabled()) {
     breakers_.try_emplace(s->id(), cfg_.breaker, cfg_.seed, s->id());
   }
@@ -302,11 +310,7 @@ void EngineHost::remove_session(SessionId id, SessionState final_state) {
       journal_.push(support::EventKind::kSessionClosed, tick_,
                     static_cast<std::int64_t>(id));
     }
-    if (tracing_armed_ && (*it)->recorder().armed()) {
-      retired_traces_.push_back({(*it)->name(),
-                                 static_cast<std::uint32_t>((*it)->id()),
-                                 (*it)->recorder().collect()});
-    }
+    if (flight_spans_) retired_traces_.push_back(session_trace(**it));
     set_state(id, final_state);
     breakers_.erase(id);
     prev_latency_.erase(id);
@@ -346,13 +350,14 @@ void EngineHost::remove_session(SessionId id, SessionState final_state) {
 // ---- data plane ---------------------------------------------------------
 
 void EngineHost::enable_flight(std::size_t spans_per_thread) {
-  flight_.configure(threads_, spans_per_thread);
+  flight_spans_ = spans_per_thread;
+  for (const auto& s : active_) s->enable_flight(spans_per_thread);
+  for (const auto& s : queued_) s->enable_flight(spans_per_thread);
 }
 
 FleetTick EngineHost::run_fleet_cycle() {
   FleetTick t;
   t.index = tick_;
-  if (flight_.enabled()) flight_.begin_cycle();
 
   drain_commands();
   if (admit_holdoff_ > 0) {
@@ -686,12 +691,14 @@ void EngineHost::on_slo_transition(support::SloTracker& tr,
       if (s->qos() == QoS::kBestEffort) s->supervisor().force_degrade();
     }
   }
-  // Then capture evidence. The warn->page hysteresis already rate-limits
-  // incidents, so no extra cooldown is needed.
+  // Then capture evidence: the last 32 cycles of every live session's
+  // span ring, one pid each. The warn->page hysteresis already
+  // rate-limits incidents, so no extra cooldown is needed.
   ++slo_incident_dumps_;
-  if (flight_.enabled() && !cfg_.slo.incident_dump_path.empty() &&
-      flight_.dump_chrome_trace(cfg_.slo.incident_dump_path, 32,
-                                cfg_.default_tick_us)) {
+  if (!flight_spans_ || cfg_.slo.incident_dump_path.empty()) return;
+  std::vector<support::TraceProcess> procs;
+  for (const auto& s : active_) procs.push_back(session_trace(*s, 32));
+  if (support::write_chrome_trace(cfg_.slo.incident_dump_path, procs)) {
     journal_.push(
         support::EventKind::kFlightDump, tick_,
         static_cast<std::int64_t>(engine::FlightDumpTrigger::kSloPage),
@@ -828,10 +835,7 @@ void EngineHost::trip_session(SessionId id) {
   // Retired like a close (not a shed): the session's counters fold into
   // the fleet aggregate now; the restored session restarts from zero.
   stats_.retire(s, /*was_shed=*/false);
-  if (tracing_armed_ && s.recorder().armed()) {
-    retired_traces_.push_back({s.name(), static_cast<std::uint32_t>(s.id()),
-                               s.recorder().collect()});
-  }
+  if (flight_spans_) retired_traces_.push_back(session_trace(s));
   set_state(id, SessionState::kTripped);
   detach_slo(id);
 
@@ -874,7 +878,6 @@ void EngineHost::probe_tripped() {
     std::unique_ptr<Session> s = build_session(it->id, std::move(it->spec));
     s->restore(it->snap);
     s->set_next_due_us(fleet_now_us_ + s->deadline_us());
-    if (tracing_armed_) s->arm_tracing(trace_capacity_);
     // Fresh SLO tracker, like the stats: the restored session's burn
     // restarts from zero rather than re-paging off pre-trip history.
     attach_slo(it->id);
@@ -916,12 +919,6 @@ void EngineHost::recalibrate() {
     density += s->density();
   }
   active_density_ = density;
-}
-
-void EngineHost::arm_tracing(std::size_t capacity_per_worker) {
-  tracing_armed_ = true;
-  trace_capacity_ = capacity_per_worker;
-  for (const auto& s : active_) s->arm_tracing(capacity_per_worker);
 }
 
 bool EngineHost::write_metrics(const std::string& path) const {
@@ -966,8 +963,7 @@ void EngineHost::stop_metrics_exporter() {
 bool EngineHost::write_chrome_trace(const std::string& path) const {
   std::vector<support::TraceProcess> procs = retired_traces_;
   for (const auto& s : active_) {
-    procs.push_back({s->name(), static_cast<std::uint32_t>(s->id()),
-                     s->recorder().collect()});
+    if (s->flight().enabled()) procs.push_back(session_trace(*s));
   }
   return support::write_chrome_trace(path, procs);
 }

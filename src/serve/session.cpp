@@ -34,13 +34,11 @@ Session::Session(SessionId id, SessionSpec spec, core::Team& team,
       latency_(0.0, 4.0 * spec_.deadline_us, kLatencyBins) {
   core::ExecOptions opts = exec;
   opts.threads = team.threads();
-  opts.trace = &trace_;
+  opts.flight = &flight_;
   hosted_ = std::make_unique<core::WorkStealingExecutor>(*compiled_, team,
                                                          opts, ws);
-  core::ExecOptions seq_opts = exec;
-  seq_opts.threads = 1;
-  seq_opts.trace = nullptr;
-  fallback_ = std::make_unique<core::SequentialExecutor>(*compiled_, seq_opts);
+  opts.threads = 1;
+  fallback_ = std::make_unique<core::SequentialExecutor>(*compiled_, opts);
 
   cost_estimate_us_ =
       spec_.cost_estimate_us > 0
@@ -66,9 +64,7 @@ double Session::run_cycle(double wait_us, double allowed_us) {
   // between cycles, where the compiled graph permits mutation.
   const DegradationLevel level = supervisor_.level();
   apply_level(level);
-  // Profiling reuses the trace recorder as a cycle-scoped span buffer:
-  // drop the previous cycle's spans now, between cycles (allocation-free).
-  if (profiler_ != nullptr && trace_.armed()) trace_.clear_spans();
+  flight_.begin_cycle();
   const auto level_idx = static_cast<unsigned>(level);
 
   engine::CycleBreakdown c;
@@ -100,9 +96,9 @@ double Session::run_cycle(double wait_us, double allowed_us) {
   latency_.add(completion);
 
   if (profiler_ != nullptr) {
-    // Safe mode / sequential fallback record no spans into trace_; the
-    // empty attribution still counts the cycle so exports stay exact.
-    trace_.collect_into(prof_spans_);
+    // Safe mode records no spans; the empty attribution still counts the
+    // cycle so exports stay exact.
+    flight_.collect_cycle(flight_.cycle(), prof_spans_);
     profiler_->on_cycle(prof_spans_, missed, counters_.cycles);
   }
   return completion;
@@ -115,20 +111,10 @@ void Session::enable_profiler(const engine::ProfilerConfig& pcfg,
     profiler_.reset();
     return;
   }
-  if (!trace_.armed()) {
-    // Cycle-scoped buffer: one slot per node is enough for run spans plus
-    // a generous margin for wait spans.
-    trace_.arm(hosted_->threads(), 2 * compiled_->node_count() + 64);
-  }
-  std::vector<std::vector<std::int32_t>> preds(compiled_->node_count());
-  for (std::size_t n = 0; n < compiled_->node_count(); ++n) {
-    for (core::NodeId s : spec_.graph.successors(static_cast<core::NodeId>(n))) {
-      preds[static_cast<std::size_t>(s)].push_back(
-          static_cast<std::int32_t>(n));
-    }
-  }
+  if (!flight_.enabled()) enable_flight(0);
   profiler_ = std::make_unique<engine::CycleProfiler>(
-      pcfg, std::move(preds), spec_.deadline_us, registry, journal);
+      pcfg, engine::predecessor_lists(spec_.graph), spec_.deadline_us,
+      registry, journal);
 }
 
 void Session::arm_faults(const core::chaos::FaultPlan& plan) {
@@ -147,8 +133,10 @@ double Session::observed_cost_p99_us() const {
   return sorted[idx];
 }
 
-void Session::arm_tracing(std::size_t capacity_per_worker) {
-  trace_.arm(hosted_->threads(), capacity_per_worker);
+void Session::enable_flight(std::size_t spans_per_thread) {
+  flight_.configure(hosted_->threads(),
+                    std::max(spans_per_thread,
+                             support::whole_cycle_spans(node_count())));
 }
 
 void Session::restore(const SessionSnapshot& snap) {

@@ -112,7 +112,6 @@ std::string render_gantt(std::span<const TraceSpan> spans, std::size_t width,
         case SpanKind::kBusyWait: fill = '.'; break;
         case SpanKind::kSleep: fill = ' '; break;
         case SpanKind::kSteal: fill = '~'; break;
-        case SpanKind::kOverhead: fill = ':'; break;
       }
       for (std::size_t c = c0; c < c1; ++c) row[c] = fill;
       // Stamp the node id at the start of a run span when it fits.
@@ -128,7 +127,7 @@ std::string render_gantt(std::span<const TraceSpan> spans, std::size_t width,
   os << "    0" << std::string(width > 10 ? width - 8 : 0, ' ')
      << fmt(end, 1) << " us\n";
   os << "    legend: digits/# = run, . = busy-wait, ~ = steal probe, "
-        ": = overhead, blank = sleeping\n";
+        "blank = sleeping\n";
   return os.str();
 }
 

@@ -41,7 +41,7 @@ std::vector<TraceSpan> FlightRecorder::collect_last(std::uint64_t cycles,
                                                     double period_us) const {
   const std::uint64_t current = cycle_.load(std::memory_order_relaxed);
   const std::uint64_t window_start =
-      current > cycles ? current - cycles + 1 : 0;
+      current >= cycles ? current - cycles + 1 : 0;
   std::vector<TraceSpan> out;
   for (std::uint32_t t = 0; t < lanes_.size(); ++t) {
     const Lane& lane = lanes_[t];

@@ -81,21 +81,6 @@ void append_process_meta(std::string& out, const TraceProcess& p,
   out += buf;
 }
 
-// Truncation marker: an instant event at ts 0 naming the loss, so a
-// Perfetto view of a truncated trace says so instead of silently showing
-// fewer spans.
-void append_dropped_note(std::string& out, const TraceProcess& p,
-                         bool& first) {
-  if (!first) out += ",\n";
-  first = false;
-  char buf[200];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"dropped %llu spans (lane full)\",\"ph\":\"i\","
-                "\"ts\":0,\"pid\":%" PRIu32 ",\"tid\":0,\"s\":\"p\"}",
-                static_cast<unsigned long long>(p.dropped_spans), p.pid);
-  out += buf;
-}
-
 }  // namespace
 
 const char* to_string(SpanKind k) noexcept {
@@ -104,84 +89,8 @@ const char* to_string(SpanKind k) noexcept {
     case SpanKind::kBusyWait: return "busy-wait";
     case SpanKind::kSleep: return "sleep";
     case SpanKind::kSteal: return "steal";
-    case SpanKind::kOverhead: return "overhead";
   }
   return "?";
-}
-
-void TraceRecorder::arm(std::uint32_t threads, std::size_t capacity) {
-  lanes_.assign(threads, Lane{});
-  for (auto& lane : lanes_) {
-    lane.capacity = capacity;
-    lane.spans.clear();
-    lane.spans.reserve(capacity);
-  }
-  armed_ = true;
-}
-
-void TraceRecorder::disarm() noexcept {
-  armed_ = false;
-  lanes_.clear();
-}
-
-void TraceRecorder::record(std::uint32_t thread,
-                           const TraceSpan& span) noexcept {
-  if (!armed_ || thread >= lanes_.size()) return;
-  Lane& lane = lanes_[thread];
-  if (lane.spans.size() >= lane.capacity) {
-    ++lane.dropped;  // full: drop, but never silently
-    return;
-  }
-  lane.spans.push_back(span);
-}
-
-void TraceRecorder::clear_spans() noexcept {
-  for (auto& lane : lanes_) {
-    lane.spans.clear();  // capacity() is retained; record() stays in budget
-    lane.dropped = 0;
-  }
-}
-
-std::uint64_t TraceRecorder::dropped(std::uint32_t thread) const noexcept {
-  return thread < lanes_.size() ? lanes_[thread].dropped : 0;
-}
-
-std::uint64_t TraceRecorder::total_dropped() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& lane : lanes_) sum += lane.dropped;
-  return sum;
-}
-
-std::vector<TraceSpan> TraceRecorder::collect() const {
-  std::vector<TraceSpan> all;
-  collect_into(all);
-  return all;
-}
-
-void TraceRecorder::collect_into(std::vector<TraceSpan>& out) const {
-  out.clear();
-  std::size_t n = 0;
-  for (const auto& lane : lanes_) n += lane.spans.size();
-  out.reserve(n);
-  for (const auto& lane : lanes_) {
-    out.insert(out.end(), lane.spans.begin(), lane.spans.end());
-  }
-  std::sort(out.begin(), out.end(), [](const TraceSpan& a, const TraceSpan& b) {
-    if (a.thread != b.thread) return a.thread < b.thread;
-    return a.begin_us < b.begin_us;
-  });
-}
-
-bool TraceRecorder::write_chrome_trace(const std::string& path,
-                                       std::uint32_t pid,
-                                       std::string_view process_name) const {
-  TraceProcess p;
-  p.name = std::string(process_name);
-  p.pid = pid;
-  p.spans = collect();
-  p.dropped_spans = total_dropped();
-  const TraceProcess procs[] = {std::move(p)};
-  return djstar::support::write_chrome_trace(path, procs);
 }
 
 bool write_chrome_trace(const std::string& path,
@@ -192,7 +101,6 @@ bool write_chrome_trace(const std::string& path,
   bool first = true;
   for (const TraceProcess& p : processes) {
     append_process_meta(out, p, first);
-    if (p.dropped_spans > 0) append_dropped_note(out, p, first);
   }
   for (const TraceProcess& p : processes) {
     for (const TraceSpan& s : p.spans) {

@@ -12,7 +12,7 @@
 #include "djstar/core/chaos.hpp"
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/factory.hpp"
-#include "djstar/support/trace.hpp"
+#include "djstar/support/flight.hpp"
 
 namespace dc = djstar::core;
 
@@ -145,14 +145,16 @@ TEST_P(ExecutorTest, TracingRecordsOneRunSpanPerNode) {
   const auto p = GetParam();
   MiniGraph mg;
   dc::CompiledGraph cg(mg.g);
-  djstar::support::TraceRecorder trace;
-  trace.arm(p.threads);
+  djstar::support::FlightRecorder flight;
+  flight.configure(p.threads);
   dc::ExecOptions opts;
   opts.threads = p.threads;
-  opts.trace = &trace;
+  opts.flight = &flight;
   auto exec = dc::make_executor(p.strategy, cg, opts);
+  flight.begin_cycle();
   exec->run_cycle();
-  const auto spans = trace.collect();
+  std::vector<djstar::support::TraceSpan> spans;
+  flight.collect_cycle(flight.cycle(), spans);
   int runs = 0;
   for (const auto& s : spans) {
     if (s.kind == djstar::support::SpanKind::kRun) {
@@ -226,11 +228,11 @@ TEST_P(ExecutorTest, WaitSpansCarryTheConfigurationsFig11Colour) {
   g.add_edge(a, join);
   g.add_edge(b, join);
   dc::CompiledGraph cg(g);
-  djstar::support::TraceRecorder trace;
-  trace.arm(threads);
+  djstar::support::FlightRecorder flight;
+  flight.configure(threads);
   dc::ExecOptions opts;
   opts.threads = threads;
-  opts.trace = &trace;
+  opts.flight = &flight;
   auto exec = dc::make_executor(p.strategy, cg, opts);
   EXPECT_EQ(exec->name(), dc::to_string(p.strategy));
   // Intensity 0: the hook counts site hits and never delays.
@@ -238,6 +240,7 @@ TEST_P(ExecutorTest, WaitSpansCarryTheConfigurationsFig11Colour) {
   for (int c = 0; c < 5; ++c) {
     started.store(0);
     armed.store(false);
+    flight.begin_cycle();
     exec->run_cycle();
   }
   EXPECT_FALSE(timed_out.load());
@@ -248,7 +251,7 @@ TEST_P(ExecutorTest, WaitSpansCarryTheConfigurationsFig11Colour) {
   if (p.strategy == dc::Strategy::kWorkStealing) expected = SpanKind::kSteal;
   int waits = 0;
   int long_waits = 0;
-  for (const auto& s : trace.collect()) {
+  for (const auto& s : flight.collect_last(5, 0.0)) {
     if (s.kind == SpanKind::kRun) continue;
     ++waits;
     if (s.thread == 0 && s.end_us - s.begin_us >= 20.0) ++long_waits;

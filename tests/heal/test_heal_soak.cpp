@@ -5,8 +5,8 @@
 // cycle, and a team that keeps replacing its dead.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,7 +14,9 @@
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/factory.hpp"
 #include "djstar/core/team.hpp"
+#include "djstar/engine/profiler.hpp"
 #include "djstar/support/attrib.hpp"
+#include "djstar/support/env.hpp"
 #include "djstar/support/flight.hpp"
 #include "stress/stress_util.hpp"
 
@@ -23,22 +25,27 @@ namespace dt = djstar::test;
 
 namespace {
 
+// A set DJSTAR_SOAK_CYCLES must be a positive decimal count; anything
+// else (blank, "10k", "banana", 0) throws before the soak starts.
 int soak_cycles() {
-  if (const char* env = std::getenv("DJSTAR_SOAK_CYCLES")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+  const auto env = djstar::support::env::get("DJSTAR_SOAK_CYCLES", "count");
+  if (!env) return dt::scaled(600);
+  const auto n = djstar::support::env::parse_uint(*env, 1u << 30);
+  if (!n || *n == 0) {
+    throw std::invalid_argument(
+        "DJSTAR_SOAK_CYCLES: expected a positive cycle count, got '" + *env +
+        "'");
   }
-  return dt::scaled(600);
+  return static_cast<int>(*n);
 }
 
 // Where a failing soak run drops its flight-recorder trace. Nightly CI
 // points this at a workspace directory and uploads it as an artifact;
-// locally it falls back to the gtest temp dir.
+// locally it falls back to the gtest temp dir. A set but blank value
+// throws; both knobs are read before the soak starts.
 std::string soak_dump_dir() {
-  if (const char* env = std::getenv("DJSTAR_SOAK_DUMP_DIR")) {
-    if (*env != '\0') return env;
-  }
-  return testing::TempDir();
+  return djstar::support::env::get("DJSTAR_SOAK_DUMP_DIR", "path")
+      .value_or(testing::TempDir());
 }
 
 constexpr dc::Strategy kSoakStrategies[] = {
@@ -56,6 +63,7 @@ class HealSoak : public testing::TestWithParam<dc::Strategy> {};
 TEST_P(HealSoak, SurvivesMixedWorkerAndNodeFaultFuzzing) {
   const dc::Strategy strategy = GetParam();
   const int cycles = soak_cycles();
+  const std::string dump_dir = soak_dump_dir();
   // Each stall_forever costs roughly a heartbeat budget of wall time;
   // budget the watchdog generously but finitely.
   dt::Watchdog watchdog(dt::scaled_timeout(60 + cycles / 10),
@@ -96,15 +104,8 @@ TEST_P(HealSoak, SurvivesMixedWorkerAndNodeFaultFuzzing) {
   // next to the trace, turning "which of 40 chaos-ridden nodes broke
   // this" into a sorted list.
   namespace attrib = djstar::support::attrib;
-  std::vector<std::vector<std::int32_t>> preds(dag.g.node_count());
-  for (dc::NodeId n = 0; n < static_cast<dc::NodeId>(dag.g.node_count());
-       ++n) {
-    for (dc::NodeId s : dag.g.successors(n)) {
-      preds[static_cast<std::size_t>(s)].push_back(
-          static_cast<std::int32_t>(n));
-    }
-  }
-  attrib::CriticalPathAnalyzer analyzer(std::move(preds));
+  attrib::CriticalPathAnalyzer analyzer(
+      djstar::engine::predecessor_lists(dag.g));
   attrib::BlameTracker blame;
   std::vector<djstar::support::TraceSpan> spans;
 
@@ -125,7 +126,7 @@ TEST_P(HealSoak, SurvivesMixedWorkerAndNodeFaultFuzzing) {
     if (clean) continue;
 
     const std::string base =
-        soak_dump_dir() + "/soak_" + std::string(dc::to_string(strategy));
+        dump_dir + "/soak_" + std::string(dc::to_string(strategy));
     const std::string dump = base + ".flight.json";
     flight.dump_chrome_trace(dump, 64, 3000.0);
     const std::string blame_path = base + ".blame.json";

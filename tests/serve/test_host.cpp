@@ -293,7 +293,7 @@ TEST(EngineHost, RecalibrateRederivesDensityFromMeasurements) {
 
 TEST(EngineHost, ChromeTraceExportCoversLiveAndDepartedSessions) {
   ds::EngineHost host(small_host());
-  host.arm_tracing(1024);
+  host.enable_flight(1024);
   const auto a = host.submit(light_session(ds::QoS::kStandard, 0.1));
   const auto b = host.submit(light_session(ds::QoS::kStandard, 0.1));
   host.run_fleet_cycles(3);
@@ -310,4 +310,55 @@ TEST(EngineHost, ChromeTraceExportCoversLiveAndDepartedSessions) {
   // One pid per session: both session ids appear, including the closed one.
   EXPECT_NE(json.find("\"pid\":" + std::to_string(a)), std::string::npos);
   EXPECT_NE(json.find("\"pid\":" + std::to_string(b)), std::string::npos);
+}
+
+TEST(EngineHost, SessionRingsHoldEveryCycleWithoutLaneOverlap) {
+  // Each session's span ring is tagged with that session's own cycle
+  // count, so every cycle of every session reads back whole: one run
+  // span per node, and no two run spans overlapping on one worker lane.
+  // A generous deadline keeps the ladder at full quality (safe-mode
+  // cycles record no spans).
+  const double deadline_us = 20 * djstar::audio::kDeadlineUs;
+  ds::HostConfig cfg = small_host();
+  cfg.default_tick_us = deadline_us;
+  ds::EngineHost host(cfg);
+  host.enable_flight(4096);
+  std::vector<ds::SessionId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(
+        host.submit(light_session(ds::QoS::kStandard, 0.1, deadline_us)));
+  }
+  host.run_fleet_cycles(6);
+
+  using djstar::support::SpanKind;
+  std::vector<djstar::support::TraceSpan> spans;
+  for (const ds::SessionId id : ids) {
+    const ds::Session* s = host.session(id);
+    ASSERT_NE(s, nullptr);
+    const auto& ring = s->flight();
+    ASSERT_EQ(ring.cycle(), s->counters().cycles);
+    ASSERT_GE(ring.cycle(), 6u);
+    for (std::uint64_t c = 1; c <= ring.cycle(); ++c) {
+      ring.collect_cycle(c, spans);  // sorted by (lane, begin)
+      std::vector<int> runs(s->node_count(), 0);
+      const djstar::support::TraceSpan* prev = nullptr;
+      for (const auto& span : spans) {
+        if (span.kind != SpanKind::kRun) continue;
+        ASSERT_GE(span.node, 0);
+        ASSERT_LT(static_cast<std::size_t>(span.node), runs.size());
+        ++runs[static_cast<std::size_t>(span.node)];
+        if (prev != nullptr && prev->thread == span.thread) {
+          EXPECT_GE(span.begin_us, prev->end_us)
+              << "session " << id << " cycle " << c << " lane "
+              << span.thread << ": node " << span.node << " overlaps node "
+              << prev->node;
+        }
+        prev = &span;
+      }
+      for (std::size_t n = 0; n < runs.size(); ++n) {
+        EXPECT_EQ(runs[n], 1)
+            << "session " << id << " cycle " << c << " node " << n;
+      }
+    }
+  }
 }

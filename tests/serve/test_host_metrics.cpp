@@ -206,19 +206,21 @@ TEST(HostMetrics, EnvMetricsEmptyValueThrows) {
   EXPECT_THROW(ds::EngineHost host(small_host()), std::invalid_argument);
 }
 
-TEST(HostMetrics, SharedFlightRecorderCapturesSessionSpans) {
+TEST(HostMetrics, SessionFlightRingsCaptureSessionSpans) {
   ds::EngineHost host(small_host());
   host.enable_flight(256);
-  ASSERT_TRUE(host.flight().enabled());
-  EXPECT_EQ(host.flight().thread_count(), host.threads());
 
-  host.submit(light_session(ds::QoS::kStandard, 0.1));
+  const ds::SessionId id =
+      host.submit(light_session(ds::QoS::kStandard, 0.1));
   host.run_fleet_cycles(10);
-  EXPECT_GT(host.flight().total_recorded(), 0u);
+  const ds::Session* s = host.session(id);
+  ASSERT_NE(s, nullptr);
+  ASSERT_TRUE(s->flight().enabled());
+  EXPECT_EQ(s->flight().thread_count(), host.threads());
+  EXPECT_GT(s->flight().total_recorded(), 0u);
 
   const std::string path = testing::TempDir() + "/fleet_flight.json";
-  ASSERT_TRUE(host.flight().dump_chrome_trace(path, 10,
-                                              djstar::audio::kDeadlineUs));
+  ASSERT_TRUE(s->flight().dump_chrome_trace(path, 10, s->deadline_us()));
   EXPECT_NE(slurp(path).find("\"traceEvents\""), std::string::npos);
   std::remove(path.c_str());
 }

@@ -18,7 +18,7 @@
 #include "common/random_dag.hpp"
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/executor.hpp"
-#include "djstar/support/trace.hpp"
+#include "djstar/support/flight.hpp"
 
 namespace djstar::test {
 
@@ -129,15 +129,16 @@ inline void check_cycle_invariants(const InstrumentedDag& dag,
   }
 }
 
-/// Cross-checks ExecutorStats against TraceRecorder evidence after
-/// `cycles` runs of an `n`-node graph:
+/// Cross-checks ExecutorStats against the span ring's evidence after
+/// `cycles` runs of an `n`-node graph, each opened by begin_cycle() and
+/// all still held by the ring:
 ///   - nodes_executed advanced by exactly cycles * n;
-///   - the trace holds exactly one kRun span per node per cycle;
+///   - every cycle holds exactly one kRun span per node;
 ///   - successful steals never exceed executed nodes.
 inline void check_stats_trace_consistency(
     const core::ExecutorStats::Snapshot& before,
     const core::ExecutorStats::Snapshot& after,
-    const support::TraceRecorder& trace, std::size_t n, std::size_t cycles,
+    const support::FlightRecorder& flight, std::size_t n, std::size_t cycles,
     const std::string& context) {
   const std::uint64_t expected = static_cast<std::uint64_t>(n) * cycles;
   ASSERT_EQ(after.nodes_executed - before.nodes_executed, expected)
@@ -145,22 +146,24 @@ inline void check_stats_trace_consistency(
   ASSERT_LE(after.steals - before.steals,
             after.nodes_executed - before.nodes_executed)
       << context << ": more successful steals than executed nodes";
+  ASSERT_EQ(flight.cycle(), cycles) << context << ": cycle tags";
 
-  std::vector<std::size_t> run_spans_per_node(n, 0);
-  std::size_t total_runs = 0;
-  for (const auto& span : trace.collect()) {
-    if (span.kind != support::SpanKind::kRun) continue;
-    ++total_runs;
-    ASSERT_GE(span.node, 0) << context << ": kRun span without a node id";
-    ASSERT_LT(static_cast<std::size_t>(span.node), n)
-        << context << ": kRun span for out-of-range node " << span.node;
-    ++run_spans_per_node[static_cast<std::size_t>(span.node)];
-  }
-  ASSERT_EQ(total_runs, expected)
-      << context << ": TraceRecorder span count disagrees with stats";
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(run_spans_per_node[i], cycles)
-        << context << ": node " << i << " traced wrong number of times";
+  std::vector<support::TraceSpan> spans;
+  for (std::uint64_t c = 1; c <= cycles; ++c) {
+    flight.collect_cycle(c, spans);
+    std::vector<std::size_t> run_spans_per_node(n, 0);
+    for (const auto& span : spans) {
+      if (span.kind != support::SpanKind::kRun) continue;
+      ASSERT_GE(span.node, 0) << context << ": kRun span without a node id";
+      ASSERT_LT(static_cast<std::size_t>(span.node), n)
+          << context << ": kRun span for out-of-range node " << span.node;
+      ++run_spans_per_node[static_cast<std::size_t>(span.node)];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(run_spans_per_node[i], 1u)
+          << context << ": cycle " << c << " traced node " << i
+          << " the wrong number of times";
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // scheduling strategy over randomized DAGs with schedule fuzzing
 // enabled, and assert the executor contract after every cycle —
 // exactly-once execution, precedence order, and ExecutorStats /
-// TraceRecorder consistency. Thread counts deliberately exceed the
+// span-ring consistency. Thread counts deliberately exceed the
 // core count (oversubscription is where lost wakeups live).
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include "djstar/core/chaos.hpp"
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/factory.hpp"
-#include "djstar/support/trace.hpp"
+#include "djstar/support/flight.hpp"
 #include "stress/stress_util.hpp"
 
 namespace dc = djstar::core;
@@ -55,17 +55,19 @@ TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
     ASSERT_TRUE(dag.g.is_acyclic());
     dc::CompiledGraph cg(dag.g);
 
-    djstar::support::TraceRecorder trace;
+    // Ring large enough to keep every cycle: no span is overwritten.
+    djstar::support::FlightRecorder flight;
     dc::ExecOptions opts;
     opts.threads = sequential ? 1 : kThreads[g % 4];
-    opts.trace = &trace;
-    trace.arm(opts.threads, n * static_cast<std::size_t>(kCycles) * 3);
+    opts.flight = &flight;
+    flight.configure(opts.threads, n * static_cast<std::size_t>(kCycles) * 3);
 
     auto exec = dc::make_executor(strategy, cg, opts);
     const auto before = exec->stats().snapshot();
 
     for (int cycle = 0; cycle < kCycles; ++cycle) {
       dag.reset();
+      flight.begin_cycle();
       exec->run_cycle();
       ++runs;
       check_cycle_invariants(
@@ -74,7 +76,7 @@ TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
     }
 
     dt::check_stats_trace_consistency(
-        before, exec->stats().snapshot(), trace, n,
+        before, exec->stats().snapshot(), flight, n,
         static_cast<std::size_t>(kCycles),
         std::string(dc::to_string(strategy)) + " graph " + std::to_string(g));
   }

@@ -103,6 +103,32 @@ TEST(FlightRecorder, CollectLastCoversAllLanes) {
   EXPECT_EQ(got[1].thread, 1u);
 }
 
+TEST(FlightRecorder, CollectIsNonDestructiveAndOrdersByLaneThenBegin) {
+  ds::FlightRecorder fr;
+  fr.configure(3, 8);
+  fr.begin_cycle();
+  fr.record(2, {1.0, 2.0, 2, 20, ds::SpanKind::kRun});
+  fr.record(0, {3.0, 4.0, 0, 1, ds::SpanKind::kRun});
+  fr.record(0, {1.0, 2.0, 0, 0, ds::SpanKind::kRun});
+  fr.record(1, {1.0, 2.0, 1, 10, ds::SpanKind::kSteal});
+  const std::vector<ds::TraceSpan> first = fr.collect_last(1, 1000.0);
+  ASSERT_EQ(first.size(), 4u);
+  // Lane first, then begin time; equal begins on different lanes still
+  // group by lane.
+  EXPECT_EQ(first[0].node, 0);
+  EXPECT_EQ(first[1].node, 1);
+  EXPECT_EQ(first[2].node, 10);
+  EXPECT_EQ(first[3].node, 20);
+  // Reading leaves the ring as it was.
+  const std::vector<ds::TraceSpan> second = fr.collect_last(1, 1000.0);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(second[i].node, first[i].node);
+    EXPECT_EQ(second[i].kind, first[i].kind);
+  }
+  EXPECT_EQ(fr.total_recorded(), 4u);
+}
+
 TEST(FlightRecorder, ReconfigureDiscardsHistory) {
   ds::FlightRecorder fr;
   fr.configure(1, 8);

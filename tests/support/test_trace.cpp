@@ -1,6 +1,8 @@
 // Unit tests for djstar/support/trace.hpp.
 #include "djstar/support/trace.hpp"
 
+#include "djstar/support/flight.hpp"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,62 +11,6 @@
 #include <vector>
 
 namespace ds = djstar::support;
-
-TEST(TraceRecorder, DisarmedDropsRecords) {
-  ds::TraceRecorder tr;
-  tr.record(0, {0, 1, 0, 1, ds::SpanKind::kRun});
-  EXPECT_TRUE(tr.collect().empty());
-}
-
-TEST(TraceRecorder, RecordsPerLane) {
-  ds::TraceRecorder tr;
-  tr.arm(2);
-  tr.record(0, {0.0, 1.0, 0, 10, ds::SpanKind::kRun});
-  tr.record(1, {0.5, 2.0, 1, 11, ds::SpanKind::kBusyWait});
-  const auto spans = tr.collect();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].thread, 0u);
-  EXPECT_EQ(spans[0].node, 10);
-  EXPECT_EQ(spans[1].kind, ds::SpanKind::kBusyWait);
-}
-
-TEST(TraceRecorder, OutOfRangeLaneIgnored) {
-  ds::TraceRecorder tr;
-  tr.arm(1);
-  tr.record(5, {0, 1, 5, 1, ds::SpanKind::kRun});
-  EXPECT_TRUE(tr.collect().empty());
-}
-
-TEST(TraceRecorder, CapacityBoundsRecords) {
-  ds::TraceRecorder tr;
-  tr.arm(1, 4);
-  for (int i = 0; i < 10; ++i) {
-    tr.record(0, {double(i), double(i) + 1, 0, i, ds::SpanKind::kRun});
-  }
-  EXPECT_EQ(tr.collect().size(), 4u);
-}
-
-TEST(TraceRecorder, CollectSortsByThreadThenTime) {
-  ds::TraceRecorder tr;
-  tr.arm(2);
-  tr.record(1, {5.0, 6.0, 1, 3, ds::SpanKind::kRun});
-  tr.record(0, {7.0, 8.0, 0, 1, ds::SpanKind::kRun});
-  tr.record(0, {1.0, 2.0, 0, 2, ds::SpanKind::kRun});
-  const auto spans = tr.collect();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].node, 2);
-  EXPECT_EQ(spans[1].node, 1);
-  EXPECT_EQ(spans[2].node, 3);
-}
-
-TEST(TraceRecorder, DisarmClears) {
-  ds::TraceRecorder tr;
-  tr.arm(1);
-  tr.record(0, {0, 1, 0, 1, ds::SpanKind::kRun});
-  tr.disarm();
-  EXPECT_FALSE(tr.armed());
-  EXPECT_TRUE(tr.collect().empty());
-}
 
 TEST(SpanKind, Names) {
   EXPECT_STREQ(ds::to_string(ds::SpanKind::kRun), "run");
@@ -77,89 +23,6 @@ TEST(TraceSpan, Duration) {
   EXPECT_DOUBLE_EQ(s.duration_us(), 2.5);
 }
 
-// ---- edge cases exercised by the concurrency stress harness ----------------
-
-TEST(TraceRecorderEdge, OverflowSaturatesKeepingOldestSpans) {
-  // Lane overflow must drop the *new* span, never write past the
-  // preallocated capacity or evict recorded data.
-  ds::TraceRecorder tr;
-  tr.arm(1, 4);
-  for (int i = 0; i < 32; ++i) {
-    tr.record(0, {double(i), double(i) + 1, 0, i, ds::SpanKind::kRun});
-  }
-  const auto spans = tr.collect();
-  ASSERT_EQ(spans.size(), 4u);  // saturated exactly at capacity
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(spans[static_cast<std::size_t>(i)].node, i);  // oldest kept
-  }
-  // Still saturated: one more record after overflow stays a no-op.
-  tr.record(0, {99.0, 100.0, 0, 99, ds::SpanKind::kRun});
-  EXPECT_EQ(tr.collect().size(), 4u);
-}
-
-TEST(TraceRecorderEdge, RecordAfterDisarmIsNoop) {
-  ds::TraceRecorder tr;
-  tr.arm(2);
-  tr.record(0, {0.0, 1.0, 0, 1, ds::SpanKind::kRun});
-  tr.disarm();
-  tr.record(0, {2.0, 3.0, 0, 2, ds::SpanKind::kRun});
-  EXPECT_FALSE(tr.armed());
-  EXPECT_TRUE(tr.collect().empty());
-  EXPECT_EQ(tr.thread_count(), 0u);
-}
-
-TEST(TraceRecorderEdge, RearmDropsOldSpansAndResizesLanes) {
-  ds::TraceRecorder tr;
-  tr.arm(4);
-  tr.record(3, {0.0, 1.0, 3, 7, ds::SpanKind::kRun});
-  tr.arm(2, 8);
-  EXPECT_EQ(tr.thread_count(), 2u);
-  EXPECT_TRUE(tr.collect().empty());       // previous spans gone
-  tr.record(3, {0.0, 1.0, 3, 7, ds::SpanKind::kRun});  // lane no longer exists
-  EXPECT_TRUE(tr.collect().empty());
-  tr.record(1, {0.0, 1.0, 1, 7, ds::SpanKind::kRun});
-  EXPECT_EQ(tr.collect().size(), 1u);
-}
-
-TEST(TraceRecorderEdge, ZeroCapacityLaneNeverStores) {
-  ds::TraceRecorder tr;
-  tr.arm(1, 0);
-  for (int i = 0; i < 8; ++i) {
-    tr.record(0, {0.0, 1.0, 0, i, ds::SpanKind::kRun});
-  }
-  EXPECT_TRUE(tr.collect().empty());
-}
-
-TEST(TraceRecorderEdge, CollectIsIdempotentAndNonDestructive) {
-  ds::TraceRecorder tr;
-  tr.arm(2);
-  tr.record(0, {0.0, 1.0, 0, 1, ds::SpanKind::kRun});
-  tr.record(1, {0.0, 1.0, 1, 2, ds::SpanKind::kSteal});
-  const auto first = tr.collect();
-  const auto second = tr.collect();
-  ASSERT_EQ(first.size(), 2u);
-  ASSERT_EQ(second.size(), 2u);
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].node, second[i].node);
-    EXPECT_EQ(first[i].kind, second[i].kind);
-  }
-}
-
-TEST(TraceRecorderEdge, CollectOrdersEqualBeginTimesStably) {
-  // Spans with identical begin times must still group by thread; the
-  // comparator's thread key dominates.
-  ds::TraceRecorder tr;
-  tr.arm(3);
-  tr.record(2, {1.0, 2.0, 2, 20, ds::SpanKind::kRun});
-  tr.record(0, {1.0, 2.0, 0, 0, ds::SpanKind::kRun});
-  tr.record(1, {1.0, 2.0, 1, 10, ds::SpanKind::kRun});
-  const auto spans = tr.collect();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].thread, 0u);
-  EXPECT_EQ(spans[1].thread, 1u);
-  EXPECT_EQ(spans[2].thread, 2u);
-}
-
 namespace {
 
 std::string slurp(const std::string& path) {
@@ -170,13 +33,14 @@ std::string slurp(const std::string& path) {
 }  // namespace
 
 TEST(ChromeTrace, RecorderExportsCompleteEvents) {
-  ds::TraceRecorder tr;
-  tr.arm(2);
-  tr.record(0, {10.0, 25.0, 0, 3, ds::SpanKind::kRun});
-  tr.record(1, {12.0, 14.0, 1, -1, ds::SpanKind::kSteal});
+  ds::FlightRecorder fr;
+  fr.configure(2);
+  fr.begin_cycle();
+  fr.record(0, {10.0, 25.0, 0, 3, ds::SpanKind::kRun});
+  fr.record(1, {12.0, 14.0, 1, -1, ds::SpanKind::kSteal});
 
   const std::string path = testing::TempDir() + "/chrome_trace.json";
-  ASSERT_TRUE(tr.write_chrome_trace(path, 7, "unit"));
+  ASSERT_TRUE(fr.dump_chrome_trace(path, 1, 1000.0, "unit", 7));
   const std::string json = slurp(path);
 
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -193,11 +57,10 @@ TEST(ChromeTrace, RecorderExportsCompleteEvents) {
 }
 
 TEST(ChromeTrace, ZeroLengthSpansGetEpsilonDuration) {
-  ds::TraceRecorder tr;
-  tr.arm(1);
-  tr.record(0, {5.0, 5.0, 0, 1, ds::SpanKind::kRun});
+  const std::vector<ds::TraceProcess> procs = {
+      {"eps", 0, {{5.0, 5.0, 0, 1, ds::SpanKind::kRun}}}};
   const std::string path = testing::TempDir() + "/chrome_trace_eps.json";
-  ASSERT_TRUE(tr.write_chrome_trace(path));
+  ASSERT_TRUE(ds::write_chrome_trace(path, procs));
   EXPECT_NE(slurp(path).find("\"dur\":0.001"), std::string::npos);
 }
 
@@ -216,65 +79,7 @@ TEST(ChromeTrace, MultiProcessExportSeparatesPids) {
 }
 
 TEST(ChromeTrace, FailsOnUnwritablePath) {
-  ds::TraceRecorder tr;
-  tr.arm(1);
-  EXPECT_FALSE(tr.write_chrome_trace("/nonexistent-dir/trace.json"));
-}
-
-// ---- drop accounting (observability satellite) ------------------------------
-
-TEST(TraceRecorderDrops, FullLaneCountsDropsPerLane) {
-  ds::TraceRecorder tr;
-  tr.arm(2, 4);
-  for (int i = 0; i < 10; ++i) {
-    tr.record(0, {double(i), double(i) + 1, 0, i, ds::SpanKind::kRun});
-  }
-  tr.record(1, {0.0, 1.0, 1, 0, ds::SpanKind::kRun});
-  EXPECT_EQ(tr.dropped(0), 6u);
-  EXPECT_EQ(tr.dropped(1), 0u);
-  EXPECT_EQ(tr.total_dropped(), 6u);
-  EXPECT_TRUE(tr.truncated());
-}
-
-TEST(TraceRecorderDrops, NoDropsMeansNotTruncated) {
-  ds::TraceRecorder tr;
-  tr.arm(1, 8);
-  tr.record(0, {0.0, 1.0, 0, 0, ds::SpanKind::kRun});
-  EXPECT_EQ(tr.total_dropped(), 0u);
-  EXPECT_FALSE(tr.truncated());
-  EXPECT_EQ(tr.dropped(99), 0u);  // out-of-range lane reads as zero
-}
-
-TEST(TraceRecorderDrops, RearmResetsDropCounters) {
-  ds::TraceRecorder tr;
-  tr.arm(1, 1);
-  tr.record(0, {0.0, 1.0, 0, 0, ds::SpanKind::kRun});
-  tr.record(0, {1.0, 2.0, 0, 1, ds::SpanKind::kRun});
-  EXPECT_EQ(tr.total_dropped(), 1u);
-  tr.arm(1, 1);
-  EXPECT_EQ(tr.total_dropped(), 0u);
-}
-
-TEST(ChromeTrace, TruncatedRecorderEmitsDroppedSpansEvent) {
-  ds::TraceRecorder tr;
-  tr.arm(1, 2);
-  for (int i = 0; i < 5; ++i) {
-    tr.record(0, {double(i), double(i) + 1, 0, i, ds::SpanKind::kRun});
-  }
-  const std::string path = testing::TempDir() + "/chrome_trace_trunc.json";
-  ASSERT_TRUE(tr.write_chrome_trace(path));
-  const std::string json = slurp(path);
-  EXPECT_NE(json.find("dropped 3 spans"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-}
-
-TEST(ChromeTrace, CompleteRecorderOmitsDroppedSpansEvent) {
-  ds::TraceRecorder tr;
-  tr.arm(1, 8);
-  tr.record(0, {0.0, 1.0, 0, 0, ds::SpanKind::kRun});
-  const std::string path = testing::TempDir() + "/chrome_trace_full.json";
-  ASSERT_TRUE(tr.write_chrome_trace(path));
-  EXPECT_EQ(slurp(path).find("dropped"), std::string::npos);
+  EXPECT_FALSE(ds::write_chrome_trace("/nonexistent-dir/trace.json", {}));
 }
 
 // ---- JSON robustness (observability satellite) ------------------------------
@@ -306,10 +111,10 @@ TEST(ChromeTrace, EscapesControlCharactersInProcessNames) {
 }
 
 TEST(ChromeTrace, EmptyRecorderProducesValidSkeleton) {
-  ds::TraceRecorder tr;
-  tr.arm(2);
+  ds::FlightRecorder fr;
+  fr.configure(2);
   const std::string path = testing::TempDir() + "/chrome_trace_empty.json";
-  ASSERT_TRUE(tr.write_chrome_trace(path, 0, "empty"));
+  ASSERT_TRUE(fr.dump_chrome_trace(path, 1, 1000.0, "empty"));
   const std::string json = slurp(path);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"name\":\"empty\"}"), std::string::npos);
