@@ -103,30 +103,51 @@ TEST(FlightRecorder, CollectLastCoversAllLanes) {
   EXPECT_EQ(got[1].thread, 1u);
 }
 
-TEST(FlightRecorder, CollectIsNonDestructiveAndOrdersByLaneThenBegin) {
+TEST(FlightRecorder, CollectSortsByLaneThenTime) {
+  ds::FlightRecorder fr;
+  fr.configure(2, 8);
+  fr.begin_cycle();
+  fr.record(1, {5.0, 6.0, 1, 3, ds::SpanKind::kRun});
+  fr.record(0, {7.0, 8.0, 0, 1, ds::SpanKind::kRun});
+  fr.record(0, {1.0, 2.0, 0, 2, ds::SpanKind::kRun});
+  const std::vector<ds::TraceSpan> spans = fr.collect_last(1, 1000.0);
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].node, 2);
+  EXPECT_EQ(spans[1].node, 1);
+  EXPECT_EQ(spans[2].node, 3);
+}
+
+TEST(FlightRecorder, CollectIsIdempotentAndNonDestructive) {
+  ds::FlightRecorder fr;
+  fr.configure(2, 8);
+  fr.begin_cycle();
+  fr.record(0, {0.0, 1.0, 0, 1, ds::SpanKind::kRun});
+  fr.record(1, {0.0, 1.0, 1, 2, ds::SpanKind::kSteal});
+  const std::vector<ds::TraceSpan> first = fr.collect_last(1, 1000.0);
+  const std::vector<ds::TraceSpan> second = fr.collect_last(1, 1000.0);
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].node, second[i].node);
+    EXPECT_EQ(first[i].kind, second[i].kind);
+  }
+  EXPECT_EQ(fr.total_recorded(), 2u);
+}
+
+TEST(FlightRecorder, CollectOrdersEqualBeginTimesStably) {
+  // Spans with identical begin times must still group by lane; the
+  // comparator's thread key dominates.
   ds::FlightRecorder fr;
   fr.configure(3, 8);
   fr.begin_cycle();
   fr.record(2, {1.0, 2.0, 2, 20, ds::SpanKind::kRun});
-  fr.record(0, {3.0, 4.0, 0, 1, ds::SpanKind::kRun});
   fr.record(0, {1.0, 2.0, 0, 0, ds::SpanKind::kRun});
-  fr.record(1, {1.0, 2.0, 1, 10, ds::SpanKind::kSteal});
-  const std::vector<ds::TraceSpan> first = fr.collect_last(1, 1000.0);
-  ASSERT_EQ(first.size(), 4u);
-  // Lane first, then begin time; equal begins on different lanes still
-  // group by lane.
-  EXPECT_EQ(first[0].node, 0);
-  EXPECT_EQ(first[1].node, 1);
-  EXPECT_EQ(first[2].node, 10);
-  EXPECT_EQ(first[3].node, 20);
-  // Reading leaves the ring as it was.
-  const std::vector<ds::TraceSpan> second = fr.collect_last(1, 1000.0);
-  ASSERT_EQ(second.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(second[i].node, first[i].node);
-    EXPECT_EQ(second[i].kind, first[i].kind);
-  }
-  EXPECT_EQ(fr.total_recorded(), 4u);
+  fr.record(1, {1.0, 2.0, 1, 10, ds::SpanKind::kRun});
+  const std::vector<ds::TraceSpan> spans = fr.collect_last(1, 1000.0);
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].thread, 0u);
+  EXPECT_EQ(spans[1].thread, 1u);
+  EXPECT_EQ(spans[2].thread, 2u);
 }
 
 TEST(FlightRecorder, ReconfigureDiscardsHistory) {
