@@ -14,6 +14,7 @@
 #include "djstar/audio/buffer.hpp"
 #include "djstar/core/chase_lev_deque.hpp"
 #include "djstar/core/compiled_graph.hpp"
+#include "djstar/core/detail/spin.hpp"
 #include "djstar/core/factory.hpp"
 #include "djstar/core/team.hpp"
 #include "djstar/dsp/filters.hpp"
@@ -105,15 +106,51 @@ void BM_CondvarWakeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_CondvarWakeRoundTrip)->UseRealTime();
 
-void BM_TeamCycleOverhead(benchmark::State& state) {
-  // Fixed cost of dispatching one (empty) cycle across the team.
-  const auto threads = static_cast<unsigned>(state.range(0));
-  core::Team team(threads, core::StartMode::kSpin, [](unsigned) {});
+void BM_ClaimCas(benchmark::State& state) {
+  // The claim every node passes in the worker loop: one CAS on the
+  // node's own cache line (uncontended in a clean cycle).
+  std::atomic<std::uint8_t> claim{0};
   for (auto _ : state) {
+    std::uint8_t expected = 0;
+    benchmark::DoNotOptimize(
+        claim.compare_exchange_strong(expected, 1, std::memory_order_acq_rel));
+    claim.store(0, std::memory_order_relaxed);
+  }
+}
+BENCHMARK(BM_ClaimCas);
+
+/// Fixed cost of one cycle that every worker joins: worker 0 holds the
+/// cycle open until all `threads` workers have entered it.
+void team_cycle_overhead(benchmark::State& state, bool woken) {
+  const auto threads = static_cast<unsigned>(state.range(0));
+  std::atomic<unsigned> entered{0};
+  unsigned cycles = 0;
+  core::Team team(threads, core::StartMode::kSpin, [&](unsigned w) {
+    entered.fetch_add(1, std::memory_order_acq_rel);
+    if (w != 0) return;
+    const unsigned target = ++cycles * threads;
+    while (entered.load(std::memory_order_acquire) < target) {
+      core::detail::cpu_pause();
+    }
+  });
+  for (auto _ : state) {
+    if (woken) team.wake();
     team.run_cycle();
   }
 }
-BENCHMARK(BM_TeamCycleOverhead)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+/// cold: the helpers are parked when the cycle opens (the dispatch cost
+/// an executor pays without wake()).
+void BM_TeamCycleOverhead_cold(benchmark::State& state) {
+  team_cycle_overhead(state, false);
+}
+BENCHMARK(BM_TeamCycleOverhead_cold)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+/// woken: wake() first, as AudioEngine::run_cycle() does at APC entry.
+void BM_TeamCycleOverhead_woken(benchmark::State& state) {
+  team_cycle_overhead(state, true);
+}
+BENCHMARK(BM_TeamCycleOverhead_woken)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_GraphCycle67Nodes(benchmark::State& state) {
   // One full APC graph execution with no-op deck inputs, per strategy.

@@ -41,7 +41,7 @@ enum class Site : std::uint8_t {
   kDequePop,         ///< Chase-Lev pop, inside the owner/thief race window
   kDequeSteal,       ///< Chase-Lev steal, between top read and the CAS
   kNodeReady,        ///< work-stealing: node pushed, idle wake pending
-  kCycleStart,       ///< worker observed the new generation, body not begun
+  kCycleStart,       ///< worker observed the new cycle, body not begun
 };
 inline constexpr std::size_t kSiteCount = 8;
 
@@ -51,6 +51,11 @@ const char* to_string(Site s) noexcept;
 /// a visited site injects a delay; the rest of the draw picks the delay
 /// kind (pause burst / yield / micro-sleep). Reseeds every thread stream.
 void enable(std::uint64_t seed, std::uint32_t intensity_permille = 200);
+
+/// Override one site's intensity until the next enable(), which gives
+/// every site the intensity it is passed. Call like enable(), between
+/// runs.
+void set_intensity(Site s, std::uint32_t intensity_permille) noexcept;
 
 /// Disarm the hook; maybe_perturb() returns to its one-load fast path.
 void disable() noexcept;

@@ -1,7 +1,7 @@
 // djstar/core/compiled_graph.hpp
 // Immutable, executor-ready form of a TaskGraph: flat arrays (CSR
 // adjacency), the levelized node queue, and the per-cycle node state
-// (dependency counter, sleep waiter, heal claim) that every scheduling
+// (dependency counter, sleep waiter, claim) that every scheduling
 // strategy shares. The executors schedule these nodes directly.
 #pragma once
 
@@ -96,7 +96,7 @@ class CompiledGraph {
   bool faults_armed() const noexcept { return faults_armed_; }
 
   /// True when the armed plan can produce worker faults (kStallForever /
-  /// kWorkerAbort). Gates the heal path's per-node pre-execution check.
+  /// kWorkerAbort). Gates the healing team's per-node pre-execution check.
   bool worker_faults_armed() const noexcept {
     return faults_armed_ && worker_faults_possible_;
   }
@@ -106,9 +106,9 @@ class CompiledGraph {
   /// caller per cycle receives the kind (everyone else gets kNone —
   /// re-decisions after a quarantine adoption see the consumed flag).
   /// Counts into faults_injected() and journals like any node fault.
-  /// Called by the healing loop before running a claimed node; execute()
-  /// consults the same one-shot flag, so a kind consumed here never fires
-  /// again inside the node's body.
+  /// Called by the worker loop of a healing team before running a
+  /// claimed node; execute() consults the same one-shot flag, so a kind
+  /// consumed here never fires again inside the node's body.
   chaos::FaultKind take_worker_fault(NodeId n) noexcept;
 
   /// Hook invoked when a kNanOutput fault fires on node `n` (the graph
@@ -200,16 +200,16 @@ class CompiledGraph {
     return cycle_[n].waiter;
   }
 
-  // ---- node claims (self-healing executors, DESIGN.md §12) ----
+  // ---- node claims (the worker loop, DESIGN.md §12) ----
   //
-  // The healing loop gates every node execution behind a CAS on the
+  // The worker loop gates every node execution behind a CAS on the
   // node's claim flag (0 free -> 1 running -> 2 done). A node that
-  // reaches two workers — a stranded node adopted by several survivors,
-  // an adopted node still queued in a lane, ring or deque — still runs
-  // exactly once: the claim loser just moves on, and only the winner
-  // resolves successors. nodes_done() is the heal path's
-  // cycle-completion condition (it also advances on drained cycles, so
-  // cancellation still terminates every worker).
+  // reaches two workers — a node adopted from an absent owner that
+  // joins late, an adopted node still queued in a lane, ring or deque —
+  // still runs exactly once: the claim loser just moves on, and only the
+  // winner resolves successors. nodes_done() is the cycle-completion
+  // condition worker 0 closes the team's cycle on (it also advances on
+  // drained cycles, so cancellation still terminates every worker).
 
   /// Claim node `n` for execution. One winner per cycle.
   bool try_claim(NodeId n) noexcept {
@@ -229,7 +229,7 @@ class CompiledGraph {
   bool claimed(NodeId n) noexcept {
     return cycle_[n].claim.load(std::memory_order_acquire) != 0;
   }
-  /// Nodes marked done this cycle (heal path only; 0 on normal paths).
+  /// Nodes marked done this cycle.
   std::size_t nodes_done() const noexcept {
     return nodes_done_.load(std::memory_order_acquire);
   }

@@ -1,6 +1,6 @@
 // djstar/core/detail/spin.hpp
 // CPU pause primitive and the escalating spin-wait loop shared by the
-// busy-waiting strategy and the spin-mode team start.
+// worker loop's bounded waits and the team's woken helpers.
 #pragma once
 
 #include <atomic>
@@ -13,9 +13,10 @@ namespace djstar::core::detail {
 /// Hardware pauses between re-checks before a waiter escalates to yield.
 inline constexpr std::uint64_t kPauseIterations = 64;
 /// Yields before a waiter escalates to 1 us sleeps. At ~0.34 us per
-/// yield (4-vCPU Xeon VM) this is ~1.4 ms, so in a paced loop (one cycle
-/// per 2.9 ms) a team parked between cycles reaches the sleep tier every
-/// cycle.
+/// yield (4-vCPU Xeon VM) the pause+yield budget is ~1.4 ms: the time a
+/// woken team's helpers spin on the next cycle before they park again.
+/// Only a wait inside a cycle (an oversubscribed team) reaches the sleep
+/// tier.
 inline constexpr std::uint64_t kYieldsBeforeSleep = 4096;
 
 /// One architectural pause/yield hint inside a spin loop.
@@ -34,15 +35,24 @@ inline void cpu_pause() noexcept {
 /// yields. Reset after the awaited condition holds.
 class SpinWaiter {
  public:
-  /// One wait step; call in a loop around the condition re-check.
-  void step() noexcept {
+  /// One pause or yield; false, without waiting, once the pause+yield
+  /// budget is spent (a caller that must not sleep blocks instead).
+  bool spin() noexcept {
+    if (count_ >= kPauseIterations + kYieldsBeforeSleep) return false;
     if (count_ < kPauseIterations) {
       cpu_pause();
-    } else if (count_ < kPauseIterations + kYieldsBeforeSleep) {
-      std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(1));
+      std::this_thread::yield();
     }
+    ++count_;
+    return true;
+  }
+
+  /// One wait step: spin(), then 1 us sleeps once its budget is spent.
+  /// Call in a loop around the condition re-check.
+  void step() noexcept {
+    if (spin()) return;
+    std::this_thread::sleep_for(std::chrono::microseconds(1));
     ++count_;
   }
 

@@ -83,8 +83,9 @@ struct ExecOptions {
   /// dumps). May be nullptr.
   support::FlightRecorder* flight = nullptr;
   /// Worker self-healing (DESIGN.md §12). With mode != kOff the parallel
-  /// executors build their Team with a medic, run every node through the
-  /// claim gate, and adopt ready nodes a quarantined worker left behind.
+  /// executors build their Team with a medic, which quarantines a joined
+  /// worker that stops beating; the worker loop then adopts the ready
+  /// nodes it left behind.
   TeamHealConfig heal{};
 };
 
@@ -115,6 +116,11 @@ class Executor {
 
   /// Execute one audio processing cycle of the bound graph.
   virtual void run_cycle() = 0;
+
+  /// A cycle is coming: lets a spin-start team's parked helpers spin on
+  /// it (Team::wake()), so their wake overlaps the caller's work before
+  /// run_cycle(). A no-op for every other executor.
+  virtual void wake() noexcept {}
 
   /// Strategy name: "sequential", "busy", "sleep", "ws" or "shared"
   /// (to_string() of the configuration's Strategy).

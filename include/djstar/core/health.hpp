@@ -5,7 +5,7 @@
 // core/fault injects faults into *nodes*; this layer handles faults in
 // the *workers themselves* — a thread wedged in a blocking syscall
 // (FaultKind::kStallForever) or killed outright (kWorkerAbort) would
-// otherwise hold the Team barrier forever and stall every cycle. The
+// otherwise keep worker 0 waiting for it forever and stall every cycle. The
 // pieces:
 //
 //  - HealthBoard: one cache-line slot per worker holding a wait-free
@@ -14,20 +14,20 @@
 //    kQuarantined), and an "exited" flag the Team uses to join retired
 //    threads at a cycle boundary.
 //  - The Team's medic thread (team.cpp) scans the board mid-cycle; a
-//    worker whose heartbeat stops longer than the budget is quarantined:
-//    the survivors adopt every ready node it left unclaimed (the worker
-//    loop's rescue path, deduplicated by the graph's node claims) and its
-//    barrier slot is credited so the cycle completes on N-1 workers.
+//    joined worker whose heartbeat stops longer than the budget is
+//    quarantined: the survivors adopt every ready node it left unclaimed
+//    (the worker loop's adoption path, deduplicated by the graph's node
+//    claims) and its done slot is credited so the cycle completes on
+//    N-1 workers.
 //  - With HealMode::kRespawn the Team joins the dead thread and spawns a
 //    replacement at the next cycle boundary; kQuarantine leaves the team
 //    permanently one worker down (still correct — survivors adopt the
 //    dead worker's share every cycle).
 //
 // Exactly-once under quarantine relies on CompiledGraph's node claims
-// (compiled_graph.hpp): every heal-path execution is gated by a CAS on
-// the node's claim flag, so a node that reaches two workers (a false
-// positive quarantine, an adopted node still queued elsewhere) still
-// runs once.
+// (compiled_graph.hpp): every execution is gated by a CAS on the node's
+// claim flag, so a node that reaches two workers (a false positive
+// quarantine, an adopted node still queued elsewhere) still runs once.
 #pragma once
 
 #include <atomic>
@@ -70,15 +70,18 @@ struct TeamHealConfig {
 
 /// Lifecycle of one worker slot within a cycle.
 ///
+///   kFinished -> kActive              (helper: joins a cycle)
 ///   kActive ---> kFinished            (worker: normal end of body)
 ///   kActive ---> kAborted             (worker: kWorkerAbort fault)
 ///   kActive/kAborted -> kQuarantined  (medic only)
-///   kFinished -> kActive              (team maintenance, next cycle)
-///   kQuarantined -> kActive           (team maintenance, respawn)
+///   kQuarantined -> kFinished         (team maintenance, respawn)
+///
+/// A helper that has not joined the cycle in flight stays kFinished, so
+/// the medic never judges or credits it.
 ///
 /// The kActive->kFinished vs kActive->kQuarantined CAS race is the
 /// done-credit arbitration: whichever side wins the transition owns the
-/// worker's barrier credit, so it is counted exactly once.
+/// worker's done credit, so it is counted exactly once.
 enum class WorkerState : std::uint32_t {
   kActive = 0,
   kFinished,
@@ -173,7 +176,7 @@ class HealthBoard {
   // calling thread either wedges it (stall-forever: no heartbeats until
   // the medic quarantines it or the team stops) or marks it aborted.
   // Afterwards abandoned() is true and the strategy body must return
-  // without crediting the barrier.
+  // without crediting its done slot.
 
   /// Bind the calling thread to slot `w`. `stop` is the team's stop flag
   /// (lets a wedged thread exit at shutdown so it stays joinable).

@@ -12,12 +12,12 @@
 //   shared       one mutex-protected ring of ready    park      kSleep
 //   ws           per-worker Chase-Lev deques + steal  spin,park kSteal
 //
-// The loop itself writes once what every strategy shares: the trace and
+// The loop itself writes once what every strategy shares: the
 // flight-recorder sink, the wait span (the configuration's Fig. 11
-// colour), the self-healing claim gate and heartbeat, and the rescue of
-// nodes a quarantined worker left behind (DESIGN.md §12). The heal path
-// is a separate instantiation of the loop, so a team without a medic
-// pays no claim CAS or heartbeat per node.
+// colour), the claim CAS every node passes, and the adoption of ready
+// nodes whose owner is absent — a helper that has not joined the cycle
+// yet, or a quarantined one (DESIGN.md §5, §12). Every wait is bounded,
+// so one path serves clean cycles, late helpers and dead workers alike.
 //
 // The ready-sources live in loop_executor.cpp; the five strategies are
 // explicitly instantiated there, and busy_wait.hpp, sleep.hpp,
@@ -55,6 +55,7 @@ class LoopExecutor final : public Executor {
   ~LoopExecutor() override;
 
   void run_cycle() override;
+  void wake() noexcept override;
   std::string_view name() const noexcept override { return to_string(S); }
   unsigned threads() const noexcept override { return opts_.threads; }
   const Team* team() const noexcept override {
@@ -63,16 +64,11 @@ class LoopExecutor final : public Executor {
 
  private:
   void body(unsigned w);
-  template <bool kHeal>
-  void loop(unsigned w);
 
   CompiledGraph& graph_;
   ExecOptions opts_;
   std::unique_ptr<ReadySource<S>> src_;
   support::Clock::time_point cycle_start_{};
-  // Decided per cycle in run_cycle() and published to the workers by
-  // the team's generation bump (release/acquire), like all cycle state.
-  bool heal_armed_ = false;
   Team* shared_ = nullptr;  // borrowed pool (hosted mode)
   Team::WorkerFn body_;     // submitted per cycle in hosted mode
   std::unique_ptr<Team> team_;  // owned pool; last: workers use the above

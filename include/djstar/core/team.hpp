@@ -1,11 +1,21 @@
 // djstar/core/team.hpp
 // Persistent worker team shared by the parallel executors.
 //
-// Workers are created once (CP.41) and parked between cycles. run_cycle()
-// publishes a new generation, lets every worker run the strategy body,
-// and returns when all have finished. The calling thread participates as
-// worker 0 so `threads == n` means n computing threads, matching the
-// paper's "thread count" axis in Table I.
+// Workers are created once (CP.41) and park between cycles. run_cycle()
+// opens a cycle and runs the body on the caller as worker 0; a helper
+// runs it too if it joins while the cycle is open, with one CAS on the
+// cycle's roster. Worker 0 closes the cycle when its body returns (the
+// executors' bodies return once every node is done) and then waits only
+// for the helpers that joined, so a helper's late wake never lands in
+// the cycle. A helper that wakes into a closed cycle parks again and
+// touches no cycle state. `threads == n` means n computing threads,
+// matching the paper's "thread count" axis in Table I; how many of them
+// a cycle gets depends on who is awake (DESIGN.md §5).
+//
+// wake() tells a spin-start team that a cycle is coming: its parked
+// helpers spin on the next cycle for SpinWaiter's pause+yield budget and
+// then park again. The engine calls it at APC entry, so the wake
+// overlaps TP+GP instead of the graph.
 //
 // Two ownership modes:
 //  - owned body: the classic executor shape — one WorkerFn bound at
@@ -13,28 +23,30 @@
 //  - external submission: a team constructed without a body accepts a
 //    different WorkerFn per cycle via run_cycle(fn). This is what lets
 //    the serve layer multiplex many independent graphs (one hosted
-//    executor each) over a single shared worker pool: the generation
-//    bump's release/acquire pair publishes the submitted body to the
-//    workers, so no extra synchronization is needed.
+//    executor each) over a single shared worker pool: the roster store
+//    that opens the cycle publishes the submitted body to the workers
+//    (release/acquire), so no extra synchronization is needed.
 //
-// Schedule fuzzing: each worker passes a chaos::maybe_perturb() site
-// (kCycleStart) between observing the new generation and entering the
-// strategy body, staggering worker start order under the stress suite.
+// Schedule fuzzing: each helper passes a chaos::maybe_perturb() site
+// (kCycleStart) between observing the new cycle and joining it, so the
+// stress suite makes helpers miss cycles.
 //
 // Self-healing (DESIGN.md §12): a team built with a TeamHealConfig whose
 // mode is not kOff runs a medic thread that scans the HealthBoard while
-// a cycle is in flight. A worker whose heartbeat goes silent past the
-// budget is quarantined: the survivors adopt the ready nodes it left
-// unclaimed (the executors' worker loop), and the medic credits the dead
-// worker's barrier slot so dispatch_cycle() still returns. The credit is
-// arbitrated by a CAS on the worker's state (kActive -> kFinished by the
-// worker itself vs kActive/kAborted -> kQuarantined by the medic), so a
-// slot is counted exactly once even when a quarantine races a late
-// finish. A falsely-quarantined worker is safe: the heal path runs every
-// node through a claim CAS (exactly-once regardless), and the worker
-// retires itself at its next cycle boundary. In kRespawn mode the team
-// joins retired threads and spawns replacements between cycles, seeding
-// them with the current generation so they rejoin cleanly.
+// a cycle is in flight. It judges joined helpers only; one whose
+// heartbeat goes silent past the budget is quarantined: the survivors
+// adopt the ready nodes it left unclaimed (the executors' worker loop
+// adopts from every absent owner, quarantined or not joined), and the
+// medic credits the worker's done slot so dispatch_cycle() still
+// returns. The credit is arbitrated by a CAS on the worker's state
+// (kActive -> kFinished by the worker itself vs kActive/kAborted ->
+// kQuarantined by the medic), so a slot is counted exactly once even
+// when a quarantine races a late finish. A falsely-quarantined worker is
+// safe: every node runs behind a claim CAS (exactly-once regardless),
+// and the worker retires itself at its next cycle boundary. In kRespawn
+// mode the team joins retired threads and spawns replacements between
+// cycles, seeding them with the current generation so they join the
+// next cycle at the earliest.
 #pragma once
 
 #include <atomic>
@@ -51,10 +63,12 @@
 
 namespace djstar::core {
 
-/// How parked workers wait for the next cycle.
+/// When a parked helper wakes for the next cycle. Every helper parks
+/// between cycles; the modes differ in what wake() does.
 enum class StartMode {
-  kSpin,     ///< detail::SpinWaiter on the generation counter
-  kCondvar,  ///< sleep on a condition variable (no idle CPU burn)
+  kSpin,     ///< at wake(): spin on the next cycle for SpinWaiter's
+             ///< pause+yield budget, then park again (busy)
+  kCondvar,  ///< at dispatch; wake() does nothing (sleep, shared, ws)
 };
 
 /// Fixed team of joining threads executing one callback per cycle.
@@ -78,17 +92,29 @@ class Team {
   Team(const Team&) = delete;
   Team& operator=(const Team&) = delete;
 
-  /// Run one cycle: all workers (incl. the caller) execute the body once;
-  /// returns when every worker is done. Requires the owned-body mode.
+  /// Run one cycle: the caller runs the body as worker 0, and so does
+  /// every helper that joins before worker 0's body returns; returns
+  /// when all of them are done. Requires the owned-body mode.
   void run_cycle();
 
   /// Run one cycle with an externally submitted body. `fn` must stay
   /// alive until this call returns (it does: the call blocks until every
-  /// worker has finished). Callable in either mode; the owned body, if
-  /// any, is restored afterwards.
+  /// joined worker has finished). Callable in either mode; the owned
+  /// body, if any, is restored afterwards.
   void run_cycle(const WorkerFn& fn);
 
+  /// A cycle is coming: lift a spin-start team's parked helpers into a
+  /// bounded spin on it. No-op for condvar-start teams. Callable by the
+  /// run_cycle() thread between cycles.
+  void wake() noexcept;
+
   unsigned threads() const noexcept { return threads_; }
+
+  /// Worker `w` takes part in the cycle in flight: it joined and is not
+  /// quarantined. Worker 0 always does. Callable from worker bodies.
+  bool present(unsigned w) const noexcept;
+  /// Every worker is present().
+  bool full() const noexcept;
 
   /// OS thread id (gettid) of worker `w`; 0 when that worker has not
   /// started yet (or on platforms without gettid). Worker 0 is the
@@ -127,7 +153,9 @@ class Team {
 
  private:
   void thread_main(unsigned id, std::uint64_t seen);
-  void wait_for_generation(std::uint64_t seen);
+  bool await_cycle(std::uint64_t seen, std::uint64_t& wakes);
+  bool join(std::uint64_t gen) noexcept;
+  std::uint64_t generation() const noexcept;
   void run_body(unsigned id) noexcept;
   void dispatch_cycle();
   void spawn_workers();
@@ -137,7 +165,6 @@ class Team {
                   std::vector<double>& last_progress_us,
                   std::uint64_t& seen_generation);
   void quarantine(unsigned w);
-  void credit_done();
   void heal_maintenance();
   void await_retirements();
 
@@ -145,32 +172,40 @@ class Team {
   StartMode mode_;
   WorkerFn fn_;
   // Body for the cycle in flight: &fn_ (owned mode) or the caller's
-  // submitted body. Written by the dispatching thread before the
-  // generation bump (release) and read by workers after their acquire
-  // load of the generation, so no separate atomic is needed.
+  // submitted body. Written by the dispatching thread before the roster
+  // store that opens the cycle (release) and read by helpers after their
+  // acquire load of the roster, so no separate atomic is needed.
   const WorkerFn* active_ = nullptr;
 
-  alignas(64) std::atomic<std::uint64_t> generation_{0};
-  alignas(64) std::atomic<unsigned> done_{0};
+  // The cycle's roster: generation << kGenShift | open bit | the number
+  // of helpers that joined (team.cpp).
+  alignas(64) std::atomic<std::uint64_t> roster_{0};
+  alignas(64) std::atomic<unsigned> done_{0};  // joined helpers finished
+  std::atomic<std::uint64_t> wakes_{0};        // wake() calls
+  std::atomic<unsigned> parked_{0};            // helpers inside the park
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> body_errors_{0};
 
-  std::mutex start_mutex_;
-  std::condition_variable start_cv_;
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
+  std::mutex park_mutex_;
+  std::condition_variable park_cv_;
 
   std::vector<std::thread> workers_;
-  // OS thread id per worker slot (see worker_tid()). unique_ptr array
-  // because atomics are not movable.
-  std::unique_ptr<std::atomic<std::int32_t>[]> tids_;
+  // Per worker: its OS thread id (see worker_tid()) and the last
+  // generation it joined. unique_ptr array because atomics are not
+  // movable; one cache line each, since adopters read `joined` while
+  // helpers join.
+  struct alignas(64) Seat {
+    std::atomic<std::int32_t> tid{0};
+    std::atomic<std::uint64_t> joined{0};
+  };
+  std::unique_ptr<Seat[]> seats_;
 
   // ---- self-healing state ----
   TeamHealConfig heal_{};
   HealthBoard health_;
-  // True between the generation bump and the barrier return; the medic
-  // only quarantines mid-cycle (between cycles a silent worker is just
-  // parked).
+  // True between opening the cycle and the return of dispatch_cycle();
+  // the medic only quarantines mid-cycle (between cycles a silent worker
+  // is just parked).
   std::atomic<bool> in_cycle_{false};
   // Cycle arm time (steady_clock ns) for heartbeat-budget arithmetic.
   std::atomic<std::int64_t> cycle_armed_ns_{0};

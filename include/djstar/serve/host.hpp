@@ -252,9 +252,14 @@ class EngineHost {
   /// computed via Histogram::delta_since.
   std::string debug_profile_json() const;
 
+  /// Departed sessions whose spans write_chrome_trace() keeps: the most
+  /// recent ones, so a host that churns sessions holds bounded memory.
+  static constexpr std::size_t kRetiredTraces = 32;
+
   /// Export the fleet schedule as Chrome trace_event JSON: one pid per
-  /// session (live ones, and departed ones after enable_flight), one tid
-  /// per worker, each session's retained cycles stitched on its own
+  /// session — the live ones and, after enable_flight(), the last
+  /// kRetiredTraces sessions to depart (closed, shed or tripped) — one
+  /// tid per worker, each session's retained cycles stitched on its own
   /// deadline. Returns false on I/O failure.
   bool write_chrome_trace(const std::string& path) const;
 
@@ -311,6 +316,7 @@ class EngineHost {
   void refresh_slo_json();
   void attach_slo(SessionId id);
   void detach_slo(SessionId id);
+  void retire_trace(const Session& s);
   void evaluate_slo();
   void on_slo_transition(support::SloTracker& tr, std::int64_t scope,
                          support::SloAlertState prev, Session* session);
@@ -433,9 +439,11 @@ class EngineHost {
   /// Span-ring size per worker for every session, once enable_flight()
   /// ran.
   std::optional<std::size_t> flight_spans_;
-  /// Spans of departed sessions, kept so a fleet trace still shows
-  /// sessions that closed or were shed mid-run.
-  std::vector<support::TraceProcess> retired_traces_;
+  /// Spans of the last kRetiredTraces departed sessions, kept so a
+  /// fleet trace still shows sessions that closed or were shed mid-run.
+  std::deque<support::TraceProcess> retired_traces_;
+  /// run_fleet_cycle()'s EDF schedule, reused so a tick does not allocate.
+  std::vector<Session*> due_;
 };
 
 }  // namespace djstar::serve

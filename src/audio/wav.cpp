@@ -22,7 +22,7 @@ void put_u16(std::vector<std::uint8_t>& v, std::uint16_t x) {
 }
 
 void put_tag(std::vector<std::uint8_t>& v, const char* tag) {
-  v.insert(v.end(), tag, tag + 4);
+  for (int i = 0; i < 4; ++i) v.push_back(static_cast<std::uint8_t>(tag[i]));
 }
 
 std::uint32_t get_u32(const std::uint8_t* p) {

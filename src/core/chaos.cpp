@@ -12,7 +12,7 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 std::atomic<std::uint64_t> g_seed{0};
-std::atomic<std::uint32_t> g_intensity{0};
+std::atomic<std::uint32_t> g_intensity[kSiteCount]{};
 // Bumped on every enable() so existing threads reseed their streams.
 std::atomic<std::uint32_t> g_epoch{0};
 std::atomic<std::uint64_t> g_perturbations{0};
@@ -63,11 +63,18 @@ const char* to_string(Site s) noexcept {
 
 void enable(std::uint64_t seed, std::uint32_t intensity_permille) {
   g_seed.store(seed, std::memory_order_relaxed);
-  g_intensity.store(intensity_permille > 1000 ? 1000 : intensity_permille,
-                    std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kSiteCount; ++i) {
+    set_intensity(static_cast<Site>(i), intensity_permille);
+  }
   reset_counters();
   g_epoch.fetch_add(1, std::memory_order_release);
   g_enabled.store(true, std::memory_order_release);
+}
+
+void set_intensity(Site s, std::uint32_t intensity_permille) noexcept {
+  g_intensity[static_cast<std::size_t>(s)].store(
+      intensity_permille > 1000 ? 1000 : intensity_permille,
+      std::memory_order_relaxed);
 }
 
 void disable() noexcept { g_enabled.store(false, std::memory_order_release); }
@@ -95,7 +102,10 @@ void maybe_perturb(Site s) noexcept {
       1, std::memory_order_relaxed);
 
   const std::uint64_t draw = stream().next();
-  if (draw % 1000 >= g_intensity.load(std::memory_order_relaxed)) return;
+  if (draw % 1000 >= g_intensity[static_cast<std::size_t>(s)].load(
+                         std::memory_order_relaxed)) {
+    return;
+  }
   g_perturbations.fetch_add(1, std::memory_order_relaxed);
 
   // Mix of delay magnitudes: most are sub-microsecond (pause bursts,

@@ -69,7 +69,7 @@ void HealthBoard::on_worker_fault(chaos::FaultKind k) noexcept {
   b.board->worker_faults_.fetch_add(1, std::memory_order_relaxed);
 
   if (k == chaos::FaultKind::kWorkerAbort) {
-    // The thread "dies": flag the slot so the medic credits our barrier
+    // The thread "dies": flag the slot so the medic credits our done
     // slot, then unwind out of the strategy body via abandoned().
     b.board->try_transition(b.worker, WorkerState::kActive,
                             WorkerState::kAborted);

@@ -19,14 +19,19 @@ using support::SpanKind;
 
 // What a ready-source's next() returns besides a node id.
 constexpr NodeId kDone = kInvalidNode;       // this worker's cycle is over
-constexpr NodeId kRetry = kInvalidNode - 1;  // heal mode: nothing ready yet
+constexpr NodeId kRetry = kInvalidNode - 1;  // nothing ready: wait, retry
 
-// Heal mode bounds every wait: a worker whose waker was quarantined must
-// wake on its own to adopt what the dead worker left behind.
-constexpr auto kHealPark = std::chrono::microseconds(200);
-constexpr std::uint32_t kHealSpinBurst = 256;
-// The work-stealing idle park is bounded in both modes: a safety net
-// against the push-vs-park race.
+// Every wait is bounded, so a worker whose waker is absent (not joined,
+// or quarantined) wakes on its own to adopt what the absent owner left.
+// A park is shorter while some worker is absent: nobody is registered
+// to wake us for an absent owner's nodes.
+constexpr auto kPark = std::chrono::microseconds(200);
+constexpr auto kAbsentPark = std::chrono::microseconds(50);
+// SpinWaiter steps per bounded spin; the waiter keeps its escalation
+// across retries, so an oversubscribed busy team still yields and sleeps.
+constexpr unsigned kSpinBurst = 256;
+// The work-stealing idle park: a safety net against the push-vs-park
+// race.
 constexpr auto kIdlePark = std::chrono::microseconds(100);
 
 /// One worker's span sink for one cycle: its lane of the span ring.
@@ -66,63 +71,50 @@ class Sink {
   support::Clock::time_point t0_;
 };
 
-/// Execute node `n` through CompiledGraph::execute() (which owns the
-/// fault, skip, bypass and cancel semantics) and, when recording, emit
-/// its kRun span.
-void run_node(CompiledGraph& g, NodeId n, ExecutorStats& stats,
-              const Sink& sink) {
+/// The claim gate every node passes (DESIGN.md §12). Wins the node's
+/// claim CAS (the exactly-once arbiter when an adopter and the owner
+/// race, or a queue holds a stale copy); on a healing team consumes any
+/// worker fault decided for the node — releasing the claim and wedging
+/// or retiring the calling thread instead of running — and beats. Then
+/// runs the node through CompiledGraph::execute() (which owns the fault,
+/// skip, bypass and cancel semantics), emits its kRun span when
+/// recording, and marks it done. Only a true return may resolve
+/// successors; after a false one the caller must check
+/// HealthBoard::abandoned().
+bool claim_run(CompiledGraph& g, HealthBoard* hb, NodeId n,
+               ExecutorStats& stats, const Sink& sink) {
+  if (!g.try_claim(n)) return false;
+  const unsigned w = sink.worker();
+  if (hb != nullptr) {
+    if (g.worker_faults_armed()) {
+      const chaos::FaultKind wf = g.take_worker_fault(n);
+      // Worker 0 is the caller thread and cannot be replaced: its worker
+      // faults are consumed and ignored (take_worker_fault already
+      // counted and journaled the injection).
+      if (wf != chaos::FaultKind::kNone && w != 0) {
+        g.release_claim(n);
+        HealthBoard::on_worker_fault(wf);
+        return false;
+      }
+    }
+    hb->beat(w);
+  }
   if (!sink.on()) {
     g.execute(n);
   } else {
     const double begin = sink.clock();
     g.execute(n);
-    sink.emit({begin, sink.clock(), sink.worker(),
-               static_cast<std::int32_t>(n), SpanKind::kRun,
-               sink.steal_from});
+    sink.emit({begin, sink.clock(), w, static_cast<std::int32_t>(n),
+               SpanKind::kRun, sink.steal_from});
   }
   stats.nodes_executed.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// The heal path's claim gate (DESIGN.md §12). Wins the node's claim CAS
-/// (the exactly-once arbiter when an adopter and the owner race, or a
-/// queue holds a stale copy), consumes any worker fault decided for the
-/// node — releasing the claim and wedging or retiring the calling thread
-/// instead of running — then beats, runs, and marks the node done. Only a
-/// true return may resolve successors; after a false one the caller must
-/// check HealthBoard::abandoned().
-bool claim_run(CompiledGraph& g, HealthBoard& hb, NodeId n,
-               ExecutorStats& stats, const Sink& sink) {
-  if (!g.try_claim(n)) return false;
-  const unsigned w = sink.worker();
-  if (g.worker_faults_armed()) {
-    const chaos::FaultKind wf = g.take_worker_fault(n);
-    // Worker 0 is the caller thread and cannot be replaced: its worker
-    // faults are consumed and ignored (take_worker_fault already counted
-    // and journaled the injection).
-    if (wf != chaos::FaultKind::kNone && w != 0) {
-      g.release_claim(n);
-      HealthBoard::on_worker_fault(wf);
-      return false;
-    }
-  }
-  hb.beat(w);
-  run_node(g, n, stats, sink);
   g.mark_done(n);
   return true;
 }
 
-/// A node every predecessor resolved that nobody has claimed: stranded
-/// if its owner died, harmlessly duplicated if not (claims decide).
+/// A node every predecessor resolved that nobody has claimed.
 bool stranded(CompiledGraph& g, NodeId n) noexcept {
   return !g.claimed(n) && g.pending(n).load(std::memory_order_acquire) == 0;
-}
-
-/// The first stranded node in queue order, or kRetry.
-NodeId adopt(CompiledGraph& g) noexcept {
-  for (NodeId n : g.order()) {
-    if (stranded(g, n)) return n;
-  }
-  return kRetry;
 }
 
 // ---- wait policies of the lane source ----
@@ -132,21 +124,16 @@ struct SpinWait {
   static constexpr StartMode kStart = StartMode::kSpin;
   explicit SpinWait(unsigned) {}
 
-  void until_ready(CompiledGraph& g, NodeId n, unsigned, ExecutorStats& st) {
+  void bounded(CompiledGraph& g, NodeId n, unsigned, SpinWaiter& waiter,
+               bool, ExecutorStats& st) {
     auto& pending = g.pending(n);
-    SpinWaiter waiter;
-    while (pending.load(std::memory_order_acquire) != 0) waiter.step();
-    st.busy_wait_spins.fetch_add(waiter.spins(), std::memory_order_relaxed);
-  }
-  void bounded(CompiledGraph& g, NodeId n, unsigned, ExecutorStats& st) {
-    auto& pending = g.pending(n);
-    std::uint32_t spins = 0;
-    while (spins < kHealSpinBurst &&
-           pending.load(std::memory_order_acquire) != 0) {
-      cpu_pause();
-      ++spins;
+    const std::uint64_t before = waiter.spins();
+    for (unsigned i = 0;
+         i < kSpinBurst && pending.load(std::memory_order_acquire) != 0; ++i) {
+      waiter.step();
     }
-    st.busy_wait_spins.fetch_add(spins, std::memory_order_relaxed);
+    st.busy_wait_spins.fetch_add(waiter.spins() - before,
+                                 std::memory_order_relaxed);
   }
   void release(CompiledGraph& g, NodeId s, ExecutorStats&) {
     g.pending(s).fetch_sub(1, std::memory_order_acq_rel);
@@ -162,31 +149,21 @@ class ParkWait {
   explicit ParkWait(unsigned threads)
       : slots_(std::make_unique<Slot[]>(threads)) {}
 
-  void until_ready(CompiledGraph& g, NodeId n, unsigned w,
-                   ExecutorStats& st) {
+  void bounded(CompiledGraph& g, NodeId n, unsigned w, SpinWaiter&,
+               bool full, ExecutorStats& st) {
     // Register (Fig. 6a), then re-check: either we observe pending == 0
     // here (the resolving predecessor ran between our first check and
     // the registration), or the predecessor observes our registration
     // and wakes us. seq_cst on both sides makes the flag/counter
-    // protocol race-free.
+    // protocol race-free. Leaving the registration in place across
+    // retries is harmless: a notify to an awake worker is a no-op.
     auto& pending = g.pending(n);
     g.waiter(n).store(static_cast<std::int32_t>(w), std::memory_order_seq_cst);
     chaos::maybe_perturb(chaos::Site::kBeforeWait);
     if (pending.load(std::memory_order_seq_cst) == 0) return;
     st.sleeps.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lk(slots_[w].m);
-    slots_[w].cv.wait(
-        lk, [&] { return pending.load(std::memory_order_acquire) == 0; });
-  }
-  void bounded(CompiledGraph& g, NodeId n, unsigned w, ExecutorStats& st) {
-    // Leaving the registration in place across retries is harmless: a
-    // notify to an awake worker is a no-op.
-    auto& pending = g.pending(n);
-    g.waiter(n).store(static_cast<std::int32_t>(w), std::memory_order_seq_cst);
-    if (pending.load(std::memory_order_seq_cst) == 0) return;
-    st.sleeps.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lk(slots_[w].m);
-    slots_[w].cv.wait_for(lk, kHealPark, [&] {
+    slots_[w].cv.wait_for(lk, full ? kPark : kAbsentPark, [&] {
       return pending.load(std::memory_order_acquire) == 0;
     });
   }
@@ -217,6 +194,11 @@ class ParkWait {
 };
 
 // ---- ready-sources ----
+//
+// next() hands out a ready node without blocking, or says kRetry
+// (nothing ready yet) or kDone (this worker's cycle is over); wait() is
+// one bounded wait before the next retry. owner(n) is the worker whose
+// absence strands `n` (-1: nobody's).
 
 /// Round-robin lanes over the dependency-sorted node queue: worker w owns
 /// nodes w, w+T, w+2T, ... and waits for each one's dependencies by Wait.
@@ -226,41 +208,48 @@ class Lanes {
   static constexpr StartMode kStart = Wait::kStart;
   struct Cursor {
     std::size_t k;
+    SpinWaiter waiter;  // escalation of the wait for order[k]
   };
 
   Lanes(CompiledGraph& g, unsigned threads, const WorkStealingOptions&)
-      : g_(g), threads_(threads), wait_(threads) {}
+      : g_(g), threads_(threads), wait_(threads), owner_(g.node_count()) {
+    const auto order = g.order();
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      owner_[order[k]] = static_cast<std::int32_t>(k % threads);
+    }
+  }
 
-  void begin_cycle(Team*, bool) {}
-  Cursor start(unsigned w) { return {w}; }
+  void begin_cycle() {}
+  Cursor start(unsigned w) { return {w, {}}; }
+  std::int32_t owner(NodeId n) const noexcept { return owner_[n]; }
 
-  template <bool kHeal>
-  NodeId next(unsigned w, Cursor& c, ExecutorStats& st, Sink&) {
+  NodeId next(unsigned w, Cursor& c, ExecutorStats&, Sink&, bool full) {
     const auto order = g_.order();
     if (c.k >= order.size()) {
-      if constexpr (!kHeal) return kDone;
-      // Heal mode keeps every survivor helping until the whole graph is
-      // done: a quarantined worker's lane still needs adopters.
-      if (g_.nodes_done() >= g_.node_count()) return kDone;
-      std::this_thread::yield();
+      // Lane done. Worker 0 closes the cycle, so it stays until the whole
+      // graph is done; a helper stays only while some lane may need an
+      // adopter.
+      if (g_.nodes_done() >= g_.node_count() || (w != 0 && full)) {
+        return kDone;
+      }
       return kRetry;
     }
+    // Dependency check (the gray boxes in paper Fig. 11).
+    chaos::maybe_perturb(chaos::Site::kDependencyCheck);
     const NodeId n = order[c.k];
-    auto& pending = g_.pending(n);
-    if constexpr (kHeal) {
-      if (pending.load(std::memory_order_acquire) != 0) {
-        wait_.bounded(g_, n, w, st);
-        if (pending.load(std::memory_order_acquire) != 0) return kRetry;
-      }
-    } else {
-      // Dependency check + wait (the gray boxes in paper Fig. 11).
-      chaos::maybe_perturb(chaos::Site::kDependencyCheck);
-      if (pending.load(std::memory_order_acquire) != 0) {
-        wait_.until_ready(g_, n, w, st);
-      }
-    }
+    if (g_.pending(n).load(std::memory_order_acquire) != 0) return kRetry;
     c.k += threads_;
+    c.waiter.reset();
     return n;
+  }
+
+  void wait(unsigned w, Cursor& c, ExecutorStats& st, bool full) {
+    const auto order = g_.order();
+    if (c.k >= order.size()) {
+      c.waiter.step();
+    } else {
+      wait_.bounded(g_, order[c.k], w, c.waiter, full, st);
+    }
   }
 
   void resolve(unsigned, NodeId n, ExecutorStats& st) {
@@ -271,6 +260,7 @@ class Lanes {
   CompiledGraph& g_;
   unsigned threads_;
   Wait wait_;
+  std::vector<std::int32_t> owner_;  // lane of each node
 };
 
 /// shared: one mutex-protected ring of ready nodes, preallocated so a
@@ -285,29 +275,30 @@ class Ring {
   Ring(CompiledGraph& g, unsigned, const WorkStealingOptions&)
       : g_(g), ring_(g.node_count() + 1) {}
 
-  void begin_cycle(Team*, bool) {
+  void begin_cycle() {
     const std::lock_guard<std::mutex> lk(m_);
     head_ = tail_ = 0;
     executed_ = 0;
     for (NodeId n : g_.sources()) push(n);
   }
   Cursor start(unsigned) { return {}; }
+  std::int32_t owner(NodeId) const noexcept { return -1; }
 
-  template <bool kHeal>
-  NodeId next(unsigned, Cursor&, ExecutorStats&, Sink&) {
-    const std::size_t total = g_.node_count();
+  NodeId next(unsigned, Cursor&, ExecutorStats&, Sink&, bool) {
     chaos::maybe_perturb(chaos::Site::kBeforeWait);
-    std::unique_lock<std::mutex> lk(m_);
-    const auto ready = [&] { return head_ != tail_ || executed_ == total; };
-    if constexpr (kHeal) {
-      if (!cv_.wait_for(lk, kHealPark, ready)) return kRetry;
-    } else {
-      cv_.wait(lk, ready);
-    }
-    if (executed_ == total) return kDone;
+    const std::lock_guard<std::mutex> lk(m_);
+    if (executed_ == g_.node_count()) return kDone;
+    if (head_ == tail_) return kRetry;
     const NodeId n = ring_[head_];
     head_ = (head_ + 1) % ring_.size();
     return n;
+  }
+
+  void wait(unsigned, Cursor&, ExecutorStats&, bool) {
+    std::unique_lock<std::mutex> lk(m_);
+    cv_.wait_for(lk, kPark, [&] {
+      return head_ != tail_ || executed_ == g_.node_count();
+    });
   }
 
   void resolve(unsigned, NodeId n, ExecutorStats&) {
@@ -361,69 +352,60 @@ class Deques {
   };
 
   Deques(CompiledGraph& g, unsigned threads, const WorkStealingOptions& ws)
-      : g_(g), ws_(ws), per_worker_(threads) {
-    for (auto& pw : per_worker_) {
-      pw.deque = std::make_unique<ChaseLevDeque>(g.node_count() + 1);
-      pw.inbox.reserve(g.node_count());
-    }
-  }
-
-  void begin_cycle(Team* team, bool heal) {
-    executed_.store(0, std::memory_order_relaxed);
-    for (auto& pw : per_worker_) {
-      pw.inbox.clear();
-      // Healing can leave stale copies behind (a node adopted elsewhere
-      // stays queued); never let them leak into the next cycle.
-      if (heal) pw.deque->clear();
-    }
+      : g_(g), ws_(ws), per_worker_(threads), owner_(g.node_count(), -1) {
     // Paper §V-C: "the main thread fills up the processing queues of all
     // executor threads. It distributes all nodes without dependencies
     // (source nodes) to the threads", grouped by section for data
-    // locality.
-    const auto T = static_cast<unsigned>(per_worker_.size());
+    // locality. The split is the same every cycle; a worker pushes its
+    // share when it joins.
     unsigned rr = 0;
-    for (NodeId n : g_.sources()) {
-      unsigned target = ws_.seed == SeedMode::kBySection
-                            ? g_.section_index(n) % T
-                            : rr++ % T;
-      // A quarantined worker never drains its inbox (kQuarantine mode
-      // runs degraded on the survivors), so donate its seeds to worker 0
-      // — the caller thread, which is always alive.
-      if (heal && target != 0 &&
-          team->health().state(target) == WorkerState::kQuarantined) {
-        target = 0;
-      }
+    for (NodeId n : g.sources()) {
+      const unsigned target = ws.seed == SeedMode::kBySection
+                                  ? g.section_index(n) % threads
+                                  : rr++ % threads;
       per_worker_[target].inbox.push_back(n);
+      owner_[n] = static_cast<std::int32_t>(target);
+    }
+    for (auto& pw : per_worker_) {
+      pw.deque = std::make_unique<ChaseLevDeque>(g.node_count() + 1);
     }
   }
 
-  // The inbox was seeded before the team's generation bump, which
-  // publishes it (release/acquire).
+  void begin_cycle() {
+    executed_.store(0, std::memory_order_relaxed);
+    // A late joiner's seeds, or a node adopted elsewhere, can stay queued
+    // as stale copies; never let them leak into the next cycle.
+    for (auto& pw : per_worker_) pw.deque->clear();
+  }
+
+  // begin_cycle() ran before the team opened the cycle, which publishes
+  // it (release/acquire). Seeds an adopter already took stay out.
   Cursor start(unsigned w) {
     for (NodeId n : per_worker_[w].inbox) {
-      per_worker_[w].deque->push(static_cast<ChaseLevDeque::Item>(n));
+      if (!g_.claimed(n)) {
+        per_worker_[w].deque->push(static_cast<ChaseLevDeque::Item>(n));
+      }
     }
     return {};
   }
+  std::int32_t owner(NodeId n) const noexcept { return owner_[n]; }
 
-  template <bool kHeal>
-  NodeId next(unsigned w, Cursor& c, ExecutorStats& st, Sink& sink) {
-    for (;;) {
-      if (executed_.load(std::memory_order_acquire) >= g_.node_count()) {
-        return kDone;
-      }
-      NodeId n;
-      if (try_get(w, n, sink.steal_from, st)) {
-        c.failed_rounds = 0;
-        return n;
-      }
-      if (++c.failed_rounds < ws_.steal_rounds_before_park) {
-        cpu_pause();
-        std::this_thread::yield();
-      } else {
-        park(st);
-      }
-      if constexpr (kHeal) return kRetry;
+  NodeId next(unsigned w, Cursor& c, ExecutorStats& st, Sink& sink, bool) {
+    if (executed_.load(std::memory_order_acquire) >= g_.node_count()) {
+      return kDone;
+    }
+    NodeId n;
+    if (!try_get(w, n, sink.steal_from, st)) return kRetry;
+    c.failed_rounds = 0;
+    return n;
+  }
+
+  void wait(unsigned, Cursor& c, ExecutorStats& st, bool) {
+    if (++c.failed_rounds < ws_.steal_rounds_before_park) {
+      cpu_pause();
+      std::this_thread::yield();
+    } else {
+      park(st);
     }
   }
 
@@ -498,18 +480,37 @@ class Deques {
 
   struct alignas(64) PerWorker {
     std::unique_ptr<ChaseLevDeque> deque;
-    std::vector<NodeId> inbox;
+    std::vector<NodeId> inbox;  // this worker's seeds, fixed
   };
 
   CompiledGraph& g_;
   WorkStealingOptions ws_;
   std::vector<PerWorker> per_worker_;
+  std::vector<std::int32_t> owner_;  // seed target of each source, else -1
   alignas(64) std::atomic<std::size_t> executed_{0};
   std::mutex idle_mutex_;
   std::condition_variable idle_cv_;
   std::atomic<std::uint32_t> idle_epoch_{0};
   std::atomic<std::uint32_t> idlers_{0};
 };
+
+/// The first stranded node in queue order whose owner is absent, or
+/// kRetry. An owner is absent while it has not joined the cycle or is
+/// quarantined. While a worker is quarantined every stranded node is
+/// adoptable: the dead worker may have taken any node (a steal, a pop, a
+/// claim of an adopted node) and released it when its fault fired.
+template <class Source>
+NodeId adopt(CompiledGraph& g, const Source& src, const Team& tm) {
+  const bool dead = tm.healing() && tm.health().dead() > 0;
+  for (NodeId n : g.order()) {
+    if (!stranded(g, n)) continue;
+    const std::int32_t owner = src.owner(n);
+    if (dead || (owner >= 0 && !tm.present(static_cast<unsigned>(owner)))) {
+      return n;
+    }
+  }
+  return kRetry;
+}
 
 /// The configuration's wait-span colour in Fig. 11 traces.
 template <Strategy S>
@@ -589,54 +590,54 @@ void LoopExecutor<S>::run_cycle() {
   // clears the previous cycle's fault/cancel state — required for the
   // sequential fallback to recover after a faulted cycle.
   graph_.begin_cycle();
-  Team* const tm = shared_ != nullptr ? shared_ : team_.get();
-  heal_armed_ = tm != nullptr && tm->healing();
-  src_->begin_cycle(tm, heal_armed_);
+  src_->begin_cycle();
   cycle_start_ = support::now();
-  // Team::run_cycle()'s generation bump publishes the cycle state above
-  // (release store observed by the workers' acquire load).
-  if (tm == nullptr) {
-    body(0);
-  } else if (shared_ == nullptr) {
+  // Team::run_cycle() opens the cycle with a release store, which
+  // publishes the cycle state above to every helper that joins.
+  if (shared_ != nullptr) {
+    shared_->run_cycle(body_);
+  } else if (team_ != nullptr) {
     team_->run_cycle();
   } else {
-    shared_->run_cycle(body_);
+    body(0);
+  }
+}
+
+template <Strategy S>
+void LoopExecutor<S>::wake() noexcept {
+  if (shared_ != nullptr) {
+    shared_->wake();
+  } else if (team_ != nullptr) {
+    team_->wake();
   }
 }
 
 template <Strategy S>
 void LoopExecutor<S>::body(unsigned w) {
-  if (heal_armed_) {
-    loop<true>(w);
-  } else {
-    loop<false>(w);
-  }
-}
-
-template <Strategy S>
-template <bool kHeal>
-void LoopExecutor<S>::loop(unsigned w) {
   ReadySource<S>& src = *src_;
   detail::Sink sink(opts_, w, cycle_start_);
-  auto cursor = src.start(w);
+  const Team* const tm = team();
   HealthBoard* const hb =
-      kHeal ? &(shared_ != nullptr ? *shared_ : *team_).health() : nullptr;
+      tm != nullptr && tm->healing()
+          ? &(shared_ != nullptr ? *shared_ : *team_).health()
+          : nullptr;
+  auto cursor = src.start(w);
   for (;;) {
     const double wait_begin = sink.clock();
-    NodeId n = src.template next<kHeal>(w, cursor, stats_, sink);
+    bool full = tm == nullptr || tm->full();
+    NodeId n = src.next(w, cursor, stats_, sink, full);
     bool adopted = false;
-    if constexpr (kHeal) {
-      while (n == detail::kRetry) {
-        // The rescue path (DESIGN.md §12): with a worker quarantined,
-        // adopt any ready node nobody claimed, whichever lane or queue
-        // the dead worker stranded it in.
-        if (hb->dead() > 0 && (n = detail::adopt(graph_)) != detail::kRetry) {
-          adopted = true;
-          break;
-        }
-        hb->beat(w);
-        n = src.template next<kHeal>(w, cursor, stats_, sink);
+    while (n == detail::kRetry) {
+      // Nothing of ours is ready: adopt a ready node whose owner is
+      // absent (DESIGN.md §12), then wait and retry.
+      if (!full && (n = detail::adopt(graph_, src, *tm)) != detail::kRetry) {
+        adopted = true;
+        break;
       }
+      src.wait(w, cursor, stats_, full);
+      if (hb != nullptr) hb->beat(w);
+      full = tm == nullptr || tm->full();
+      n = src.next(w, cursor, stats_, sink, full);
     }
     if (S != Strategy::kSequential && sink.on()) {
       sink.wait(wait_begin,
@@ -644,14 +645,14 @@ void LoopExecutor<S>::loop(unsigned w) {
                 detail::kWaitSpan<S>);
     }
     if (n == detail::kDone) return;
-    if constexpr (kHeal) {
-      if (!detail::claim_run(graph_, *hb, n, stats_, sink)) {
-        if (HealthBoard::abandoned()) return;  // wedged or aborted
-        continue;  // lost the claim: the node ran elsewhere
-      }
-      if (adopted) hb->note_rescued(1);
-    } else {
-      detail::run_node(graph_, n, stats_, sink);
+    if (!detail::claim_run(graph_, hb, n, stats_, sink)) {
+      if (HealthBoard::abandoned()) return;  // wedged or aborted
+      continue;  // lost the claim: the node ran elsewhere
+    }
+    if (adopted && hb != nullptr) {
+      // A rescue is a node adopted while a worker is quarantined, not
+      // one taken from a helper that has not joined yet.
+      if (hb->dead() > 0) hb->note_rescued(1);
     }
     src.resolve(w, n, stats_);
   }

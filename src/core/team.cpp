@@ -9,6 +9,7 @@
 
 #include "djstar/core/chaos.hpp"
 #include "djstar/core/detail/spin.hpp"
+#include "djstar/core/thread_count.hpp"
 #include "djstar/support/assert.hpp"
 
 namespace djstar::core {
@@ -28,11 +29,19 @@ std::int32_t current_tid() noexcept {
 #endif
 }
 
+// The roster word: the cycle's generation above kGenShift, the open bit,
+// and the joined-helper count below it.
+constexpr unsigned kCountBits = 10;
+constexpr std::uint64_t kCountMask = (std::uint64_t{1} << kCountBits) - 1;
+constexpr std::uint64_t kOpen = std::uint64_t{1} << kCountBits;
+constexpr unsigned kGenShift = kCountBits + 1;
+static_assert(kMaxThreads - 1 <= kCountMask,
+              "the roster must count every helper of the widest team");
+
 }  // namespace
 
 Team::Team(unsigned threads, StartMode mode, WorkerFn fn, TeamHealConfig heal)
     : threads_(threads), mode_(mode), fn_(std::move(fn)), heal_(heal) {
-  DJSTAR_ASSERT_MSG(threads >= 1, "team needs at least one thread");
   DJSTAR_ASSERT_MSG(static_cast<bool>(fn_), "team needs a worker body");
   active_ = &fn_;
   spawn_workers();
@@ -40,19 +49,24 @@ Team::Team(unsigned threads, StartMode mode, WorkerFn fn, TeamHealConfig heal)
 
 Team::Team(unsigned threads, StartMode mode, TeamHealConfig heal)
     : threads_(threads), mode_(mode), heal_(heal) {
-  DJSTAR_ASSERT_MSG(threads >= 1, "team needs at least one thread");
   spawn_workers();
 }
 
 void Team::spawn_workers() {
-  if (healing()) health_.configure(threads_);
-  tids_ = std::make_unique<std::atomic<std::int32_t>[]>(threads_);
-  for (unsigned id = 0; id < threads_; ++id) {
-    tids_[id].store(0, std::memory_order_relaxed);
+  DJSTAR_ASSERT_MSG(threads_ >= 1 && threads_ <= kMaxThreads,
+                    "team width must be in [1, kMaxThreads]");
+  if (healing()) {
+    health_.configure(threads_);
+    // A helper is kFinished until it joins a cycle, so the medic never
+    // credits one that is not in the cycle.
+    for (unsigned id = 1; id < threads_; ++id) {
+      health_.set_state(id, WorkerState::kFinished);
+    }
   }
+  seats_ = std::make_unique<Seat[]>(threads_);
   // Worker 0 is the caller of run_cycle(), conventionally the thread
   // constructing the team.
-  tids_[0].store(current_tid(), std::memory_order_relaxed);
+  seats_[0].tid.store(current_tid(), std::memory_order_relaxed);
   workers_.reserve(threads_ - 1);
   for (unsigned id = 1; id < threads_; ++id) {
     workers_.emplace_back([this, id] { thread_main(id, 0); });
@@ -73,14 +87,11 @@ Team::~Team() {
     medic_cv_.notify_all();
     medic_.join();
   }
-  stop_.store(true, std::memory_order_release);
-  if (mode_ == StartMode::kCondvar) {
-    const std::lock_guard<std::mutex> lk(start_mutex_);
-    start_cv_.notify_all();
-  } else {
-    // Spin-mode workers poll stop_ while waiting; a generation bump is
-    // not needed, they observe the flag directly.
+  stop_.store(true, std::memory_order_seq_cst);
+  {
+    const std::lock_guard<std::mutex> lk(park_mutex_);
   }
+  park_cv_.notify_all();
   // Retired workers were already joined by heal_maintenance(); a thread
   // wedged by kStallForever exits its wedge loop on stop_ and returns.
   for (auto& w : workers_) {
@@ -99,20 +110,68 @@ HealStats Team::heal_stats() const noexcept {
   return s;
 }
 
-void Team::wait_for_generation(std::uint64_t seen) {
-  if (mode_ == StartMode::kSpin) {
-    detail::SpinWaiter waiter;
-    while (generation_.load(std::memory_order_acquire) == seen &&
-           !stop_.load(std::memory_order_acquire)) {
-      waiter.step();
-    }
-  } else {
-    std::unique_lock<std::mutex> lk(start_mutex_);
-    start_cv_.wait(lk, [&] {
-      return generation_.load(std::memory_order_acquire) != seen ||
-             stop_.load(std::memory_order_acquire);
-    });
+std::uint64_t Team::generation() const noexcept {
+  return roster_.load(std::memory_order_seq_cst) >> kGenShift;
+}
+
+bool Team::present(unsigned w) const noexcept {
+  if (w == 0) return true;
+  if (seats_[w].joined.load(std::memory_order_acquire) != generation()) {
+    return false;
   }
+  return !healing() || health_.state(w) != WorkerState::kQuarantined;
+}
+
+bool Team::full() const noexcept {
+  const std::uint64_t r = roster_.load(std::memory_order_acquire);
+  return (r & kCountMask) == threads_ - 1 &&
+         (!healing() || health_.dead() == 0);
+}
+
+void Team::wake() noexcept {
+  if (mode_ != StartMode::kSpin || threads_ == 1) return;
+  wakes_.fetch_add(1, std::memory_order_seq_cst);
+  // A helper counts itself parked before it re-checks wakes_ under the
+  // mutex (both seq_cst), so either it sees this wake or we see it here.
+  if (parked_.load(std::memory_order_seq_cst) == 0) return;
+  {
+    const std::lock_guard<std::mutex> lk(park_mutex_);
+  }
+  park_cv_.notify_all();
+}
+
+bool Team::await_cycle(std::uint64_t seen, std::uint64_t& wakes) {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lk(park_mutex_);
+      parked_.fetch_add(1, std::memory_order_seq_cst);
+      park_cv_.wait(lk, [&] {
+        return generation() != seen ||
+               stop_.load(std::memory_order_seq_cst) ||
+               wakes_.load(std::memory_order_seq_cst) != wakes;
+      });
+      parked_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (stop_.load(std::memory_order_acquire)) return false;
+    if (generation() != seen) return true;
+    // Woken early by wake(): spin on the generation for the pause+yield
+    // budget, then park again.
+    wakes = wakes_.load(std::memory_order_relaxed);
+    detail::SpinWaiter waiter;
+    while (waiter.spin()) {
+      if (generation() != seen) return true;
+      if (stop_.load(std::memory_order_acquire)) return false;
+    }
+  }
+}
+
+bool Team::join(std::uint64_t gen) noexcept {
+  std::uint64_t r = roster_.load(std::memory_order_acquire);
+  do {
+    if ((r >> kGenShift) != gen || (r & kOpen) == 0) return false;
+  } while (!roster_.compare_exchange_weak(r, r + 1, std::memory_order_acq_rel,
+                                          std::memory_order_acquire));
+  return true;
 }
 
 void Team::run_body(unsigned id) noexcept {
@@ -126,28 +185,25 @@ void Team::run_body(unsigned id) noexcept {
   }
 }
 
-void Team::credit_done() {
-  const unsigned finished = done_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (finished == threads_ && mode_ == StartMode::kCondvar) {
-    const std::lock_guard<std::mutex> lk(done_mutex_);
-    done_cv_.notify_one();
-  }
-}
-
 std::int32_t Team::worker_tid(unsigned w) const noexcept {
-  return w < threads_ ? tids_[w].load(std::memory_order_relaxed) : 0;
+  return w < threads_ ? seats_[w].tid.load(std::memory_order_relaxed) : 0;
 }
 
 void Team::thread_main(unsigned id, std::uint64_t seen) {
-  tids_[id].store(current_tid(), std::memory_order_relaxed);
+  seats_[id].tid.store(current_tid(), std::memory_order_relaxed);
   const bool heal = healing();
   if (heal) HealthBoard::bind(&health_, id, &stop_);
+  std::uint64_t wakes = wakes_.load(std::memory_order_relaxed);
   for (;;) {
-    wait_for_generation(seen);
-    if (stop_.load(std::memory_order_acquire)) return;
-    seen = generation_.load(std::memory_order_acquire);
+    if (!await_cycle(seen, wakes)) return;
+    seen = generation();
     chaos::maybe_perturb(chaos::Site::kCycleStart);
+    if (!join(seen)) continue;  // closed before we came: park again
+    seats_[id].joined.store(seen, std::memory_order_release);
     if (heal) {
+      // kFinished -> kActive: only this thread leaves kFinished, and the
+      // medic judges kActive slots only.
+      health_.set_state(id, WorkerState::kActive);
       HealthBoard::clear_abandoned();
       health_.beat(id);
     }
@@ -166,7 +222,7 @@ void Team::thread_main(unsigned id, std::uint64_t seen) {
         return;
       }
     }
-    credit_done();
+    done_.fetch_add(1, std::memory_order_acq_rel);
   }
 }
 
@@ -187,29 +243,25 @@ void Team::run_cycle(const WorkerFn& fn) {
 }
 
 void Team::dispatch_cycle() {
-  unsigned pre_credited = 0;
   if (healing()) {
     heal_maintenance();
-    // Quarantined slots (kQuarantine mode, or a respawn still pending)
-    // take no part in this cycle; credit their barrier slots up front.
-    pre_credited = health_.dead();
+    health_.set_state(0, WorkerState::kActive);
     HealthBoard::bind(&health_, 0, &stop_);
     HealthBoard::clear_abandoned();
     health_.beat(0);
     cycle_armed_ns_.store(steady_now_ns(), std::memory_order_relaxed);
-    done_.store(pre_credited, std::memory_order_relaxed);
     in_cycle_.store(true, std::memory_order_release);
-  } else {
-    done_.store(0, std::memory_order_relaxed);
   }
-  if (mode_ == StartMode::kCondvar) {
+  done_.store(0, std::memory_order_relaxed);
+  // Open the cycle. The store publishes the body and the executor's
+  // cycle state to every helper that joins.
+  roster_.store(((generation() + 1) << kGenShift) | kOpen,
+                std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) != 0) {
     {
-      const std::lock_guard<std::mutex> lk(start_mutex_);
-      generation_.fetch_add(1, std::memory_order_acq_rel);
+      const std::lock_guard<std::mutex> lk(park_mutex_);
     }
-    start_cv_.notify_all();
-  } else {
-    generation_.fetch_add(1, std::memory_order_acq_rel);
+    park_cv_.notify_all();
   }
 
   // The caller is worker 0.
@@ -219,20 +271,12 @@ void Team::dispatch_cycle() {
     // Always succeeds: the medic never quarantines worker 0.
     health_.try_transition(0, WorkerState::kActive, WorkerState::kFinished);
   }
-  const unsigned finished = done_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (finished != threads_) {
-    if (mode_ == StartMode::kSpin) {
-      detail::SpinWaiter waiter;
-      while (done_.load(std::memory_order_acquire) != threads_) {
-        waiter.step();
-      }
-    } else {
-      std::unique_lock<std::mutex> lk(done_mutex_);
-      done_cv_.wait(lk, [&] {
-        return done_.load(std::memory_order_acquire) == threads_;
-      });
-    }
-  }
+  // Close the cycle: from here no helper joins, and the ones that did
+  // are all we wait for.
+  const auto joined = static_cast<unsigned>(
+      roster_.fetch_and(~kOpen, std::memory_order_acq_rel) & kCountMask);
+  detail::SpinWaiter waiter;
+  while (done_.load(std::memory_order_acquire) != joined) waiter.step();
   if (healing()) {
     in_cycle_.store(false, std::memory_order_release);
     await_retirements();
@@ -285,7 +329,7 @@ void Team::medic_scan(std::vector<std::uint64_t>& last_beats,
                       std::vector<double>& last_progress_us,
                       std::uint64_t& seen_generation) {
   if (!in_cycle_.load(std::memory_order_acquire)) return;
-  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+  const std::uint64_t gen = generation();
   if (gen != seen_generation) {
     // New cycle: re-baseline every worker's progress clock.
     seen_generation = gen;
@@ -300,6 +344,12 @@ void Team::medic_scan(std::vector<std::uint64_t>& last_beats,
       1000.0;
 
   for (unsigned w = 1; w < threads_; ++w) {
+    if (seats_[w].joined.load(std::memory_order_acquire) != gen) {
+      // Not in this cycle (parked, or not awake yet): nothing to judge.
+      // Its budget starts when it joins.
+      last_progress_us[w] = cycle_age_us;
+      continue;
+    }
     const WorkerState st = health_.state(w);
     if (st == WorkerState::kAborted) {
       // Self-reported death (kWorkerAbort): no budget to wait out.
@@ -337,45 +387,32 @@ void Team::quarantine(unsigned w) {
 
   health_.add_dead(1);
   quarantines_.fetch_add(1, std::memory_order_relaxed);
-  // Survivors see dead() > 0 from here on and adopt the victim's
-  // stranded nodes. (Cycle completion is gated on nodes_done(), so
+  // Survivors see the victim absent from here on and adopt its stranded
+  // nodes. (Worker 0 closes the cycle only once every node is done, so
   // crediting the slot now cannot end the cycle early.)
-  credit_done();
+  done_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void Team::heal_maintenance() {
   for (unsigned id = 1; id < threads_; ++id) {
-    switch (health_.state(id)) {
-      case WorkerState::kFinished:
-        health_.set_state(id, WorkerState::kActive);
-        break;
-      case WorkerState::kQuarantined: {
-        // The worker retires at its next cycle boundary (its wedge loop
-        // exits once the state leaves kActive); join only after it has
-        // marked itself exited, never blocking the cycle on it.
-        if (!health_.exited(id)) break;
-        std::thread& th = workers_[id - 1];
-        if (th.joinable()) th.join();
-        if (heal_.mode == HealMode::kRespawn) {
-          health_.clear_exited(id);
-          health_.set_state(id, WorkerState::kActive);
-          health_.add_dead(-1);
-          // Seed with the current generation: the replacement joins at
-          // the bump this dispatch is about to publish, never mid-cycle.
-          const std::uint64_t seen =
-              generation_.load(std::memory_order_relaxed);
-          th = std::thread([this, id, seen] { thread_main(id, seen); });
-          respawns_.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-      case WorkerState::kActive:
-      case WorkerState::kAborted:
-        // kActive: a respawn from a previous maintenance that has not
-        // run yet. kAborted is unreachable here: the barrier released,
-        // so every non-finished slot was credited by the medic, which
-        // quarantines before crediting.
-        break;
+    // The worker retires at its next cycle boundary (its wedge loop exits
+    // once the state leaves kActive); join only after it has marked
+    // itself exited, never blocking the cycle on it.
+    if (health_.state(id) != WorkerState::kQuarantined ||
+        !health_.exited(id)) {
+      continue;
+    }
+    std::thread& th = workers_[id - 1];
+    if (th.joinable()) th.join();
+    if (heal_.mode == HealMode::kRespawn) {
+      health_.clear_exited(id);
+      health_.set_state(id, WorkerState::kFinished);
+      health_.add_dead(-1);
+      // Seed with the current generation: the replacement joins the
+      // cycle this dispatch is about to open at the earliest.
+      const std::uint64_t seen = generation();
+      th = std::thread([this, id, seen] { thread_main(id, seen); });
+      respawns_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }

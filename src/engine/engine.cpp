@@ -359,6 +359,8 @@ void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
 }
 
 CycleBreakdown AudioEngine::run_cycle() {
+  // A busy team's parked helpers wake during TP+GP, not in the graph.
+  executor_->wake();
   flight_.begin_cycle();
   CycleBreakdown c;
   phase_tp(c);
@@ -423,14 +425,15 @@ CycleBreakdown AudioEngine::run_cycle_supervised() {
     return c;
   }
 
+  core::Executor* exec =
+      applied_level_ >= DegradationLevel::kSequentialFallback
+          ? fallback_exec_.get()
+          : executor_.get();
+  exec->wake();
   phase_tp(c);
   phase_gp(c);
   {
     support::ScopedTimer t(c.graph_us);
-    core::Executor* exec =
-        applied_level_ >= DegradationLevel::kSequentialFallback
-            ? fallback_exec_.get()
-            : executor_.get();
     supervisor_->watchdog_arm();
     exec->run_cycle();
     supervisor_->watchdog_disarm();

@@ -310,7 +310,7 @@ void EngineHost::remove_session(SessionId id, SessionState final_state) {
       journal_.push(support::EventKind::kSessionClosed, tick_,
                     static_cast<std::int64_t>(id));
     }
-    if (flight_spans_) retired_traces_.push_back(session_trace(**it));
+    if (flight_spans_) retire_trace(**it);
     set_state(id, final_state);
     breakers_.erase(id);
     prev_latency_.erase(id);
@@ -383,8 +383,8 @@ FleetTick EngineHost::run_fleet_cycle() {
   // deadline) — a packet due exactly at the window edge must not slip a
   // whole tick over a rounding ulp.
   constexpr double kDueEpsUs = 1e-6;
-  std::vector<Session*> due;
-  due.reserve(active_.size());
+  std::vector<Session*>& due = due_;
+  due.clear();
   for (const auto& s : active_) {
     if (s->next_due_us() <= tick_end + kDueEpsUs) due.push_back(s.get());
   }
@@ -835,7 +835,7 @@ void EngineHost::trip_session(SessionId id) {
   // Retired like a close (not a shed): the session's counters fold into
   // the fleet aggregate now; the restored session restarts from zero.
   stats_.retire(s, /*was_shed=*/false);
-  if (flight_spans_) retired_traces_.push_back(session_trace(s));
+  if (flight_spans_) retire_trace(s);
   set_state(id, SessionState::kTripped);
   detach_slo(id);
 
@@ -960,8 +960,14 @@ void EngineHost::stop_metrics_exporter() {
   if (exporter_.joinable()) exporter_.join();
 }
 
+void EngineHost::retire_trace(const Session& s) {
+  if (retired_traces_.size() == kRetiredTraces) retired_traces_.pop_front();
+  retired_traces_.push_back(session_trace(s));
+}
+
 bool EngineHost::write_chrome_trace(const std::string& path) const {
-  std::vector<support::TraceProcess> procs = retired_traces_;
+  std::vector<support::TraceProcess> procs(retired_traces_.begin(),
+                                           retired_traces_.end());
   for (const auto& s : active_) {
     if (s->flight().enabled()) procs.push_back(session_trace(*s));
   }

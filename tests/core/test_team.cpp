@@ -1,9 +1,19 @@
 // Unit tests for the persistent worker team.
+//
+// The contract: worker 0, plus every helper that joins while the cycle
+// is open, runs the body once per cycle; run_cycle() returns when all of
+// them are done. A body that needs every worker holds the cycle open
+// (Rendezvous below) until all have entered.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "djstar/core/compiled_graph.hpp"
@@ -15,24 +25,60 @@ namespace dc = djstar::core;
 
 namespace {
 
+/// Worker 0 waits in the body until all `threads` workers have entered
+/// the cycle, so every helper joins it.
+class Rendezvous {
+ public:
+  explicit Rendezvous(unsigned threads) : threads_(threads) {}
+
+  void arrive(unsigned w) {
+    entered_.fetch_add(1);
+    if (w != 0) return;
+    const unsigned target = ++cycles_ * threads_;
+    while (entered_.load() < target) std::this_thread::yield();
+  }
+
+ private:
+  unsigned threads_;
+  std::atomic<unsigned> entered_{0};
+  unsigned cycles_ = 0;  // worker 0 only
+};
+
+/// CPU time of the whole process, in milliseconds.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
 struct TeamCase {
   dc::StartMode mode;
   unsigned threads;
+  bool wake;  ///< call wake() before each cycle
 };
 
-class TeamTest : public testing::TestWithParam<TeamCase> {};
+class TeamTest : public testing::TestWithParam<TeamCase> {
+ protected:
+  void run(dc::Team& team) {
+    if (GetParam().wake) team.wake();
+    team.run_cycle();
+  }
+};
 
 }  // namespace
 
 TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
   const auto p = GetParam();
+  Rendezvous all(p.threads);
   std::vector<std::atomic<int>> counts(p.threads);
   for (auto& c : counts) c.store(0);
   dc::Team team(p.threads, p.mode, [&](unsigned w) {
     counts[w].fetch_add(1);
+    all.arrive(w);
   });
   for (int cycle = 1; cycle <= 50; ++cycle) {
-    team.run_cycle();
+    run(team);
     for (unsigned w = 0; w < p.threads; ++w) {
       ASSERT_EQ(counts[w].load(), cycle) << "worker " << w;
     }
@@ -41,13 +87,17 @@ TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
 
 TEST_P(TeamTest, WorkerIdsAreDistinct) {
   const auto p = GetParam();
+  Rendezvous all(p.threads);
   std::mutex m;
   std::set<unsigned> ids;
   dc::Team team(p.threads, p.mode, [&](unsigned w) {
-    const std::lock_guard<std::mutex> lk(m);
-    ids.insert(w);
+    {
+      const std::lock_guard<std::mutex> lk(m);
+      ids.insert(w);
+    }
+    all.arrive(w);
   });
-  team.run_cycle();
+  run(team);
   EXPECT_EQ(ids.size(), p.threads);
   EXPECT_EQ(*ids.begin(), 0u);
   EXPECT_EQ(*ids.rbegin(), p.threads - 1);
@@ -55,13 +105,15 @@ TEST_P(TeamTest, WorkerIdsAreDistinct) {
 
 TEST_P(TeamTest, RunCycleIsABarrier) {
   const auto p = GetParam();
+  Rendezvous all(p.threads);
   std::atomic<int> inside{0};
   std::atomic<bool> overlap{false};
-  dc::Team team(p.threads, p.mode, [&](unsigned) {
+  dc::Team team(p.threads, p.mode, [&](unsigned w) {
+    all.arrive(w);
     inside.fetch_add(1);
   });
   for (int cycle = 0; cycle < 20; ++cycle) {
-    team.run_cycle();
+    run(team);
     // After run_cycle returns, all workers of this cycle are done.
     if (inside.load() != (cycle + 1) * static_cast<int>(p.threads)) {
       overlap.store(true);
@@ -70,18 +122,50 @@ TEST_P(TeamTest, RunCycleIsABarrier) {
   EXPECT_FALSE(overlap.load());
 }
 
+TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
+  // With nothing holding the cycle open, which helpers join depends on
+  // who wakes in time. What holds for every join pattern: worker 0 runs
+  // once per cycle, each helper at most once, and no body runs after
+  // run_cycle() returns.
+  const auto p = GetParam();
+  std::vector<std::atomic<int>> counts(p.threads);
+  for (auto& c : counts) c.store(0);
+  std::atomic<int> running{0};
+  std::atomic<int> total{0};
+  dc::Team team(p.threads, p.mode, [&](unsigned w) {
+    running.fetch_add(1);
+    counts[w].fetch_add(1);
+    total.fetch_add(1);
+    running.fetch_sub(1);
+  });
+  for (int cycle = 1; cycle <= 50; ++cycle) {
+    run(team);
+    ASSERT_EQ(running.load(), 0) << "a body is still running";
+    ASSERT_EQ(counts[0].load(), cycle);
+    for (unsigned w = 1; w < p.threads; ++w) {
+      ASSERT_LE(counts[w].load(), cycle) << "worker " << w;
+    }
+    const int after_return = total.load();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    ASSERT_EQ(total.load(), after_return) << "a body ran after the return";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ModesAndSizes, TeamTest,
-    testing::Values(TeamCase{dc::StartMode::kSpin, 1},
-                    TeamCase{dc::StartMode::kSpin, 2},
-                    TeamCase{dc::StartMode::kSpin, 4},
-                    TeamCase{dc::StartMode::kCondvar, 1},
-                    TeamCase{dc::StartMode::kCondvar, 2},
-                    TeamCase{dc::StartMode::kCondvar, 4}),
+    testing::Values(TeamCase{dc::StartMode::kSpin, 1, false},
+                    TeamCase{dc::StartMode::kSpin, 2, false},
+                    TeamCase{dc::StartMode::kSpin, 4, false},
+                    TeamCase{dc::StartMode::kCondvar, 1, false},
+                    TeamCase{dc::StartMode::kCondvar, 2, false},
+                    TeamCase{dc::StartMode::kCondvar, 4, false},
+                    TeamCase{dc::StartMode::kSpin, 4, true},
+                    TeamCase{dc::StartMode::kCondvar, 4, true}),
     [](const testing::TestParamInfo<TeamCase>& info) {
       return std::string(info.param.mode == dc::StartMode::kSpin ? "spin"
                                                                  : "condvar") +
-             "_t" + std::to_string(info.param.threads);
+             "_t" + std::to_string(info.param.threads) +
+             (info.param.wake ? "_wake" : "");
     });
 
 TEST(Team, DestructorJoinsCleanly) {
@@ -103,16 +187,55 @@ TEST(Team, SingleThreadRunsInline) {
   EXPECT_EQ(runs.load(), 1);
 }
 
+TEST(Team, ParkedTeamBurnsNoCpuBetweenCycles) {
+  // Every helper ran the cycle, so every helper is awake when it ends;
+  // between cycles they park instead of spinning.
+  Rendezvous all(4);
+  dc::Team team(4, dc::StartMode::kSpin, [&](unsigned w) { all.arrive(w); });
+  team.run_cycle();
+  const double before = process_cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(process_cpu_ms() - before, 3.0)
+      << "helpers burned CPU while the caller slept";
+}
+
+TEST(Team, WakeWithoutDispatchParksAgain) {
+  // A wake() with no cycle after it: the helpers spin for the bounded
+  // budget, then park again, and the destructor still joins them.
+  Rendezvous all(4);
+  dc::Team team(4, dc::StartMode::kSpin, [&](unsigned w) { all.arrive(w); });
+  team.run_cycle();
+  team.wake();
+  // Wait out the spin bound (~1.4 ms on an idle host, longer when the
+  // yields compete for cores): some 50 ms window must go quiet.
+  bool quiet = false;
+  for (int window = 0; window < 100 && !quiet; ++window) {
+    const double before = process_cpu_ms();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    quiet = process_cpu_ms() - before < 3.0;
+  }
+  EXPECT_TRUE(quiet) << "woken helpers never parked again";
+  // The team still runs cycles afterwards.
+  team.run_cycle();
+}
+
 // ---- External submission mode (serve: one pool, many executors) ----
 
 TEST(TeamSubmission, BodylessTeamRunsSubmittedBodies) {
   dc::Team team(3, dc::StartMode::kCondvar);
+  Rendezvous all(3);
   std::vector<std::atomic<int>> a(3), b(3);
   for (auto& c : a) c.store(0);
   for (auto& c : b) c.store(0);
 
-  const dc::Team::WorkerFn fa = [&](unsigned w) { a[w].fetch_add(1); };
-  const dc::Team::WorkerFn fb = [&](unsigned w) { b[w].fetch_add(1); };
+  const dc::Team::WorkerFn fa = [&](unsigned w) {
+    a[w].fetch_add(1);
+    all.arrive(w);
+  };
+  const dc::Team::WorkerFn fb = [&](unsigned w) {
+    b[w].fetch_add(1);
+    all.arrive(w);
+  };
   team.run_cycle(fa);
   team.run_cycle(fb);
   team.run_cycle(fa);
@@ -124,12 +247,17 @@ TEST(TeamSubmission, BodylessTeamRunsSubmittedBodies) {
 }
 
 TEST(TeamSubmission, OwnedBodyTeamAcceptsSubmissionsAndRestores) {
+  Rendezvous all(2);
   std::atomic<int> owned{0}, external{0};
-  dc::Team team(2, dc::StartMode::kSpin, [&](unsigned) {
+  dc::Team team(2, dc::StartMode::kSpin, [&](unsigned w) {
     owned.fetch_add(1);
+    all.arrive(w);
   });
   team.run_cycle();
-  team.run_cycle([&](unsigned) { external.fetch_add(1); });
+  team.run_cycle([&](unsigned w) {
+    external.fetch_add(1);
+    all.arrive(w);
+  });
   team.run_cycle();  // owned body must be restored after a submission
   EXPECT_EQ(owned.load(), 4);
   EXPECT_EQ(external.load(), 2);

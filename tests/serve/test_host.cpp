@@ -312,6 +312,39 @@ TEST(EngineHost, ChromeTraceExportCoversLiveAndDepartedSessions) {
   EXPECT_NE(json.find("\"pid\":" + std::to_string(b)), std::string::npos);
 }
 
+TEST(EngineHost, ChromeTraceKeepsOnlyTheMostRecentDepartures) {
+  // A host that churns sessions keeps the spans of the last
+  // kRetiredTraces departures only, so its memory stays bounded.
+  constexpr std::size_t kKept = ds::EngineHost::kRetiredTraces;
+  ds::EngineHost host(small_host());
+  host.enable_flight(256);
+  std::vector<ds::SessionId> departed;
+  for (std::size_t i = 0; i < kKept + 10; ++i) {
+    const auto id = host.submit(light_session(ds::QoS::kStandard, 0.1));
+    host.run_fleet_cycles(2);
+    host.close(id);
+    host.run_fleet_cycle();
+    departed.push_back(id);
+  }
+
+  const std::string path = testing::TempDir() + "/fleet_churn_trace.json";
+  ASSERT_TRUE(host.write_chrome_trace(path));
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // Every process announces itself once with a process_name event.
+  const auto has_pid = [&](ds::SessionId id) {
+    return json.find("\"ph\":\"M\",\"pid\":" + std::to_string(id) + ",") !=
+           std::string::npos;
+  };
+  std::size_t kept = 0;
+  for (const ds::SessionId id : departed) kept += has_pid(id) ? 1 : 0;
+  EXPECT_LE(kept, kKept);
+  EXPECT_GT(kept, 0u);
+  EXPECT_TRUE(has_pid(departed.back())) << "the last departure is missing";
+  EXPECT_FALSE(has_pid(departed.front())) << "the oldest departure is kept";
+}
+
 TEST(EngineHost, SessionRingsHoldEveryCycleWithoutLaneOverlap) {
   // Each session's span ring is tagged with that session's own cycle
   // count, so every cycle of every session reads back whole: one run

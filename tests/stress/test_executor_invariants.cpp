@@ -3,7 +3,11 @@
 // enabled, and assert the executor contract after every cycle —
 // exactly-once execution, precedence order, and ExecutorStats /
 // span-ring consistency. Thread counts deliberately exceed the
-// core count (oversubscription is where lost wakeups live).
+// core count (oversubscription is where lost wakeups live), and every
+// helper stalls before it joins a cycle (kCycleStart at full
+// intensity), so helpers routinely miss cycles and the joined workers
+// adopt their nodes. Each strategy runs on an owned team and, as the
+// serve layer runs it, hosted on a shared one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +16,7 @@
 #include "djstar/core/chaos.hpp"
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/factory.hpp"
+#include "djstar/core/loop_executor.hpp"
 #include "djstar/support/flight.hpp"
 #include "stress/stress_util.hpp"
 
@@ -22,10 +27,39 @@ namespace {
 
 struct SweepCase {
   dc::Strategy strategy;
+  bool hosted = false;  ///< run on a shared bodyless team
 };
 
+std::string case_name(const SweepCase& c) {
+  return std::string(dc::to_string(c.strategy)) + (c.hosted ? "_hosted" : "");
+}
+
 std::string sweep_name(const testing::TestParamInfo<SweepCase>& info) {
-  return std::string(dc::to_string(info.param.strategy));
+  return case_name(info.param);
+}
+
+/// A hosted executor of `strategy` on `team`.
+std::unique_ptr<dc::Executor> make_hosted(dc::Strategy strategy,
+                                          dc::CompiledGraph& cg,
+                                          dc::Team& team,
+                                          const dc::ExecOptions& opts) {
+  switch (strategy) {
+    case dc::Strategy::kBusyWait:
+      return std::make_unique<dc::LoopExecutor<dc::Strategy::kBusyWait>>(
+          cg, team, opts);
+    case dc::Strategy::kSleep:
+      return std::make_unique<dc::LoopExecutor<dc::Strategy::kSleep>>(
+          cg, team, opts);
+    case dc::Strategy::kWorkStealing:
+      return std::make_unique<dc::LoopExecutor<dc::Strategy::kWorkStealing>>(
+          cg, team, opts);
+    case dc::Strategy::kSharedQueue:
+      return std::make_unique<dc::LoopExecutor<dc::Strategy::kSharedQueue>>(
+          cg, team, opts);
+    case dc::Strategy::kSequential:
+      break;
+  }
+  return nullptr;
 }
 
 class ExecutorInvariantSweep : public testing::TestWithParam<SweepCase> {};
@@ -34,6 +68,7 @@ class ExecutorInvariantSweep : public testing::TestWithParam<SweepCase> {};
 
 TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
   const dc::Strategy strategy = GetParam().strategy;
+  const bool hosted = GetParam().hosted;
   const bool sequential = strategy == dc::Strategy::kSequential;
 
   // >= 500 run_cycle invocations per executor in uninstrumented builds
@@ -47,6 +82,7 @@ TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
                         std::string("invariant sweep ") +
                             std::string(dc::to_string(strategy)));
   dc::chaos::ScopedChaos chaos(0xD15EA5E0 + static_cast<int>(strategy), 150);
+  dc::chaos::set_intensity(dc::chaos::Site::kCycleStart, 1000);
 
   int runs = 0;
   for (int g = 0; g < kGraphs; ++g) {
@@ -62,7 +98,17 @@ TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
     opts.flight = &flight;
     flight.configure(opts.threads, n * static_cast<std::size_t>(kCycles) * 3);
 
-    auto exec = dc::make_executor(strategy, cg, opts);
+    const std::string label =
+        case_name(GetParam()) + " graph " + std::to_string(g);
+    std::unique_ptr<dc::Team> team;
+    std::unique_ptr<dc::Executor> exec;
+    if (hosted) {
+      team = std::make_unique<dc::Team>(opts.threads,
+                                        dc::StartMode::kCondvar);
+      exec = make_hosted(strategy, cg, *team, opts);
+    } else {
+      exec = dc::make_executor(strategy, cg, opts);
+    }
     const auto before = exec->stats().snapshot();
 
     for (int cycle = 0; cycle < kCycles; ++cycle) {
@@ -70,15 +116,14 @@ TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
       flight.begin_cycle();
       exec->run_cycle();
       ++runs;
-      check_cycle_invariants(
-          dag, std::string(dc::to_string(strategy)) + " graph " +
-                   std::to_string(g) + " cycle " + std::to_string(cycle));
+      check_cycle_invariants(dag, label + " cycle " + std::to_string(cycle));
     }
 
-    dt::check_stats_trace_consistency(
-        before, exec->stats().snapshot(), flight, n,
-        static_cast<std::size_t>(kCycles),
-        std::string(dc::to_string(strategy)) + " graph " + std::to_string(g));
+    dt::check_stats_trace_consistency(before, exec->stats().snapshot(),
+                                      flight, n,
+                                      static_cast<std::size_t>(kCycles),
+                                      label);
+    exec.reset();  // before the team it runs on
   }
 
   if constexpr (!dt::kTsan && !dt::kAsan) {
@@ -92,10 +137,15 @@ TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStrategies, ExecutorInvariantSweep,
-                         testing::Values(SweepCase{dc::Strategy::kBusyWait},
-                                         SweepCase{dc::Strategy::kSleep},
-                                         SweepCase{dc::Strategy::kWorkStealing},
-                                         SweepCase{dc::Strategy::kSharedQueue},
-                                         SweepCase{dc::Strategy::kSequential}),
-                         sweep_name);
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, ExecutorInvariantSweep,
+    testing::Values(SweepCase{dc::Strategy::kBusyWait},
+                    SweepCase{dc::Strategy::kSleep},
+                    SweepCase{dc::Strategy::kWorkStealing},
+                    SweepCase{dc::Strategy::kSharedQueue},
+                    SweepCase{dc::Strategy::kSequential},
+                    SweepCase{dc::Strategy::kBusyWait, true},
+                    SweepCase{dc::Strategy::kSleep, true},
+                    SweepCase{dc::Strategy::kWorkStealing, true},
+                    SweepCase{dc::Strategy::kSharedQueue, true}),
+    sweep_name);
