@@ -55,20 +55,39 @@ double process_cpu_ms() {
 struct TeamCase {
   dc::StartMode mode;
   unsigned threads;
-  bool wake;  ///< call wake() before each cycle
 };
 
+std::string team_case_name(const testing::TestParamInfo<TeamCase>& info) {
+  return std::string(info.param.mode == dc::StartMode::kSpin ? "spin"
+                                                             : "condvar") +
+         "_t" + std::to_string(info.param.threads);
+}
+
+/// Each case body runs under TeamTest and, with wake() before each
+/// cycle, under WokenTeamTest.
 class TeamTest : public testing::TestWithParam<TeamCase> {
  protected:
   void run(dc::Team& team) {
-    if (GetParam().wake) team.wake();
+    if (wake_first_) team.wake();
     team.run_cycle();
   }
+
+  void every_worker_runs_once_per_cycle();
+  void worker_ids_are_distinct();
+  void run_cycle_is_a_barrier();
+  void empty_body_runs_worker_zero_once_and_nothing_after_return();
+
+  bool wake_first_ = false;
+};
+
+class WokenTeamTest : public TeamTest {
+ protected:
+  WokenTeamTest() { wake_first_ = true; }
 };
 
 }  // namespace
 
-TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
+void TeamTest::every_worker_runs_once_per_cycle() {
   const auto p = GetParam();
   Rendezvous all(p.threads);
   std::vector<std::atomic<int>> counts(p.threads);
@@ -85,7 +104,7 @@ TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
   }
 }
 
-TEST_P(TeamTest, WorkerIdsAreDistinct) {
+void TeamTest::worker_ids_are_distinct() {
   const auto p = GetParam();
   Rendezvous all(p.threads);
   std::mutex m;
@@ -103,7 +122,7 @@ TEST_P(TeamTest, WorkerIdsAreDistinct) {
   EXPECT_EQ(*ids.rbegin(), p.threads - 1);
 }
 
-TEST_P(TeamTest, RunCycleIsABarrier) {
+void TeamTest::run_cycle_is_a_barrier() {
   const auto p = GetParam();
   Rendezvous all(p.threads);
   std::atomic<int> inside{0};
@@ -122,7 +141,7 @@ TEST_P(TeamTest, RunCycleIsABarrier) {
   EXPECT_FALSE(overlap.load());
 }
 
-TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
+void TeamTest::empty_body_runs_worker_zero_once_and_nothing_after_return() {
   // With nothing holding the cycle open, which helpers join depends on
   // who wakes in time. What holds for every join pattern: worker 0 runs
   // once per cycle, each helper at most once, and no body runs after
@@ -151,22 +170,37 @@ TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndSizes, TeamTest,
-    testing::Values(TeamCase{dc::StartMode::kSpin, 1, false},
-                    TeamCase{dc::StartMode::kSpin, 2, false},
-                    TeamCase{dc::StartMode::kSpin, 4, false},
-                    TeamCase{dc::StartMode::kCondvar, 1, false},
-                    TeamCase{dc::StartMode::kCondvar, 2, false},
-                    TeamCase{dc::StartMode::kCondvar, 4, false},
-                    TeamCase{dc::StartMode::kSpin, 4, true},
-                    TeamCase{dc::StartMode::kCondvar, 4, true}),
-    [](const testing::TestParamInfo<TeamCase>& info) {
-      return std::string(info.param.mode == dc::StartMode::kSpin ? "spin"
-                                                                 : "condvar") +
-             "_t" + std::to_string(info.param.threads) +
-             (info.param.wake ? "_wake" : "");
-    });
+TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
+  every_worker_runs_once_per_cycle();
+}
+TEST_P(TeamTest, WorkerIdsAreDistinct) { worker_ids_are_distinct(); }
+TEST_P(TeamTest, RunCycleIsABarrier) { run_cycle_is_a_barrier(); }
+TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
+  empty_body_runs_worker_zero_once_and_nothing_after_return();
+}
+
+TEST_P(WokenTeamTest, EveryWorkerRunsOncePerCycle) {
+  every_worker_runs_once_per_cycle();
+}
+TEST_P(WokenTeamTest, WorkerIdsAreDistinct) { worker_ids_are_distinct(); }
+TEST_P(WokenTeamTest, RunCycleIsABarrier) { run_cycle_is_a_barrier(); }
+TEST_P(WokenTeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
+  empty_body_runs_worker_zero_once_and_nothing_after_return();
+}
+
+INSTANTIATE_TEST_SUITE_P(ModesAndSizes, TeamTest,
+                         testing::Values(TeamCase{dc::StartMode::kSpin, 1},
+                                         TeamCase{dc::StartMode::kSpin, 2},
+                                         TeamCase{dc::StartMode::kSpin, 4},
+                                         TeamCase{dc::StartMode::kCondvar, 1},
+                                         TeamCase{dc::StartMode::kCondvar, 2},
+                                         TeamCase{dc::StartMode::kCondvar, 4}),
+                         team_case_name);
+
+INSTANTIATE_TEST_SUITE_P(WakeFirst, WokenTeamTest,
+                         testing::Values(TeamCase{dc::StartMode::kSpin, 4},
+                                         TeamCase{dc::StartMode::kCondvar, 4}),
+                         team_case_name);
 
 TEST(Team, DestructorJoinsCleanly) {
   for (int i = 0; i < 10; ++i) {

@@ -27,15 +27,10 @@ namespace {
 
 struct SweepCase {
   dc::Strategy strategy;
-  bool hosted = false;  ///< run on a shared bodyless team
 };
 
-std::string case_name(const SweepCase& c) {
-  return std::string(dc::to_string(c.strategy)) + (c.hosted ? "_hosted" : "");
-}
-
 std::string sweep_name(const testing::TestParamInfo<SweepCase>& info) {
-  return case_name(info.param);
+  return std::string(dc::to_string(info.param.strategy));
 }
 
 /// A hosted executor of `strategy` on `team`.
@@ -62,13 +57,19 @@ std::unique_ptr<dc::Executor> make_hosted(dc::Strategy strategy,
   return nullptr;
 }
 
-class ExecutorInvariantSweep : public testing::TestWithParam<SweepCase> {};
+/// The sweep runs each strategy on an owned team (ExecutorInvariantSweep)
+/// and on a shared bodyless team (HostedExecutorInvariantSweep).
+class ExecutorInvariantSweep : public testing::TestWithParam<SweepCase> {
+ protected:
+  void replay_under_chaos(bool hosted);
+};
+
+class HostedExecutorInvariantSweep : public ExecutorInvariantSweep {};
 
 }  // namespace
 
-TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
+void ExecutorInvariantSweep::replay_under_chaos(bool hosted) {
   const dc::Strategy strategy = GetParam().strategy;
-  const bool hosted = GetParam().hosted;
   const bool sequential = strategy == dc::Strategy::kSequential;
 
   // >= 500 run_cycle invocations per executor in uninstrumented builds
@@ -98,8 +99,9 @@ TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
     opts.flight = &flight;
     flight.configure(opts.threads, n * static_cast<std::size_t>(kCycles) * 3);
 
-    const std::string label =
-        case_name(GetParam()) + " graph " + std::to_string(g);
+    const std::string label = std::string(dc::to_string(strategy)) +
+                              (hosted ? " hosted" : "") + " graph " +
+                              std::to_string(g);
     std::unique_ptr<dc::Team> team;
     std::unique_ptr<dc::Executor> exec;
     if (hosted) {
@@ -137,15 +139,26 @@ TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
   }
 }
 
+TEST_P(ExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
+  replay_under_chaos(false);
+}
+
+TEST_P(HostedExecutorInvariantSweep, RandomizedDagReplayUnderChaos) {
+  replay_under_chaos(true);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, ExecutorInvariantSweep,
+                         testing::Values(SweepCase{dc::Strategy::kBusyWait},
+                                         SweepCase{dc::Strategy::kSleep},
+                                         SweepCase{dc::Strategy::kWorkStealing},
+                                         SweepCase{dc::Strategy::kSharedQueue},
+                                         SweepCase{dc::Strategy::kSequential}),
+                         sweep_name);
+
 INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, ExecutorInvariantSweep,
+    AllParallelStrategies, HostedExecutorInvariantSweep,
     testing::Values(SweepCase{dc::Strategy::kBusyWait},
                     SweepCase{dc::Strategy::kSleep},
                     SweepCase{dc::Strategy::kWorkStealing},
-                    SweepCase{dc::Strategy::kSharedQueue},
-                    SweepCase{dc::Strategy::kSequential},
-                    SweepCase{dc::Strategy::kBusyWait, true},
-                    SweepCase{dc::Strategy::kSleep, true},
-                    SweepCase{dc::Strategy::kWorkStealing, true},
-                    SweepCase{dc::Strategy::kSharedQueue, true}),
+                    SweepCase{dc::Strategy::kSharedQueue}),
     sweep_name);
