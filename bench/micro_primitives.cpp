@@ -120,12 +120,14 @@ void BM_ClaimCas(benchmark::State& state) {
 BENCHMARK(BM_ClaimCas);
 
 /// Fixed cost of one cycle that every worker joins: worker 0 holds the
-/// cycle open until all `threads` workers have entered it.
-void team_cycle_overhead(benchmark::State& state, bool woken) {
+/// cycle open until all `threads` workers have entered it. The helpers
+/// are parked when the cycle opens, so this is the dispatch cost every
+/// executor pays.
+void BM_TeamCycleOverhead_cold(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   std::atomic<unsigned> entered{0};
   unsigned cycles = 0;
-  core::Team team(threads, core::StartMode::kSpin, [&](unsigned w) {
+  core::Team team(threads, [&](unsigned w) {
     entered.fetch_add(1, std::memory_order_acq_rel);
     if (w != 0) return;
     const unsigned target = ++cycles * threads;
@@ -134,23 +136,10 @@ void team_cycle_overhead(benchmark::State& state, bool woken) {
     }
   });
   for (auto _ : state) {
-    if (woken) team.wake();
     team.run_cycle();
   }
 }
-
-/// cold: the helpers are parked when the cycle opens (the dispatch cost
-/// an executor pays without wake()).
-void BM_TeamCycleOverhead_cold(benchmark::State& state) {
-  team_cycle_overhead(state, false);
-}
 BENCHMARK(BM_TeamCycleOverhead_cold)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-/// woken: wake() first, as AudioEngine::run_cycle() does at APC entry.
-void BM_TeamCycleOverhead_woken(benchmark::State& state) {
-  team_cycle_overhead(state, true);
-}
-BENCHMARK(BM_TeamCycleOverhead_woken)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_GraphCycle67Nodes(benchmark::State& state) {
   // One full APC graph execution with no-op deck inputs, per strategy.

@@ -38,9 +38,11 @@ enum class QueueOrder {
 class CompiledGraph {
  public:
   /// Compiles `g`. Asserts that the graph is acyclic and every node has
-  /// a work function.
+  /// a work function. The nodes in `always_run` run their work in every
+  /// cycle (see always_runs()).
   explicit CompiledGraph(const TaskGraph& g,
-                         QueueOrder order = QueueOrder::kLevelized);
+                         QueueOrder order = QueueOrder::kLevelized,
+                         std::span<const NodeId> always_run = {});
 
   CompiledGraph(const CompiledGraph&) = delete;
   CompiledGraph& operator=(const CompiledGraph&) = delete;
@@ -75,22 +77,29 @@ class CompiledGraph {
     return section_idx_[n];
   }
 
+  /// Node `n` runs its work in every cycle: no mask, armed fault or
+  /// drain skips it (the engine's deck jobs, so every deck advances once
+  /// per cycle). Fixed at construction.
+  bool always_runs(NodeId n) const noexcept { return always_run_[n] != 0; }
+
   // ---- node execution (fault-tolerant path) ----
 
   /// Execute node `n` for this cycle: honours the skip mask (runs the
   /// bypass form instead, if any), the cancel flag (drains without
-  /// running work), and the armed fault plan; catches anything the work
-  /// function throws and records it as a cycle fault. Every executor
-  /// routes node execution through here, which is what makes all of
-  /// them exception-safe — no exception ever crosses executor
-  /// synchronization code, dependency counters keep resolving, waiters
-  /// keep waking, and the executor stays reusable.
+  /// running work), and the armed fault plan, none of which touch an
+  /// always_runs() node; catches anything the work function throws and
+  /// records it as a cycle fault. Every executor routes node execution
+  /// through here, which is what makes all of them exception-safe — no
+  /// exception ever crosses executor synchronization code, dependency
+  /// counters keep resolving, waiters keep waking, and the executor
+  /// stays reusable.
   void execute(NodeId n) noexcept;
 
   // ---- fault injection ----
 
-  /// Arm `plan`; faults fire deterministically per (seed, cycle, node).
-  /// Must not be called concurrently with an executing cycle.
+  /// Arm `plan`; faults fire deterministically per (seed, cycle, node),
+  /// on every node but the always_runs() ones. Must not be called
+  /// concurrently with an executing cycle.
   void arm_faults(const chaos::FaultPlan& plan);
   void disarm_faults() noexcept { faults_armed_ = false; }
   bool faults_armed() const noexcept { return faults_armed_; }
@@ -256,6 +265,7 @@ class CompiledGraph {
   std::uint32_t max_depth_ = 0;
   std::vector<std::string> section_labels_;
   std::vector<std::uint32_t> section_idx_;
+  std::vector<std::uint8_t> always_run_;
   std::unique_ptr<CycleState[]> cycle_;
 
   void record_fault(NodeId n, const char* what) noexcept;

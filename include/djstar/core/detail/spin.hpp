@@ -1,6 +1,6 @@
 // djstar/core/detail/spin.hpp
 // CPU pause primitive and the escalating spin-wait loop shared by the
-// worker loop's bounded waits and the team's woken helpers.
+// worker loop's bounded waits and the team's close of a cycle.
 #pragma once
 
 #include <atomic>
@@ -13,10 +13,8 @@ namespace djstar::core::detail {
 /// Hardware pauses between re-checks before a waiter escalates to yield.
 inline constexpr std::uint64_t kPauseIterations = 64;
 /// Yields before a waiter escalates to 1 us sleeps. At ~0.34 us per
-/// yield (4-vCPU Xeon VM) the pause+yield budget is ~1.4 ms: the time a
-/// woken team's helpers spin on the next cycle before they park again.
-/// Only a wait inside a cycle (an oversubscribed team) reaches the sleep
-/// tier.
+/// yield (4-vCPU Xeon VM) the pause+yield budget is ~1.4 ms, so only an
+/// oversubscribed team's waits inside a cycle reach the sleep tier.
 inline constexpr std::uint64_t kYieldsBeforeSleep = 4096;
 
 /// One architectural pause/yield hint inside a spin loop.
@@ -35,24 +33,17 @@ inline void cpu_pause() noexcept {
 /// yields. Reset after the awaited condition holds.
 class SpinWaiter {
  public:
-  /// One pause or yield; false, without waiting, once the pause+yield
-  /// budget is spent (a caller that must not sleep blocks instead).
-  bool spin() noexcept {
-    if (count_ >= kPauseIterations + kYieldsBeforeSleep) return false;
+  /// One wait step: a pause, a yield, or a 1 us sleep once the
+  /// pause+yield budget is spent. Call in a loop around the condition
+  /// re-check.
+  void step() noexcept {
     if (count_ < kPauseIterations) {
       cpu_pause();
-    } else {
+    } else if (count_ < kPauseIterations + kYieldsBeforeSleep) {
       std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(1));
     }
-    ++count_;
-    return true;
-  }
-
-  /// One wait step: spin(), then 1 us sleeps once its budget is spent.
-  /// Call in a loop around the condition re-check.
-  void step() noexcept {
-    if (spin()) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(1));
     ++count_;
   }
 

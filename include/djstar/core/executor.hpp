@@ -114,13 +114,10 @@ class Executor {
  public:
   virtual ~Executor() = default;
 
-  /// Execute one audio processing cycle of the bound graph.
+  /// Execute one audio processing cycle of the bound graph. A team's
+  /// parked helpers wake at this dispatch and join while the cycle is
+  /// open; the caller, worker 0, starts at once.
   virtual void run_cycle() = 0;
-
-  /// A cycle is coming: lets a spin-start team's parked helpers spin on
-  /// it (Team::wake()), so their wake overlaps the caller's work before
-  /// run_cycle(). A no-op for every other executor.
-  virtual void wake() noexcept {}
 
   /// Strategy name: "sequential", "busy", "sleep", "ws" or "shared"
   /// (to_string() of the configuration's Strategy).

@@ -55,7 +55,6 @@ class LoopExecutor final : public Executor {
   ~LoopExecutor() override;
 
   void run_cycle() override;
-  void wake() noexcept override;
   std::string_view name() const noexcept override { return to_string(S); }
   unsigned threads() const noexcept override { return opts_.threads; }
   const Team* team() const noexcept override {

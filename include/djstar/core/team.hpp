@@ -12,10 +12,10 @@
 // matching the paper's "thread count" axis in Table I; how many of them
 // a cycle gets depends on who is awake (DESIGN.md §5).
 //
-// wake() tells a spin-start team that a cycle is coming: its parked
-// helpers spin on the next cycle for SpinWaiter's pause+yield budget and
-// then park again. The engine calls it at APC entry, so the wake
-// overlaps TP+GP instead of the graph.
+// The dispatch is the only wake: opening a cycle notifies the parked
+// helpers. The engine dispatches at APC entry with its decks' TP and GP
+// as graph nodes (engine/djstar_graph.hpp), so worker 0 starts on them
+// while the helpers wake (DESIGN.md §5).
 //
 // Two ownership modes:
 //  - owned body: the classic executor shape — one WorkerFn bound at
@@ -63,14 +63,6 @@
 
 namespace djstar::core {
 
-/// When a parked helper wakes for the next cycle. Every helper parks
-/// between cycles; the modes differ in what wake() does.
-enum class StartMode {
-  kSpin,     ///< at wake(): spin on the next cycle for SpinWaiter's
-             ///< pause+yield budget, then park again (busy)
-  kCondvar,  ///< at dispatch; wake() does nothing (sleep, shared, ws)
-};
-
 /// Fixed team of joining threads executing one callback per cycle.
 class Team {
  public:
@@ -78,13 +70,12 @@ class Team {
   using WorkerFn = std::function<void(unsigned worker)>;
 
   /// Spawns `threads - 1` OS threads (thread 0 is the caller).
-  Team(unsigned threads, StartMode mode, WorkerFn fn,
-       TeamHealConfig heal = {});
+  Team(unsigned threads, WorkerFn fn, TeamHealConfig heal = {});
 
   /// External-submission team: no owned body; every cycle's body is
   /// passed to run_cycle(fn). Used by serve::EngineHost to share one
   /// worker pool between many hosted executors.
-  Team(unsigned threads, StartMode mode, TeamHealConfig heal = {});
+  explicit Team(unsigned threads, TeamHealConfig heal = {});
 
   /// Requests stop and joins all workers.
   ~Team();
@@ -102,11 +93,6 @@ class Team {
   /// joined worker has finished). Callable in either mode; the owned
   /// body, if any, is restored afterwards.
   void run_cycle(const WorkerFn& fn);
-
-  /// A cycle is coming: lift a spin-start team's parked helpers into a
-  /// bounded spin on it. No-op for condvar-start teams. Callable by the
-  /// run_cycle() thread between cycles.
-  void wake() noexcept;
 
   unsigned threads() const noexcept { return threads_; }
 
@@ -153,7 +139,7 @@ class Team {
 
  private:
   void thread_main(unsigned id, std::uint64_t seen);
-  bool await_cycle(std::uint64_t seen, std::uint64_t& wakes);
+  bool await_cycle(std::uint64_t seen);
   bool join(std::uint64_t gen) noexcept;
   std::uint64_t generation() const noexcept;
   void run_body(unsigned id) noexcept;
@@ -169,7 +155,6 @@ class Team {
   void await_retirements();
 
   unsigned threads_;
-  StartMode mode_;
   WorkerFn fn_;
   // Body for the cycle in flight: &fn_ (owned mode) or the caller's
   // submitted body. Written by the dispatching thread before the roster
@@ -181,7 +166,6 @@ class Team {
   // of helpers that joined (team.cpp).
   alignas(64) std::atomic<std::uint64_t> roster_{0};
   alignas(64) std::atomic<unsigned> done_{0};  // joined helpers finished
-  std::atomic<std::uint64_t> wakes_{0};        // wake() calls
   std::atomic<unsigned> parked_{0};            // helpers inside the park
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> body_errors_{0};

@@ -15,10 +15,16 @@ namespace djstar::engine {
 
 /// Phase timings of one audio processing cycle, in microseconds.
 /// T(APC) = T(TP) + T(GP) + T(Graph) + T(VC)   (paper §VI).
+///
+/// The engine runs TP and GP as four deck jobs inside the graph's
+/// dispatch and splits its wall time back into three parts: TP is the
+/// union of the jobs' TP intervals, GP the union of their GP intervals
+/// outside it, and Graph the rest. The parts add up to the APC, and on
+/// one thread they are the paper's sequential phases.
 struct CycleBreakdown {
   double tp_us = 0;     ///< timecode processing
   double gp_us = 0;     ///< graph preprocessing (time stretch, buffers)
-  double graph_us = 0;  ///< task graph execution
+  double graph_us = 0;  ///< task graph execution, the deck jobs excluded
   double vc_us = 0;     ///< various calculations (tempo, accounting)
 
   double total_us() const noexcept {

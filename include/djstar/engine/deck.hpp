@@ -1,13 +1,17 @@
 // djstar/engine/deck.hpp
 // One playback deck: track + timecode control + preprocessing.
 //
-// The deck implements the two APC phases that run *outside* the task
-// graph (paper §VI: T(APC) = T(TP) + T(GP) + T(Graph) + T(VC)):
+// The deck implements the two APC phases that the paper ran before and
+// outside its task graph (paper §VI: T(APC) = T(TP) + T(GP) + T(Graph) +
+// T(VC)):
 //  * TP — render the virtual turntable's timecode signal and decode it
 //    back into pitch/position (what the real app does with the sound
 //    card's input channels);
 //  * GP — pull track audio at the decoded pitch and time-stretch it
 //    (keylock) into the buffer the deck's sample players consume.
+// The engine runs each deck's TP then GP as one node of its graph, the
+// deck's job (engine/djstar_graph.hpp), so the four decks run in
+// parallel on the team. A deck touches only its own state.
 #pragma once
 
 #include <array>

@@ -26,18 +26,34 @@
 // Totals: 67 nodes, of which 33 are sources (16 SP + 16 UTIL + SAMPLER) —
 // matching the paper's simulated max concurrency of 33 — and the longest
 // path runs SP -> FX*4 -> CH -> MIXER -> MASTER -> AUDIO_OUT.
+//
+// Built with the engine's decks, the graph also carries one job per deck
+// after the paper's 67 nodes (section deckX, ids 67..70):
+//   DECK_X         TP + GP of deck X (Deck::process_timecode, preprocess)
+//                  -> SP_X1..SP_X4
+// so the team runs the four decks' TP and GP in parallel, in the same
+// generation as the graph (71 nodes, 21 sources). The paper ran TP and
+// GP as sequential phases outside its graph; the 67-node graph without
+// decks stays its model (simulator, Fig. 4, Table I, Fig. 12).
 #pragma once
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "djstar/core/access_check.hpp"
 #include "djstar/core/graph.hpp"
 #include "djstar/engine/nodes.hpp"
+#include "djstar/support/time.hpp"
 
 namespace djstar::engine {
+
+class Deck;  // engine/deck.hpp
+
+/// Nodes of the paper's graph (ids 0..66); deck jobs follow them.
+inline constexpr std::size_t kPaperNodes = 67;
 
 /// Role of a node in the canonical graph (drives the reference-duration
 /// table and the benches' reporting).
@@ -59,11 +75,13 @@ enum class NodeKind {
   kMasterMeter,
   kAnalyzer,
   kBeatgrid,
+  kDeckJob,  ///< one deck's TP + GP (not a node of the paper's graph)
 };
 
 /// Paper-scale mean duration (microseconds) for a node kind, calibrated
 /// so that total work ~= 1.08 ms and the critical path ~= 0.29 ms
-/// (Table I sequential row / §IV simulation; see EXPERIMENTS.md).
+/// (Table I sequential row / §IV simulation; see EXPERIMENTS.md). 0 for
+/// a deck job: the paper's model has no TP or GP node.
 double reference_duration_us(NodeKind kind) noexcept;
 
 /// How a node may be shed under load (the supervisor's kBypassFx rung).
@@ -73,16 +91,23 @@ enum class DegradeTier : std::uint8_t {
   kSinkSkip,   ///< GUI/accounting sink: safe to skip entirely
 };
 
+/// When one deck job ran its two phases in the last cycle: TP from
+/// tp_begin to gp_begin, GP from gp_begin to gp_end.
+struct DeckJobTimes {
+  support::Clock::time_point tp_begin, gp_begin, gp_end;
+};
+
 /// The built graph plus everything it references. Move-only; node
 /// processors live behind stable unique_ptr addresses because the work
 /// lambdas capture raw pointers to them.
 class DjStarGraph {
  public:
-  /// Builds the 67-node graph. `deck_inputs[i]` is the preprocessed
-  /// input buffer of deck i (from Deck::input()); pass nullptr to use an
-  /// internal silent buffer (handy for scheduling-only experiments).
-  explicit DjStarGraph(std::array<const audio::AudioBuffer*, 4> deck_inputs =
-                           {nullptr, nullptr, nullptr, nullptr});
+  /// Builds the graph over the engine's four decks: the sample players
+  /// read each deck's input(), and deck job DECK_X fills it (71 nodes).
+  /// Without decks (all nullptr) the sample players read internal silent
+  /// buffers and the graph is the paper's 67 nodes, for scheduling-only
+  /// experiments.
+  explicit DjStarGraph(std::array<Deck*, 4> decks = {});
 
   DjStarGraph(DjStarGraph&&) = default;
 
@@ -135,11 +160,22 @@ class DjStarGraph {
 
   core::NodeId audio_out_node() const noexcept { return audio_out_id_; }
 
+  /// Ids of the deck jobs, DECK_A..DECK_D (empty without decks).
+  std::span<const core::NodeId> deck_jobs() const noexcept {
+    return deck_jobs_;
+  }
+  /// Phase times of deck job `d` in the last cycle it ran.
+  const DeckJobTimes& deck_job_times(unsigned d) const noexcept {
+    return job_times_[d].t;
+  }
+
   /// Declared buffer accesses of every node, for static race checking
   /// (core::AccessRegistry::check must return no hazards — tested).
   const core::AccessRegistry& accesses() const noexcept { return registry_; }
 
  private:
+  void add_deck_jobs(const std::array<Deck*, 4>& decks,
+                     const std::array<std::array<core::NodeId, 4>, 4>& sp_ids);
   void declare_accesses(
       const std::array<const audio::AudioBuffer*, 4>& deck_inputs);
 
@@ -168,6 +204,14 @@ class DjStarGraph {
   std::unique_ptr<MeterNode> master_meter_;
   std::unique_ptr<AnalyzerNode> analyzer_;
   std::unique_ptr<UtilityNode> beatgrid_;
+
+  // Written by the deck jobs on worker threads, read between cycles; one
+  // cache line each.
+  struct alignas(64) JobTimesSlot {
+    DeckJobTimes t;
+  };
+  std::unique_ptr<JobTimesSlot[]> job_times_;
+  std::vector<core::NodeId> deck_jobs_;
 
   core::NodeId audio_out_id_ = core::kInvalidNode;
 };

@@ -1,7 +1,9 @@
 // djstar/engine/engine.hpp
 // The Audio Engine facade (paper Fig. 2): four decks, the 67-node task
-// graph, a pluggable scheduling strategy, and the APC driver that times
-// every phase against the 2.9 ms deadline.
+// graph plus one job per deck that runs its TP and GP, a pluggable
+// scheduling strategy, and the APC driver that times every phase against
+// the 2.9 ms deadline. One team dispatch per APC runs the deck jobs and
+// the graph together.
 #pragma once
 
 #include <array>
@@ -72,7 +74,9 @@ class AudioEngine {
   explicit AudioEngine(EngineConfig cfg = {});
 
   /// Execute one full audio processing cycle and return its phase
-  /// timings (also recorded into monitor()).
+  /// timings (also recorded into monitor()). The dispatch at entry wakes
+  /// the parked team, and the deck jobs are its first work; TP and GP
+  /// are the time they held the cycle up (deadline.hpp).
   CycleBreakdown run_cycle();
 
   /// Convenience: run `n` cycles back to back.
@@ -167,7 +171,8 @@ class AudioEngine {
 
   /// Measure mean per-node execution times over `cycles` sequential
   /// graph runs (the paper's "average vertex computation time using 10k
-  /// APC executions"). Returns microseconds per node id.
+  /// APC executions"). Returns microseconds per node id of the paper's
+  /// 67 nodes; the deck jobs run untimed, as the TP and GP phases did.
   std::vector<double> measure_node_durations(std::size_t cycles);
 
   /// Current master tempo estimate (VC phase output).
@@ -181,7 +186,7 @@ class AudioEngine {
   void rebuild_executor();
   void apply_degradation(DegradationLevel target);
   void phase_tp(CycleBreakdown& c);
-  void phase_gp(CycleBreakdown& c);
+  void split_phases(support::Clock::time_point t0, CycleBreakdown& c) const;
   void phase_vc(CycleBreakdown& c);
   void apply_pending_poison() noexcept;
   void finish_cycle_telemetry(const CycleBreakdown& c, unsigned level,

@@ -10,7 +10,8 @@
 
 namespace djstar::core {
 
-CompiledGraph::CompiledGraph(const TaskGraph& g, QueueOrder order_mode) {
+CompiledGraph::CompiledGraph(const TaskGraph& g, QueueOrder order_mode,
+                             std::span<const NodeId> always_run) {
   const std::size_t n = g.node_count();
   DJSTAR_ASSERT_MSG(n > 0, "cannot compile an empty graph");
   DJSTAR_ASSERT_MSG(g.is_acyclic(), "task graph must be acyclic");
@@ -59,6 +60,12 @@ CompiledGraph::CompiledGraph(const TaskGraph& g, QueueOrder order_mode) {
     ++source_count_;
   }
 
+  always_run_.assign(n, 0);
+  for (NodeId a : always_run) {
+    DJSTAR_ASSERT_MSG(a < n, "always-run node out of range");
+    always_run_[a] = 1;
+  }
+
   cycle_ = std::make_unique<CycleState[]>(n);
   masked_.assign(n, 0);
   bypass_.resize(n);
@@ -93,6 +100,9 @@ void CompiledGraph::arm_faults(const chaos::FaultPlan& plan) {
     for (NodeId t : plan.targets) {
       if (t < node_count()) fault_eligible_[t] = 1;
     }
+  }
+  for (NodeId i = 0; i < node_count(); ++i) {
+    if (always_run_[i]) fault_eligible_[i] = 0;
   }
   faults_armed_ = plan.any();
   worker_faults_possible_ = plan.any_worker();
@@ -133,7 +143,8 @@ void CompiledGraph::record_fault(NodeId n, const char* what) noexcept {
 }
 
 void CompiledGraph::execute(NodeId n) noexcept {
-  if (abort_cycle_.load(std::memory_order_acquire)) {
+  const bool conditional = always_run_[n] == 0;
+  if (conditional && abort_cycle_.load(std::memory_order_acquire)) {
     // Failed/cancelled cycle: drain. Dependencies still resolve in the
     // caller, so every executor's protocol completes without running
     // the remaining work.
@@ -141,7 +152,7 @@ void CompiledGraph::execute(NodeId n) noexcept {
     return;
   }
 
-  if (masked_[n]) {
+  if (conditional && masked_[n]) {
     skipped_.fetch_add(1, std::memory_order_relaxed);
     if (bypass_[n]) {
       bypassed_.fetch_add(1, std::memory_order_relaxed);

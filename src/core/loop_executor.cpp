@@ -121,7 +121,6 @@ bool stranded(CompiledGraph& g, NodeId n) noexcept {
 
 /// busy: spin on the node's dependency counter.
 struct SpinWait {
-  static constexpr StartMode kStart = StartMode::kSpin;
   explicit SpinWait(unsigned) {}
 
   void bounded(CompiledGraph& g, NodeId n, unsigned, SpinWaiter& waiter,
@@ -145,7 +144,6 @@ struct SpinWait {
 /// worker (paper Fig. 6).
 class ParkWait {
  public:
-  static constexpr StartMode kStart = StartMode::kCondvar;
   explicit ParkWait(unsigned threads)
       : slots_(std::make_unique<Slot[]>(threads)) {}
 
@@ -205,7 +203,6 @@ class ParkWait {
 template <class Wait>
 class Lanes {
  public:
-  static constexpr StartMode kStart = Wait::kStart;
   struct Cursor {
     std::size_t k;
     SpinWaiter waiter;  // escalation of the wait for order[k]
@@ -269,7 +266,6 @@ class Lanes {
 /// node_count + 1 slots never overflow.
 class Ring {
  public:
-  static constexpr StartMode kStart = StartMode::kCondvar;
   struct Cursor {};
 
   Ring(CompiledGraph& g, unsigned, const WorkStealingOptions&)
@@ -346,7 +342,6 @@ class Ring {
 /// remain).
 class Deques {
  public:
-  static constexpr StartMode kStart = StartMode::kCondvar;
   struct Cursor {
     std::uint32_t failed_rounds = 0;
   };
@@ -563,9 +558,8 @@ LoopExecutor<S>::LoopExecutor(CompiledGraph& graph, ExecOptions opts,
   }
   src_ = std::make_unique<ReadySource<S>>(graph, opts_.threads, ws);
   if constexpr (S != Strategy::kSequential) {
-    team_ = std::make_unique<Team>(opts_.threads, ReadySource<S>::kStart,
-                                   [this](unsigned w) { body(w); },
-                                   opts_.heal);
+    team_ = std::make_unique<Team>(
+        opts_.threads, [this](unsigned w) { body(w); }, opts_.heal);
   }
 }
 
@@ -600,15 +594,6 @@ void LoopExecutor<S>::run_cycle() {
     team_->run_cycle();
   } else {
     body(0);
-  }
-}
-
-template <Strategy S>
-void LoopExecutor<S>::wake() noexcept {
-  if (shared_ != nullptr) {
-    shared_->wake();
-  } else if (team_ != nullptr) {
-    team_->wake();
   }
 }
 

@@ -40,15 +40,15 @@ static_assert(kMaxThreads - 1 <= kCountMask,
 
 }  // namespace
 
-Team::Team(unsigned threads, StartMode mode, WorkerFn fn, TeamHealConfig heal)
-    : threads_(threads), mode_(mode), fn_(std::move(fn)), heal_(heal) {
+Team::Team(unsigned threads, WorkerFn fn, TeamHealConfig heal)
+    : threads_(threads), fn_(std::move(fn)), heal_(heal) {
   DJSTAR_ASSERT_MSG(static_cast<bool>(fn_), "team needs a worker body");
   active_ = &fn_;
   spawn_workers();
 }
 
-Team::Team(unsigned threads, StartMode mode, TeamHealConfig heal)
-    : threads_(threads), mode_(mode), heal_(heal) {
+Team::Team(unsigned threads, TeamHealConfig heal)
+    : threads_(threads), heal_(heal) {
   spawn_workers();
 }
 
@@ -128,41 +128,14 @@ bool Team::full() const noexcept {
          (!healing() || health_.dead() == 0);
 }
 
-void Team::wake() noexcept {
-  if (mode_ != StartMode::kSpin || threads_ == 1) return;
-  wakes_.fetch_add(1, std::memory_order_seq_cst);
-  // A helper counts itself parked before it re-checks wakes_ under the
-  // mutex (both seq_cst), so either it sees this wake or we see it here.
-  if (parked_.load(std::memory_order_seq_cst) == 0) return;
-  {
-    const std::lock_guard<std::mutex> lk(park_mutex_);
-  }
-  park_cv_.notify_all();
-}
-
-bool Team::await_cycle(std::uint64_t seen, std::uint64_t& wakes) {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(park_mutex_);
-      parked_.fetch_add(1, std::memory_order_seq_cst);
-      park_cv_.wait(lk, [&] {
-        return generation() != seen ||
-               stop_.load(std::memory_order_seq_cst) ||
-               wakes_.load(std::memory_order_seq_cst) != wakes;
-      });
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    if (stop_.load(std::memory_order_acquire)) return false;
-    if (generation() != seen) return true;
-    // Woken early by wake(): spin on the generation for the pause+yield
-    // budget, then park again.
-    wakes = wakes_.load(std::memory_order_relaxed);
-    detail::SpinWaiter waiter;
-    while (waiter.spin()) {
-      if (generation() != seen) return true;
-      if (stop_.load(std::memory_order_acquire)) return false;
-    }
-  }
+bool Team::await_cycle(std::uint64_t seen) {
+  std::unique_lock<std::mutex> lk(park_mutex_);
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  park_cv_.wait(lk, [&] {
+    return generation() != seen || stop_.load(std::memory_order_seq_cst);
+  });
+  parked_.fetch_sub(1, std::memory_order_relaxed);
+  return !stop_.load(std::memory_order_acquire);
 }
 
 bool Team::join(std::uint64_t gen) noexcept {
@@ -193,9 +166,8 @@ void Team::thread_main(unsigned id, std::uint64_t seen) {
   seats_[id].tid.store(current_tid(), std::memory_order_relaxed);
   const bool heal = healing();
   if (heal) HealthBoard::bind(&health_, id, &stop_);
-  std::uint64_t wakes = wakes_.load(std::memory_order_relaxed);
   for (;;) {
-    if (!await_cycle(seen, wakes)) return;
+    if (!await_cycle(seen)) return;
     seen = generation();
     chaos::maybe_perturb(chaos::Site::kCycleStart);
     if (!join(seen)) continue;  // closed before we came: park again

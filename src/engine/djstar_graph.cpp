@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "djstar/engine/deck.hpp"
 #include "djstar/support/assert.hpp"
 
 namespace djstar::engine {
@@ -29,6 +30,7 @@ double reference_duration_us(NodeKind kind) noexcept {
     case NodeKind::kMasterMeter: return 2.0;
     case NodeKind::kAnalyzer: return 3.0;
     case NodeKind::kBeatgrid: return 2.0;
+    case NodeKind::kDeckJob: return 0.0;
   }
   return 1.0;
 }
@@ -52,12 +54,17 @@ constexpr const char* kDeckNames[4] = {"A", "B", "C", "D"};
 
 }  // namespace
 
-DjStarGraph::DjStarGraph(
-    std::array<const audio::AudioBuffer*, 4> deck_inputs) {
+DjStarGraph::DjStarGraph(std::array<Deck*, 4> decks) {
   using core::NodeId;
 
+  const bool with_decks = decks[0] != nullptr;
+  std::array<const audio::AudioBuffer*, 4> deck_inputs{};
   for (unsigned d = 0; d < 4; ++d) {
-    if (deck_inputs[d] == nullptr) {
+    DJSTAR_ASSERT_MSG((decks[d] != nullptr) == with_decks,
+                      "pass all four decks or none");
+    if (with_decks) {
+      deck_inputs[d] = &decks[d]->input();
+    } else {
       silent_[d] = std::make_unique<audio::AudioBuffer>(2, audio::kBlockSize);
       deck_inputs[d] = silent_[d].get();
     }
@@ -72,20 +79,21 @@ DjStarGraph::DjStarGraph(
 
   std::array<NodeId, 4> ch_ids{};
   std::array<const audio::AudioBuffer*, 4> ch_bufs{};
+  std::array<std::array<NodeId, 4>, 4> sp_ids{};  // per deck
 
   for (unsigned d = 0; d < 4; ++d) {
     const std::string deck = std::string("deck") + kDeckNames[d];
 
     // Sample players (sources).
-    std::array<NodeId, 4> sp_ids{};
     std::array<const audio::AudioBuffer*, 4> sp_bufs{};
     for (unsigned s = 0; s < 4; ++s) {
       players_.push_back(
           std::make_unique<SamplePlayerNode>(deck_inputs[d], s));
       SamplePlayerNode* p = players_.back().get();
       sp_bufs[s] = &p->output();
-      sp_ids[s] = add("SP_" + std::string(kDeckNames[d]) + std::to_string(s + 1),
-                      NodeKind::kSamplePlayer, deck, [p] { p->process(); });
+      sp_ids[d][s] = add(
+          "SP_" + std::string(kDeckNames[d]) + std::to_string(s + 1),
+          NodeKind::kSamplePlayer, deck, [p] { p->process(); });
     }
 
     // Control utilities (sources, no audio).
@@ -114,7 +122,7 @@ DjStarGraph::DjStarGraph(
           "FX_" + std::string(kDeckNames[d]) + std::to_string(f + 1), fx_kind,
           deck, [e] { e->process(); });
       if (f == 0) {
-        for (NodeId sp : sp_ids) graph_.add_edge(sp, fx);
+        for (NodeId sp : sp_ids[d]) graph_.add_edge(sp, fx);
       } else {
         graph_.add_edge(prev, fx);
       }
@@ -219,10 +227,11 @@ DjStarGraph::DjStarGraph(
       add("BEATGRID", NodeKind::kBeatgrid, master_sec, [bg] { bg->process(); });
   graph_.add_edge(mixer_id, bg_id);
 
-  DJSTAR_ASSERT_MSG(graph_.node_count() == 67,
+  DJSTAR_ASSERT_MSG(graph_.node_count() == kPaperNodes,
                     "canonical DJ Star graph must have 67 nodes");
   DJSTAR_ASSERT_MSG(graph_.source_nodes().size() == 33,
                     "canonical DJ Star graph must have 33 source nodes");
+  if (with_decks) add_deck_jobs(decks, sp_ids);
 
   // Degradation tiers: deck effects can run in bypass (audio still
   // flows), GUI/accounting sinks can be skipped outright, everything on
@@ -253,6 +262,29 @@ DjStarGraph::DjStarGraph(
   declare_accesses(deck_inputs);
 }
 
+void DjStarGraph::add_deck_jobs(
+    const std::array<Deck*, 4>& decks,
+    const std::array<std::array<core::NodeId, 4>, 4>& sp_ids) {
+  job_times_ = std::make_unique<JobTimesSlot[]>(4);
+  for (unsigned d = 0; d < 4; ++d) {
+    Deck* dk = decks[d];
+    DeckJobTimes* t = &job_times_[d].t;
+    const core::NodeId job = graph_.add_node(
+        "DECK_" + std::string(kDeckNames[d]),
+        [dk, t] {
+          t->tp_begin = support::now();
+          dk->process_timecode();
+          t->gp_begin = support::now();
+          dk->preprocess();
+          t->gp_end = support::now();
+        },
+        std::string("deck") + kDeckNames[d]);
+    kinds_.push_back(NodeKind::kDeckJob);
+    deck_jobs_.push_back(job);
+    for (core::NodeId sp : sp_ids[d]) graph_.add_edge(job, sp);
+  }
+}
+
 core::WorkFn DjStarGraph::bypass_work(core::NodeId n) const {
   EffectNode* e = node_effect_[n];
   if (e == nullptr) return {};
@@ -273,7 +305,7 @@ void DjStarGraph::declare_accesses(
     const std::array<const audio::AudioBuffer*, 4>& deck_inputs) {
   // Walk the nodes in id (=creation) order and declare each one's buffer
   // reads/writes so AccessRegistry::check can prove the graph race-free.
-  std::size_t sp_i = 0, fx_i = 0, ch_i = 0, meter_i = 0;
+  std::size_t sp_i = 0, fx_i = 0, ch_i = 0, meter_i = 0, job_i = 0;
   for (core::NodeId n = 0; n < graph_.node_count(); ++n) {
     switch (kinds_[n]) {
       case NodeKind::kSamplePlayer: {
@@ -352,6 +384,9 @@ void DjStarGraph::declare_accesses(
         break;
       case NodeKind::kAnalyzer:
         registry_.declare_read(n, &mixer_->output());
+        break;
+      case NodeKind::kDeckJob:
+        registry_.declare_write(n, deck_inputs[job_i++]);
         break;
     }
   }

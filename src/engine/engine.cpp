@@ -1,9 +1,11 @@
 #include "djstar/engine/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "djstar/core/team.hpp"
 #include "djstar/core/thread_count.hpp"
@@ -27,10 +29,31 @@ std::array<std::unique_ptr<Deck>, 4> make_decks(const EngineConfig& cfg) {
   return decks;
 }
 
-std::array<const audio::AudioBuffer*, 4> deck_inputs(
+std::array<Deck*, 4> deck_ptrs(
     const std::array<std::unique_ptr<Deck>, 4>& decks) {
-  return {&decks[0]->input(), &decks[1]->input(), &decks[2]->input(),
-          &decks[3]->input()};
+  return {decks[0].get(), decks[1].get(), decks[2].get(), decks[3].get()};
+}
+
+using Interval = std::pair<support::Clock::time_point,
+                           support::Clock::time_point>;
+
+/// Length of the union of four intervals.
+support::Clock::duration union_length(std::array<Interval, 4> iv) {
+  std::sort(iv.begin(), iv.end());
+  support::Clock::duration len{0};
+  auto [begin, end] = iv[0];
+  for (std::size_t i = 1; i < iv.size(); ++i) {
+    if (iv[i].first > end) {
+      len += end - begin;
+      begin = iv[i].first;
+    }
+    end = std::max(end, iv[i].second);
+  }
+  return len + (end - begin);
+}
+
+double to_us(support::Clock::duration d) {
+  return std::chrono::duration<double, std::micro>(d).count();
 }
 
 }  // namespace
@@ -58,13 +81,17 @@ void apply_env_overrides(core::TeamHealConfig& heal, ProfilerConfig& profiler,
 AudioEngine::AudioEngine(EngineConfig cfg)
     : cfg_(cfg),
       decks_(make_decks(cfg)),
-      graph_nodes_(deck_inputs(decks_)),
+      graph_nodes_(deck_ptrs(decks_)),
       monitor_(cfg.deadline_us, cfg.keep_samples) {
   // DJSTAR_THREADS overrides, 0 = auto; blank or garbage throws.
   cfg_.threads = core::resolve_thread_count(cfg_.threads);
   apply_env_overrides(cfg_.heal, cfg_.profiler, cfg_.slo);
 
-  compiled_ = std::make_unique<core::CompiledGraph>(graph_nodes_.graph());
+  // The deck jobs advance their decks in every cycle: no mask, fault or
+  // drain skips them (DESIGN.md §8).
+  compiled_ = std::make_unique<core::CompiledGraph>(
+      graph_nodes_.graph(), core::QueueOrder::kLevelized,
+      graph_nodes_.deck_jobs());
 
   // Register the bypass forms once; masking toggles them per level.
   for (core::NodeId n = 0; n < compiled_->node_count(); ++n) {
@@ -305,15 +332,29 @@ void AudioEngine::enable_supervision(const SupervisorConfig& scfg) {
 }
 
 void AudioEngine::phase_tp(CycleBreakdown& c) {
-  // TP: decode the external control signals (paper: 16% of the APC).
+  // Safe mode's TP alone: decode the external control signals on the
+  // caller (paper: 16% of the APC).
   support::ScopedTimer t(c.tp_us);
   for (auto& d : decks_) d->process_timecode();
 }
 
-void AudioEngine::phase_gp(CycleBreakdown& c) {
-  // GP: time stretching, phase alignment, buffer overhead (33%).
-  support::ScopedTimer t(c.gp_us);
-  for (auto& d : decks_) d->preprocess();
+void AudioEngine::split_phases(support::Clock::time_point t0,
+                               CycleBreakdown& c) const {
+  // The dispatch since t0 ran the deck jobs' TP (paper: 16% of the APC)
+  // and GP (time stretching, 33%) and the graph (38%); split its wall
+  // time as CycleBreakdown defines the three (deadline.hpp).
+  const auto wall = support::now() - t0;
+  std::array<Interval, 4> tp{}, job{};
+  for (unsigned d = 0; d < 4; ++d) {
+    const DeckJobTimes& t = graph_nodes_.deck_job_times(d);
+    tp[d] = {t.tp_begin, t.gp_begin};
+    job[d] = {t.tp_begin, t.gp_end};
+  }
+  const auto tp_len = union_length(tp);
+  const auto job_len = union_length(job);
+  c.tp_us = to_us(tp_len);
+  c.gp_us = to_us(job_len - tp_len);
+  c.graph_us = to_us(wall - job_len);
 }
 
 void AudioEngine::phase_vc(CycleBreakdown& c) {
@@ -359,17 +400,13 @@ void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
 }
 
 CycleBreakdown AudioEngine::run_cycle() {
-  // A busy team's parked helpers wake during TP+GP, not in the graph.
-  executor_->wake();
   flight_.begin_cycle();
   CycleBreakdown c;
-  phase_tp(c);
-  phase_gp(c);
-  {
-    // Graph: the task graph under the selected strategy (38%).
-    support::ScopedTimer t(c.graph_us);
-    executor_->run_cycle();
-  }
+  // One dispatch runs the deck jobs (TP, GP) and the graph, and wakes
+  // the parked team.
+  const auto t0 = support::now();
+  executor_->run_cycle();
+  split_phases(t0, c);
   poll_heal();
   apply_pending_poison();
   phase_vc(c);
@@ -415,7 +452,8 @@ CycleBreakdown AudioEngine::run_cycle_supervised() {
   CycleBreakdown c;
   if (applied_level_ == DegradationLevel::kSafeMode) {
     // Keep decoding the control signals (so recovery resumes in sync)
-    // but skip GP/Graph/VC; the supervisor feeds the sound card.
+    // but skip GP/Graph/VC and the team; the supervisor feeds the sound
+    // card.
     phase_tp(c);
     supervisor_->supervise_safe_mode_cycle(c);
     const bool missed = monitor_.add(c, level);
@@ -429,15 +467,11 @@ CycleBreakdown AudioEngine::run_cycle_supervised() {
       applied_level_ >= DegradationLevel::kSequentialFallback
           ? fallback_exec_.get()
           : executor_.get();
-  exec->wake();
-  phase_tp(c);
-  phase_gp(c);
-  {
-    support::ScopedTimer t(c.graph_us);
-    supervisor_->watchdog_arm();
-    exec->run_cycle();
-    supervisor_->watchdog_disarm();
-  }
+  const auto t0 = support::now();
+  supervisor_->watchdog_arm();
+  exec->run_cycle();
+  supervisor_->watchdog_disarm();
+  split_phases(t0, c);
   poll_heal();
   apply_pending_poison();
   phase_vc(c);
@@ -460,11 +494,12 @@ void AudioEngine::run_cycles(std::size_t n) {
 
 std::vector<double> AudioEngine::measure_node_durations(std::size_t cycles) {
   const auto order = compiled_->order();
-  std::vector<double> sum(compiled_->node_count(), 0.0);
+  std::vector<double> sum(kPaperNodes, 0.0);
   for (std::size_t it = 0; it < cycles; ++it) {
-    for (auto& d : decks_) d->process_timecode();
-    for (auto& d : decks_) d->preprocess();
+    // The deck jobs run first and untimed, as the TP and GP phases did.
+    for (core::NodeId j : graph_nodes_.deck_jobs()) compiled_->work(j)();
     for (core::NodeId n : order) {
+      if (n >= kPaperNodes) continue;
       const auto t0 = support::now();
       compiled_->work(n)();
       sum[n] += support::since_us(t0);

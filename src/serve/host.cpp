@@ -57,7 +57,7 @@ void append_json_escaped(std::string& out, std::string_view s) {
 EngineHost::EngineHost(HostConfig cfg)
     : cfg_(with_env_overrides(std::move(cfg))),
       threads_(core::resolve_thread_count(cfg_.threads)),
-      team_(threads_, core::StartMode::kCondvar, cfg_.heal),
+      team_(threads_, cfg_.heal),
       admission_(cfg_.admission),
       m_ticks_(registry_.counter("djstar_fleet_ticks_total",
                                  "Fleet ticks executed")),

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 #include "djstar/core/busy_wait.hpp"
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/factory.hpp"
 #include "djstar/core/sleep.hpp"
+#include "djstar/core/team.hpp"
 #include "djstar/support/time.hpp"
 
 namespace dc = djstar::core;
@@ -100,9 +102,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(StrategyStats, BusyCountsSpinsOnAChain) {
-  // A pure chain with 2 threads forces thread 1 to wait for thread 0.
+  // A pure chain with 2 threads forces thread 1 to wait for thread 0
+  // once it is in the cycle. A helper joins only while the cycle is open,
+  // and worker 0 runs an absent helper's nodes itself, so n0 (worker 0's)
+  // holds the chain until the helper has joined: its wake can take longer
+  // than the whole chain on an idle host.
+  const dc::Team* team = nullptr;
   dc::TaskGraph g;
-  dc::NodeId prev = g.add_node("n0", [] { su::spin_for_us(20); });
+  dc::NodeId prev = g.add_node("n0", [&] {
+    while (!team->full()) std::this_thread::yield();
+    su::spin_for_us(20);
+  });
   for (int i = 1; i < 6; ++i) {
     const auto n = g.add_node("n", [] { su::spin_for_us(20); });
     g.add_edge(prev, n);
@@ -112,11 +122,13 @@ TEST(StrategyStats, BusyCountsSpinsOnAChain) {
   dc::ExecOptions opts;
   opts.threads = 2;
   dc::BusyWaitExecutor busy(cg, opts);
+  team = busy.team();
   busy.run_cycle();
   EXPECT_GT(busy.stats().busy_wait_spins.load(), 0u);
   EXPECT_EQ(busy.stats().sleeps.load(), 0u);
 
   dc::SleepExecutor sleeper(cg, opts);
+  team = sleeper.team();
   sleeper.run_cycle();
   EXPECT_GT(sleeper.stats().sleeps.load(), 0u);
   EXPECT_GT(sleeper.stats().wakeups.load(), 0u);

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "djstar/core/chaos.hpp"
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/core/graph.hpp"
 #include "djstar/core/team.hpp"
@@ -52,116 +53,99 @@ double process_cpu_ms() {
          static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
-struct TeamCase {
-  dc::StartMode mode;
-  unsigned threads;
-};
-
-std::string team_case_name(const testing::TestParamInfo<TeamCase>& info) {
-  return std::string(info.param.mode == dc::StartMode::kSpin ? "spin"
-                                                             : "condvar") +
-         "_t" + std::to_string(info.param.threads);
+/// Asserts that the whole process burns little CPU while the caller
+/// sleeps 50 ms: the team's helpers are parked.
+void expect_parked_for_50ms() {
+  const double before = process_cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(process_cpu_ms() - before, 3.0)
+      << "helpers burned CPU while the caller slept";
 }
 
-/// Each case body runs under TeamTest and, with wake() before each
-/// cycle, under WokenTeamTest.
-class TeamTest : public testing::TestWithParam<TeamCase> {
- protected:
-  void run(dc::Team& team) {
-    if (wake_first_) team.wake();
-    team.run_cycle();
-  }
+std::string team_case_name(const testing::TestParamInfo<unsigned>& info) {
+  return "t" + std::to_string(info.param);
+}
 
-  void every_worker_runs_once_per_cycle();
-  void worker_ids_are_distinct();
-  void run_cycle_is_a_barrier();
-  void empty_body_runs_worker_zero_once_and_nothing_after_return();
-
-  bool wake_first_ = false;
-};
-
-class WokenTeamTest : public TeamTest {
- protected:
-  WokenTeamTest() { wake_first_ = true; }
-};
+/// Parameter: the team width.
+class TeamTest : public testing::TestWithParam<unsigned> {};
 
 }  // namespace
 
-void TeamTest::every_worker_runs_once_per_cycle() {
-  const auto p = GetParam();
-  Rendezvous all(p.threads);
-  std::vector<std::atomic<int>> counts(p.threads);
+TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
+  const unsigned threads = GetParam();
+  Rendezvous all(threads);
+  std::vector<std::atomic<int>> counts(threads);
   for (auto& c : counts) c.store(0);
-  dc::Team team(p.threads, p.mode, [&](unsigned w) {
+  dc::Team team(threads, [&](unsigned w) {
     counts[w].fetch_add(1);
     all.arrive(w);
   });
   for (int cycle = 1; cycle <= 50; ++cycle) {
-    run(team);
-    for (unsigned w = 0; w < p.threads; ++w) {
+    team.run_cycle();
+    for (unsigned w = 0; w < threads; ++w) {
       ASSERT_EQ(counts[w].load(), cycle) << "worker " << w;
     }
   }
 }
 
-void TeamTest::worker_ids_are_distinct() {
-  const auto p = GetParam();
-  Rendezvous all(p.threads);
+TEST_P(TeamTest, WorkerIdsAreDistinct) {
+  const unsigned threads = GetParam();
+  Rendezvous all(threads);
   std::mutex m;
   std::set<unsigned> ids;
-  dc::Team team(p.threads, p.mode, [&](unsigned w) {
+  dc::Team team(threads, [&](unsigned w) {
     {
       const std::lock_guard<std::mutex> lk(m);
       ids.insert(w);
     }
     all.arrive(w);
   });
-  run(team);
-  EXPECT_EQ(ids.size(), p.threads);
+  team.run_cycle();
+  EXPECT_EQ(ids.size(), threads);
   EXPECT_EQ(*ids.begin(), 0u);
-  EXPECT_EQ(*ids.rbegin(), p.threads - 1);
+  EXPECT_EQ(*ids.rbegin(), threads - 1);
 }
 
-void TeamTest::run_cycle_is_a_barrier() {
-  const auto p = GetParam();
-  Rendezvous all(p.threads);
+TEST_P(TeamTest, RunCycleIsABarrier) {
+  const unsigned threads = GetParam();
+  Rendezvous all(threads);
   std::atomic<int> inside{0};
   std::atomic<bool> overlap{false};
-  dc::Team team(p.threads, p.mode, [&](unsigned w) {
+  dc::Team team(threads, [&](unsigned w) {
     all.arrive(w);
     inside.fetch_add(1);
   });
   for (int cycle = 0; cycle < 20; ++cycle) {
-    run(team);
+    team.run_cycle();
     // After run_cycle returns, all workers of this cycle are done.
-    if (inside.load() != (cycle + 1) * static_cast<int>(p.threads)) {
+    if (inside.load() != (cycle + 1) * static_cast<int>(threads)) {
       overlap.store(true);
     }
   }
   EXPECT_FALSE(overlap.load());
 }
 
-void TeamTest::empty_body_runs_worker_zero_once_and_nothing_after_return() {
+TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
   // With nothing holding the cycle open, which helpers join depends on
   // who wakes in time. What holds for every join pattern: worker 0 runs
   // once per cycle, each helper at most once, and no body runs after
   // run_cycle() returns.
-  const auto p = GetParam();
-  std::vector<std::atomic<int>> counts(p.threads);
+  const unsigned threads = GetParam();
+  std::vector<std::atomic<int>> counts(threads);
   for (auto& c : counts) c.store(0);
   std::atomic<int> running{0};
   std::atomic<int> total{0};
-  dc::Team team(p.threads, p.mode, [&](unsigned w) {
+  dc::Team team(threads, [&](unsigned w) {
     running.fetch_add(1);
     counts[w].fetch_add(1);
     total.fetch_add(1);
     running.fetch_sub(1);
   });
   for (int cycle = 1; cycle <= 50; ++cycle) {
-    run(team);
+    team.run_cycle();
     ASSERT_EQ(running.load(), 0) << "a body is still running";
     ASSERT_EQ(counts[0].load(), cycle);
-    for (unsigned w = 1; w < p.threads; ++w) {
+    for (unsigned w = 1; w < threads; ++w) {
       ASSERT_LE(counts[w].load(), cycle) << "worker " << w;
     }
     const int after_return = total.load();
@@ -170,41 +154,12 @@ void TeamTest::empty_body_runs_worker_zero_once_and_nothing_after_return() {
   }
 }
 
-TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
-  every_worker_runs_once_per_cycle();
-}
-TEST_P(TeamTest, WorkerIdsAreDistinct) { worker_ids_are_distinct(); }
-TEST_P(TeamTest, RunCycleIsABarrier) { run_cycle_is_a_barrier(); }
-TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
-  empty_body_runs_worker_zero_once_and_nothing_after_return();
-}
-
-TEST_P(WokenTeamTest, EveryWorkerRunsOncePerCycle) {
-  every_worker_runs_once_per_cycle();
-}
-TEST_P(WokenTeamTest, WorkerIdsAreDistinct) { worker_ids_are_distinct(); }
-TEST_P(WokenTeamTest, RunCycleIsABarrier) { run_cycle_is_a_barrier(); }
-TEST_P(WokenTeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
-  empty_body_runs_worker_zero_once_and_nothing_after_return();
-}
-
-INSTANTIATE_TEST_SUITE_P(ModesAndSizes, TeamTest,
-                         testing::Values(TeamCase{dc::StartMode::kSpin, 1},
-                                         TeamCase{dc::StartMode::kSpin, 2},
-                                         TeamCase{dc::StartMode::kSpin, 4},
-                                         TeamCase{dc::StartMode::kCondvar, 1},
-                                         TeamCase{dc::StartMode::kCondvar, 2},
-                                         TeamCase{dc::StartMode::kCondvar, 4}),
-                         team_case_name);
-
-INSTANTIATE_TEST_SUITE_P(WakeFirst, WokenTeamTest,
-                         testing::Values(TeamCase{dc::StartMode::kSpin, 4},
-                                         TeamCase{dc::StartMode::kCondvar, 4}),
+INSTANTIATE_TEST_SUITE_P(Sizes, TeamTest, testing::Values(1u, 2u, 4u),
                          team_case_name);
 
 TEST(Team, DestructorJoinsCleanly) {
   for (int i = 0; i < 10; ++i) {
-    dc::Team team(3, dc::StartMode::kCondvar, [](unsigned) {});
+    dc::Team team(3, [](unsigned) {});
     team.run_cycle();
     // Team destroyed immediately; must not hang or crash.
   }
@@ -213,7 +168,7 @@ TEST(Team, DestructorJoinsCleanly) {
 
 TEST(Team, SingleThreadRunsInline) {
   std::atomic<int> runs{0};
-  dc::Team team(1, dc::StartMode::kSpin, [&](unsigned w) {
+  dc::Team team(1, [&](unsigned w) {
     EXPECT_EQ(w, 0u);
     runs.fetch_add(1);
   });
@@ -222,41 +177,34 @@ TEST(Team, SingleThreadRunsInline) {
 }
 
 TEST(Team, ParkedTeamBurnsNoCpuBetweenCycles) {
-  // Every helper ran the cycle, so every helper is awake when it ends;
-  // between cycles they park instead of spinning.
-  Rendezvous all(4);
-  dc::Team team(4, dc::StartMode::kSpin, [&](unsigned w) { all.arrive(w); });
-  team.run_cycle();
-  const double before = process_cpu_ms();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_LT(process_cpu_ms() - before, 3.0)
-      << "helpers burned CPU while the caller slept";
-}
-
-TEST(Team, WakeWithoutDispatchParksAgain) {
-  // A wake() with no cycle after it: the helpers spin for the bounded
-  // budget, then park again, and the destructor still joins them.
-  Rendezvous all(4);
-  dc::Team team(4, dc::StartMode::kSpin, [&](unsigned w) { all.arrive(w); });
-  team.run_cycle();
-  team.wake();
-  // Wait out the spin bound (~1.4 ms on an idle host, longer when the
-  // yields compete for cores): some 50 ms window must go quiet.
-  bool quiet = false;
-  for (int window = 0; window < 100 && !quiet; ++window) {
-    const double before = process_cpu_ms();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    quiet = process_cpu_ms() - before < 3.0;
+  {
+    // Every helper ran the cycle, so every helper is awake when it ends;
+    // between cycles they park instead of spinning.
+    Rendezvous all(4);
+    dc::Team team(4, [&](unsigned w) { all.arrive(w); });
+    team.run_cycle();
+    expect_parked_for_50ms();
   }
-  EXPECT_TRUE(quiet) << "woken helpers never parked again";
-  // The team still runs cycles afterwards.
-  team.run_cycle();
+  {
+    // Helpers that join late, or wake into a cycle that already closed,
+    // park again as well.
+    dc::chaos::ScopedChaos chaos(11, 0);
+    dc::chaos::set_intensity(dc::chaos::Site::kCycleStart, 1000);
+    dc::Team team(4, [](unsigned) {});
+    for (int cycle = 0; cycle < 20; ++cycle) {
+      team.run_cycle();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    expect_parked_for_50ms();
+    EXPECT_GT(dc::chaos::site_hits(dc::chaos::Site::kCycleStart), 20u)
+        << "no helper observed a cycle";
+  }
 }
 
 // ---- External submission mode (serve: one pool, many executors) ----
 
 TEST(TeamSubmission, BodylessTeamRunsSubmittedBodies) {
-  dc::Team team(3, dc::StartMode::kCondvar);
+  dc::Team team(3);
   Rendezvous all(3);
   std::vector<std::atomic<int>> a(3), b(3);
   for (auto& c : a) c.store(0);
@@ -283,7 +231,7 @@ TEST(TeamSubmission, BodylessTeamRunsSubmittedBodies) {
 TEST(TeamSubmission, OwnedBodyTeamAcceptsSubmissionsAndRestores) {
   Rendezvous all(2);
   std::atomic<int> owned{0}, external{0};
-  dc::Team team(2, dc::StartMode::kSpin, [&](unsigned w) {
+  dc::Team team(2, [&](unsigned w) {
     owned.fetch_add(1);
     all.arrive(w);
   });
@@ -301,7 +249,7 @@ TEST(TeamSubmission, TwoHostedExecutorsShareOnePool) {
   // The serve-layer shape: two independent graphs, each with a hosted
   // work-stealing executor, multiplexed over one team. Every cycle of
   // either executor must run its graph exactly once, with no cross-talk.
-  dc::Team team(2, dc::StartMode::kCondvar);
+  dc::Team team(2);
 
   std::atomic<int> ran_a{0}, ran_b{0};
   dc::TaskGraph ga, gb;

@@ -211,8 +211,12 @@ TEST(ProfilerBlame, HealthyRunProducesNoReports) {
   cfg.profiler.mode = de::ProfMode::kAttrib;
   de::AudioEngine engine(cfg);
   engine.run_cycles(10);
-  EXPECT_EQ(engine.profiler().blame_reports(), 0u);
-  EXPECT_FALSE(engine.profiler().last_blame().valid);
+  // The profiler files one report per miss and none without one. A calm
+  // host misses none of these deadlines; a loaded one (sanitizers, a
+  // parallel test run) can miss one, and then its report must be there.
+  const std::size_t misses = engine.monitor().misses();
+  EXPECT_EQ(engine.profiler().blame_reports(), misses);
+  EXPECT_EQ(engine.profiler().last_blame().valid, misses > 0);
   EXPECT_GT(engine.profiler().cp_ewma_us(), 0.0);
 }
 

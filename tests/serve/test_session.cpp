@@ -14,7 +14,7 @@ namespace {
 
 class SessionTest : public testing::Test {
  protected:
-  SessionTest() : team_(2, dc::StartMode::kCondvar) {}
+  SessionTest() : team_(2) {}
 
   std::unique_ptr<ds::Session> make(ds::SyntheticSpec spec,
                                     de::SupervisorConfig scfg = {}) {

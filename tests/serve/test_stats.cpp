@@ -31,7 +31,7 @@ namespace {
 
 class ServeStatsTest : public testing::Test {
  protected:
-  ServeStatsTest() : team_(2, dc::StartMode::kCondvar) {}
+  ServeStatsTest() : team_(2) {}
 
   std::unique_ptr<ds::Session> run_session(ds::SessionId id, ds::QoS qos,
                                            unsigned cycles) {

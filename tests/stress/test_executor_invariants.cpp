@@ -105,8 +105,7 @@ void ExecutorInvariantSweep::replay_under_chaos(bool hosted) {
     std::unique_ptr<dc::Team> team;
     std::unique_ptr<dc::Executor> exec;
     if (hosted) {
-      team = std::make_unique<dc::Team>(opts.threads,
-                                        dc::StartMode::kCondvar);
+      team = std::make_unique<dc::Team>(opts.threads);
       exec = make_hosted(strategy, cg, *team, opts);
     } else {
       exec = dc::make_executor(strategy, cg, opts);
