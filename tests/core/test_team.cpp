@@ -62,17 +62,40 @@ void expect_parked_for_50ms() {
       << "helpers burned CPU while the caller slept";
 }
 
-std::string team_case_name(const testing::TestParamInfo<unsigned>& info) {
-  return "t" + std::to_string(info.param);
+/// How a row's cycles find the helpers. A helper that finished a cycle
+/// parks on the team's condition variable unless the next cycle is
+/// already open when it gets there.
+enum class Pacing {
+  kSpin,     ///< back to back: helpers still awake from the last cycle
+  kCondvar,  ///< the caller sleeps first, so the dispatch must notify
+};
+
+struct TeamCase {
+  Pacing pacing;
+  unsigned threads;
+};
+
+std::string team_case_name(const testing::TestParamInfo<TeamCase>& info) {
+  return std::string(info.param.pacing == Pacing::kSpin ? "spin"
+                                                        : "condvar") +
+         "_t" + std::to_string(info.param.threads);
 }
 
-/// Parameter: the team width.
-class TeamTest : public testing::TestWithParam<unsigned> {};
+class TeamTest : public testing::TestWithParam<TeamCase> {
+ protected:
+  /// One cycle, opened as the row's pacing says.
+  static void run(dc::Team& team) {
+    if (GetParam().pacing == Pacing::kCondvar) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    team.run_cycle();
+  }
+};
 
 }  // namespace
 
 TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
-  const unsigned threads = GetParam();
+  const unsigned threads = GetParam().threads;
   Rendezvous all(threads);
   std::vector<std::atomic<int>> counts(threads);
   for (auto& c : counts) c.store(0);
@@ -81,7 +104,7 @@ TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
     all.arrive(w);
   });
   for (int cycle = 1; cycle <= 50; ++cycle) {
-    team.run_cycle();
+    run(team);
     for (unsigned w = 0; w < threads; ++w) {
       ASSERT_EQ(counts[w].load(), cycle) << "worker " << w;
     }
@@ -89,7 +112,7 @@ TEST_P(TeamTest, EveryWorkerRunsOncePerCycle) {
 }
 
 TEST_P(TeamTest, WorkerIdsAreDistinct) {
-  const unsigned threads = GetParam();
+  const unsigned threads = GetParam().threads;
   Rendezvous all(threads);
   std::mutex m;
   std::set<unsigned> ids;
@@ -100,14 +123,14 @@ TEST_P(TeamTest, WorkerIdsAreDistinct) {
     }
     all.arrive(w);
   });
-  team.run_cycle();
+  run(team);
   EXPECT_EQ(ids.size(), threads);
   EXPECT_EQ(*ids.begin(), 0u);
   EXPECT_EQ(*ids.rbegin(), threads - 1);
 }
 
 TEST_P(TeamTest, RunCycleIsABarrier) {
-  const unsigned threads = GetParam();
+  const unsigned threads = GetParam().threads;
   Rendezvous all(threads);
   std::atomic<int> inside{0};
   std::atomic<bool> overlap{false};
@@ -116,7 +139,7 @@ TEST_P(TeamTest, RunCycleIsABarrier) {
     inside.fetch_add(1);
   });
   for (int cycle = 0; cycle < 20; ++cycle) {
-    team.run_cycle();
+    run(team);
     // After run_cycle returns, all workers of this cycle are done.
     if (inside.load() != (cycle + 1) * static_cast<int>(threads)) {
       overlap.store(true);
@@ -130,7 +153,7 @@ TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
   // who wakes in time. What holds for every join pattern: worker 0 runs
   // once per cycle, each helper at most once, and no body runs after
   // run_cycle() returns.
-  const unsigned threads = GetParam();
+  const unsigned threads = GetParam().threads;
   std::vector<std::atomic<int>> counts(threads);
   for (auto& c : counts) c.store(0);
   std::atomic<int> running{0};
@@ -142,7 +165,7 @@ TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
     running.fetch_sub(1);
   });
   for (int cycle = 1; cycle <= 50; ++cycle) {
-    team.run_cycle();
+    run(team);
     ASSERT_EQ(running.load(), 0) << "a body is still running";
     ASSERT_EQ(counts[0].load(), cycle);
     for (unsigned w = 1; w < threads; ++w) {
@@ -154,7 +177,13 @@ TEST_P(TeamTest, EmptyBodyRunsWorkerZeroOnceAndNothingAfterReturn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, TeamTest, testing::Values(1u, 2u, 4u),
+INSTANTIATE_TEST_SUITE_P(ModesAndSizes, TeamTest,
+                         testing::Values(TeamCase{Pacing::kSpin, 1},
+                                         TeamCase{Pacing::kSpin, 2},
+                                         TeamCase{Pacing::kSpin, 4},
+                                         TeamCase{Pacing::kCondvar, 1},
+                                         TeamCase{Pacing::kCondvar, 2},
+                                         TeamCase{Pacing::kCondvar, 4}),
                          team_case_name);
 
 TEST(Team, DestructorJoinsCleanly) {
