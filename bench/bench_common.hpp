@@ -117,9 +117,10 @@ inline std::vector<double> measure_series(core::Strategy strategy,
   cfg.threads = threads;
   engine::AudioEngine e(cfg);
   e.run_cycles(20);  // warm up caches / decoder lock
-  e.monitor().reset();
-  e.run_cycles(iters);
-  return e.monitor().graph_samples();
+  std::vector<double> out;
+  out.reserve(iters);
+  for (std::size_t i = 0; i < iters; ++i) out.push_back(e.run_cycle().graph_us);
+  return out;
 }
 
 inline double mean_of(const std::vector<double>& xs) {

@@ -1,9 +1,9 @@
 // bench/degradation.cpp
-// Cost of the fault-tolerance layer (DESIGN.md §8): the supervised APC
-// path — watchdog arm/disarm, output validation, ladder bookkeeping —
-// must stay under 2% overhead versus the raw run_cycle() when no fault
-// fires. Also demonstrates the ladder under a seeded fault plan and
-// records how cycles distribute across degradation levels.
+// Cost of the fault-tolerance layer (DESIGN.md §8): run_cycle() on a
+// supervised engine — watchdog arm/disarm, output validation, ladder
+// bookkeeping — must stay under 2% overhead versus an unsupervised one
+// when no fault fires. Also demonstrates the ladder under a seeded fault
+// plan and records how cycles distribute across degradation levels.
 #include <cmath>
 #include <filesystem>
 
@@ -38,13 +38,13 @@ int main() {
     // frequency drift hit both measurements equally.
     const std::size_t kBatch = 50;
     raw.run_cycles(kBatch);
-    for (std::size_t i = 0; i < kBatch; ++i) sup.run_cycle_supervised();
+    sup.run_cycles(kBatch);
     raw.monitor().reset();
     sup.monitor().reset();
     for (std::size_t done = 0; done < iters; done += kBatch) {
       const std::size_t n = std::min(kBatch, iters - done);
       raw.run_cycles(n);
-      for (std::size_t i = 0; i < n; ++i) sup.run_cycle_supervised();
+      sup.run_cycles(n);
     }
     const double raw_mean = raw.monitor().total().mean();
     const double raw_p99 = raw.monitor().p99();
@@ -79,7 +79,7 @@ int main() {
     plan.stall_permille = 1;
     e.arm_faults(plan);
 
-    for (std::size_t i = 0; i < iters; ++i) e.run_cycle_supervised();
+    e.run_cycles(iters);
 
     const auto& st = e.supervisor().stats();
     std::printf("\nladder under faults (BUSY, seed %llu, %zu APCs):\n",

@@ -77,10 +77,9 @@ int main(int argc, char** argv) {
       e.run_cycle();
     }
     const auto& m = e.monitor();
-    const auto summary = support::Summary::of(m.total_samples());
     std::printf("  %-6s %12.1f %12.1f %12.1f %7zu/%zu\n",
                 std::string(core::to_string(s)).c_str(), m.total().mean(),
-                summary.p99, m.total().max(), m.misses(), m.cycles());
+                m.p99(), m.total().max(), m.misses(), m.cycles());
   }
 
   std::printf("\n(the paper's conclusion: busy-waiting gives the most early\n"

@@ -99,8 +99,6 @@ enum class SeedMode {
 /// Work-stealing specific options.
 struct WorkStealingOptions {
   SeedMode seed = SeedMode::kBySection;
-  /// Failed full steal rounds before a worker parks on the idle cv.
-  std::uint32_t steal_rounds_before_park = 16;
 };
 
 /// A scheduling strategy bound to one compiled graph. run_cycle()

@@ -32,37 +32,34 @@ struct CycleBreakdown {
   }
 };
 
-/// Collects cycle breakdowns, counts missed deadlines, and optionally
-/// retains per-cycle samples for histogram benches. When the engine runs
-/// supervised, each cycle is also attributed to the degradation level it
-/// ran at (level 0 = full quality), so "how long did we spend degraded,
-/// and how did those cycles perform" falls straight out of the monitor.
+/// The one accountant of a cycle owner (an AudioEngine or a hosted
+/// serve::Session): add() judges each cycle against its budget, and every
+/// consumer (supervisor, telemetry, profiler, SLO trackers, fleet
+/// counters) takes that verdict. Each cycle is also attributed to the
+/// degradation level it ran at (level 0 = full quality), so "how long did
+/// we spend degraded, and how did those cycles perform" falls straight
+/// out of the monitor. The graph and total times of the last kWindow
+/// cycles are kept in storage allocated at construction, so add() never
+/// allocates.
 class DeadlineMonitor {
  public:
   /// Maximum degradation levels tracked (DegradationLevel fits with room).
   static constexpr unsigned kMaxLevels = 8;
+  /// Cycles whose graph and total times the monitor keeps.
+  static constexpr std::size_t kWindow = 4096;
 
-  /// `reserve` pre-sizes the sample vectors so add() never allocates on
-  /// the audio path until that many cycles have been recorded.
-  explicit DeadlineMonitor(double deadline_us = audio::kDeadlineUs,
-                           bool keep_samples = true,
-                           std::size_t reserve = 4096)
-      : deadline_us_(deadline_us),
-        keep_samples_(keep_samples),
-        reserve_(reserve) {
-    if (keep_samples_) {
-      graph_samples_.reserve(reserve_);
-      total_samples_.reserve(reserve_);
-    }
+  explicit DeadlineMonitor(double deadline_us = audio::kDeadlineUs);
+
+  /// Record a cycle attributed to `level` (clamped to kMaxLevels - 1) and
+  /// judge it: a cycle misses when its total exceeds `budget_us`. Returns
+  /// the verdict. An engine's budget is its deadline (the overload
+  /// without a budget); a session's is the time from its fleet tick's
+  /// start to its packet's absolute deadline.
+  bool add(const CycleBreakdown& c, unsigned level, double budget_us);
+  bool add(const CycleBreakdown& c, unsigned level = 0) {
+    return add(c, level, deadline_us_);
   }
-
-  /// Record a cycle at degradation level 0 (the unsupervised path).
-  /// Returns whether it missed the deadline.
-  bool add(const CycleBreakdown& c) { return add(c, 0); }
-  /// Record a cycle attributed to `level` (clamped to kMaxLevels - 1).
-  /// Returns whether it missed the deadline: the one miss predicate that
-  /// the engine hands on to telemetry, the profiler and the SLO tracker.
-  bool add(const CycleBreakdown& c, unsigned level);
+  /// Clear every count and the window; the window's storage stays.
   void reset();
 
   std::size_t cycles() const noexcept { return cycles_; }
@@ -79,12 +76,11 @@ class DeadlineMonitor {
   const support::OnlineStats& vc() const noexcept { return vc_; }
   const support::OnlineStats& total() const noexcept { return total_; }
 
-  /// p99 of per-cycle APC totals. Cached: recomputed only when cycles
-  /// have been added since the last call, so repeated callers (the
-  /// supervisor, the headroom advisor) don't re-sort the samples. Falls
-  /// back to max() when samples are not retained.
+  /// p99 of the window's APC totals (support::quantile; 0 before the
+  /// first cycle). Sorts a copy: call it between cycles, not on the audio
+  /// path.
   double p99() const;
-  /// Worst APC total seen (O(1), always available).
+  /// Worst APC total seen since construction or reset() (O(1)).
   double max_us() const noexcept { return total_.max(); }
 
   // ---- per-degradation-level accounting ----
@@ -99,19 +95,19 @@ class DeadlineMonitor {
     return level_total_[level < kMaxLevels ? level : kMaxLevels - 1];
   }
 
-  /// Per-cycle task-graph times (empty when keep_samples is off).
+  /// Task-graph times of the last min(cycles(), kWindow) cycles. Once the
+  /// window is full each cycle overwrites the oldest, so the order is
+  /// chronological only until then.
   const std::vector<double>& graph_samples() const noexcept {
     return graph_samples_;
   }
-  /// Per-cycle APC totals (empty when keep_samples is off).
+  /// APC totals of the same cycles, in the same slots.
   const std::vector<double>& total_samples() const noexcept {
     return total_samples_;
   }
 
  private:
   double deadline_us_;
-  bool keep_samples_;
-  std::size_t reserve_;
   std::size_t cycles_ = 0;
   std::size_t misses_ = 0;
   support::OnlineStats tp_, gp_, graph_, vc_, total_;
@@ -120,8 +116,6 @@ class DeadlineMonitor {
   std::array<std::size_t, kMaxLevels> level_cycles_{};
   std::array<std::size_t, kMaxLevels> level_misses_{};
   std::array<support::OnlineStats, kMaxLevels> level_total_{};
-  mutable double p99_cache_ = 0.0;
-  mutable std::size_t p99_cache_cycles_ = 0;
 };
 
 }  // namespace djstar::engine

@@ -34,8 +34,6 @@ struct EngineConfig {
   /// Seeds for the four decks' synthetic tracks.
   std::array<std::uint64_t, 4> track_seeds = {1, 2, 3, 4};
   double deadline_us = audio::kDeadlineUs;
-  /// Retain per-cycle samples in the monitor (hist benches need them).
-  bool keep_samples = true;
   core::ExecOptions exec{};  ///< threads field is overwritten
   core::WorkStealingOptions ws{};
 
@@ -74,9 +72,13 @@ class AudioEngine {
   explicit AudioEngine(EngineConfig cfg = {});
 
   /// Execute one full audio processing cycle and return its phase
-  /// timings (also recorded into monitor()). The dispatch at entry wakes
-  /// the parked team, and the deck jobs are its first work; TP and GP
-  /// are the time they held the cycle up (deadline.hpp).
+  /// timings (also recorded into monitor(), whose verdict every consumer
+  /// takes). The dispatch at entry wakes the parked team, and the deck
+  /// jobs are its first work; TP and GP are the time they held the cycle
+  /// up (deadline.hpp). Once enable_supervision() has run, the cycle
+  /// applies the ladder's level (masks, deck flags, executor choice),
+  /// runs under the watchdog and is validated; in safe mode it runs TP
+  /// alone. The packet for the sound card is then safe_output().
   CycleBreakdown run_cycle();
 
   /// Convenience: run `n` cycles back to back.
@@ -90,19 +92,15 @@ class AudioEngine {
   // ---- fault tolerance (engine/supervisor.hpp) ----
 
   /// Attach a CycleSupervisor and pre-build the sequential fallback
-  /// executor. Afterwards use run_cycle_supervised() + safe_output().
+  /// executor. From the next run_cycle() on, every cycle is supervised;
+  /// read the packet from safe_output().
   void enable_supervision(const SupervisorConfig& scfg = {});
   bool supervised() const noexcept { return supervisor_ != nullptr; }
   CycleSupervisor& supervisor() noexcept { return *supervisor_; }
   const CycleSupervisor& supervisor() const noexcept { return *supervisor_; }
 
-  /// Supervised cycle: applies the ladder's current level (masks, deck
-  /// flags, executor choice), runs the phases under the watchdog, then
-  /// validates the output. The packet for the sound card is
-  /// safe_output(), which is valid even when this cycle faulted.
-  CycleBreakdown run_cycle_supervised();
-
-  /// The validated output packet (falls back to output() unsupervised).
+  /// The validated output packet, valid even when the cycle faulted
+  /// (falls back to output() unsupervised).
   const audio::AudioBuffer& safe_output() const noexcept {
     return supervisor_ ? supervisor_->safe_output() : graph_nodes_.output();
   }
@@ -133,7 +131,7 @@ class AudioEngine {
   // ---- SLO engine (support/slo.hpp, DESIGN.md §15) ----
 
   /// Attach the SLO engine: a per-engine time-series store fed every
-  /// cycle (miss predicate byte-identical to DeadlineMonitor's) and a
+  /// cycle (with the verdict of DeadlineMonitor::add) and a
   /// burn-rate tracker evaluated once per sealed window. The store's
   /// clock is virtual — cycles × deadline_us — so the alert state
   /// machine is deterministic. Page-level alerts force one supervisor

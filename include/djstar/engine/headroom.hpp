@@ -61,8 +61,8 @@ HeadroomReport advise_headroom(std::span<const double> apc_times_us,
                                std::size_t measured_frames,
                                const HeadroomConfig& cfg = {});
 
-/// Convenience overload pulling the samples from a DeadlineMonitor
-/// (requires keep_samples).
+/// The same analysis over the monitor's window (the APC totals of its
+/// last DeadlineMonitor::kWindow cycles).
 HeadroomReport advise_headroom(const DeadlineMonitor& monitor,
                                std::size_t measured_frames = audio::kBlockSize,
                                const HeadroomConfig& cfg = {});

@@ -53,10 +53,6 @@ std::optional<ProfMode> parse_prof_mode(std::string_view name) noexcept;
 /// Profiler construction knobs (EngineConfig::profiler).
 struct ProfilerConfig {
   ProfMode mode = ProfMode::kOff;
-  /// Ranked entries per blame report (nodes and workers each).
-  std::size_t top_k = 5;
-  /// EWMA weight for per-node / per-worker / critical-path baselines.
-  double baseline_alpha = 0.1;
 };
 
 /// One worker's hardware-counter deltas for one cycle.
@@ -138,9 +134,9 @@ class CycleProfiler {
   void set_hw(HwSampler* hw) noexcept { hw_ = hw; }
   HwSampler* hw() const noexcept { return hw_; }
 
-  /// Attribute one finished cycle. `missed` must use the owner's own
-  /// deadline predicate (identical to DeadlineMonitor) so blame reports
-  /// and miss counters agree exactly.
+  /// Attribute one finished cycle. `missed` is the verdict the owner's
+  /// DeadlineMonitor::add returned for it, so blame reports and miss
+  /// counters agree exactly.
   const support::attrib::CycleAttribution& on_cycle(
       std::span<const support::TraceSpan> spans, bool missed,
       std::uint64_t cycle);

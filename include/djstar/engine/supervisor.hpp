@@ -2,8 +2,8 @@
 // The cycle watchdog and graceful-degradation ladder.
 //
 // The paper's constraint is absolute: one audio packet every 2.9 ms, no
-// exceptions (§III-A). DeadlineMonitor *counts* violations; this class
-// *enforces* the constraint. Each supervised cycle is deadlined by a
+// exceptions (§III-A). DeadlineMonitor *judges* each cycle; this class
+// *enforces* the constraint, taking the monitor's verdict. Each supervised cycle is deadlined by a
 // watchdog thread (a stuck cycle is cancelled via
 // CompiledGraph::request_cancel, which every executor honours by
 // draining), its output is validated (fault state + NaN scan), and on
@@ -75,6 +75,9 @@ const char* to_string(CycleOutcome outcome) noexcept;
 
 /// Supervision policy knobs.
 struct SupervisorConfig {
+  /// Base of the recovery margin; the owner sets its own deadline here.
+  /// Misses are not judged against it: each owner's DeadlineMonitor
+  /// decides them and supervise_cycle() takes the verdict.
   double deadline_us = audio::kDeadlineUs;
   /// Wall-clock budget before the watchdog cancels the graph phase.
   /// Deliberately above the deadline: a mild overrun should finish and
@@ -132,16 +135,19 @@ class CycleSupervisor {
   void watchdog_arm();
   void watchdog_disarm() noexcept;
 
-  /// Judge the cycle that just finished: read the graph's fault/cancel
-  /// state, scan `out` for non-finite samples, fill safe_output() (the
-  /// real packet, spliced, or a faded repeat of the last good one), and
-  /// advance the ladder. Call between cycles, watchdog disarmed.
-  CycleOutcome supervise_cycle(const CycleBreakdown& c,
+  /// Classify the cycle that just finished: read the graph's fault/cancel
+  /// state, scan `out` for non-finite samples, take `missed` (the verdict
+  /// DeadlineMonitor::add returned for this cycle) as the overrun signal,
+  /// fill safe_output() (the real packet, spliced, or a faded repeat of
+  /// the last good one), and advance the ladder. Call between cycles,
+  /// watchdog disarmed.
+  CycleOutcome supervise_cycle(const CycleBreakdown& c, bool missed,
                                const audio::AudioBuffer& out);
 
   /// Account a kSafeMode cycle (no graph ran): emits a faded repeat and
-  /// lets hysteresis climb back toward kSequentialFallback.
-  void supervise_safe_mode_cycle(const CycleBreakdown& c);
+  /// lets hysteresis climb back toward kSequentialFallback. Returns
+  /// CycleOutcome::kSafeMode.
+  CycleOutcome supervise_safe_mode_cycle(const CycleBreakdown& c);
 
   /// Recovery-rung accounting for the self-healing team (DESIGN.md §12):
   /// the engine reports quarantines/respawns it observed on the
@@ -171,12 +177,6 @@ class CycleSupervisor {
   void set_journal(support::EventJournal* journal) noexcept {
     journal_ = journal;
   }
-
-  /// Called by AudioEngine::set_strategy() after swapping executors.
-  /// Ladder state, streaks, and the fallback buffers survive a rebuild
-  /// by design; this hook only exists to document that contract (and to
-  /// catch a future supervisor that *does* cache executor state).
-  void on_executor_rebuilt() noexcept {}
 
  private:
   void step_down(CycleOutcome reason);

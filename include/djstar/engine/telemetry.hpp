@@ -11,10 +11,9 @@
 // when a cycle misses its deadline, the degradation ladder moves, or
 // the watchdog fires.
 //
-// Counter contract: the cycle/miss counters are incremented under the
-// exact same condition as DeadlineMonitor::add (miss == total_us() >
-// deadline), so a Prometheus scrape and monitor().misses() can be
-// compared for equality, not just correlation.
+// Counter contract: the miss counter takes the verdict DeadlineMonitor::add
+// returned for the cycle, so a Prometheus scrape and monitor().misses()
+// can be compared for equality, not just correlation.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +30,6 @@ namespace djstar::engine {
 
 /// Telemetry construction knobs.
 struct TelemetryConfig {
-  /// The engine's span-ring capacity per worker lane (spans); raised to
-  /// at least one whole cycle.
-  std::size_t flight_spans_per_thread = 2048;
-  /// Event-journal ring capacity (events).
-  std::size_t journal_capacity = 4096;
   /// When non-empty, incidents (deadline miss, ladder movement, watchdog
   /// cancel) automatically dump the flight recorder here as a
   /// Chrome/Perfetto trace (the file is overwritten per dump).

@@ -67,14 +67,11 @@ namespace djstar::serve {
 
 /// Overload-handling policy.
 struct OverloadConfig {
-  /// Consecutive over-budget ticks before the shed handler fires.
+  /// Consecutive over-budget ticks (elapsed > budget) before the shed
+  /// handler fires.
   unsigned trip_ticks = 3;
-  /// A tick is overloaded when elapsed > factor * budget.
-  double overload_factor = 1.0;
   /// Allow shedding standard sessions once no besteffort remain.
   bool shed_standard = true;
-  /// Ticks to pause queued admissions after an overload shed.
-  unsigned admit_holdoff_ticks = 16;
 };
 
 /// Host construction parameters.
@@ -123,7 +120,7 @@ struct FleetTick {
   double budget_us = 0;    ///< window length (min active deadline)
   double elapsed_us = 0;   ///< wall time spent running due sessions
   unsigned sessions_run = 0;
-  unsigned misses = 0;     ///< sessions completing past their deadline
+  unsigned misses = 0;     ///< sessions their monitor judged late
   unsigned shed = 0;       ///< sessions evicted by the overload handler
   unsigned degraded = 0;   ///< force_degrade() rungs walked this tick
   bool overloaded = false;
@@ -203,9 +200,10 @@ class EngineHost {
 
   // ---- telemetry ----
 
-  /// Fleet metrics registry. Counters are incremented at the exact same
-  /// sites as the ServeStats accounting, so a scrape and stats() agree
-  /// on every lifecycle/service count. Snapshots are thread-safe.
+  /// Fleet metrics registry. stats() reads its lifecycle counts from the
+  /// djstar_fleet_* counters, and the cycle and miss counters take each
+  /// session's monitor verdict, so a scrape and stats() agree on every
+  /// lifecycle/service count. Snapshots are thread-safe.
   support::MetricsRegistry& metrics() noexcept { return registry_; }
   const support::MetricsRegistry& metrics() const noexcept {
     return registry_;
@@ -361,8 +359,8 @@ class EngineHost {
   std::unordered_map<SessionId, CircuitBreaker> breakers_;
   std::vector<TrippedEntry> tripped_;
 
-  // Telemetry. Counter handles mirror the ServeStats counters one-to-one
-  // (incremented at the same call sites); gauges refresh per tick.
+  // Telemetry. The djstar_fleet_* counters are the lifecycle counts that
+  // stats() reports; gauges refresh per tick.
   support::MetricsRegistry registry_;
   support::EventJournal journal_{4096};
   support::Counter m_ticks_;

@@ -19,8 +19,13 @@
 //   kSequentialFallback  graph runs on the session's sequential executor
 //   kSafeMode            graph skipped; supervisor emits faded repeats
 // The ladder steps down on its own when a session's service latency
-// (dispatch wait + compute) blows its deadline, and the host can force
+// (dispatch wait + compute) blows its budget, and the host can force
 // it down when the *fleet* is behind (overload shedding).
+//
+// Accounting: the session's DeadlineMonitor judges every cycle against
+// its tick-relative budget (run_cycle's `allowed_us`), and the
+// supervisor, the profiler, counters() and the host's fleet counters,
+// journal, SLO trackers and breaker all take that one verdict.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +79,8 @@ struct SessionSpec {
   core::chaos::FaultPlan faults{};
 };
 
-/// Per-session serve-level counters (service latency = wait + compute,
-/// measured against the session's own deadline).
+/// Per-session serve-level counters, read from the session's monitor
+/// (service latency = wait + compute, judged against the cycle's budget).
 struct SessionCounters {
   std::uint64_t cycles = 0;
   std::uint64_t misses = 0;       ///< completion offset > allowed time
@@ -130,9 +135,9 @@ class Session {
 
   /// Run one cycle on the shared pool. `wait_us` is the dispatch delay
   /// already spent in this tick (EDF queueing; it counts against the
-  /// deadline), `allowed_us` the budget from tick start to this
-  /// session's absolute deadline. Returns the completion offset
-  /// (wait + compute) in microseconds.
+  /// budget), `allowed_us` the budget from tick start to this session's
+  /// absolute deadline, which the monitor judges the cycle against.
+  /// Returns the completion offset (wait + compute) in microseconds.
   double run_cycle(double wait_us, double allowed_us);
 
   const engine::DeadlineMonitor& monitor() const noexcept { return monitor_; }
@@ -140,16 +145,19 @@ class Session {
   const engine::CycleSupervisor& supervisor() const noexcept {
     return supervisor_;
   }
-  const SessionCounters& counters() const noexcept { return counters_; }
+  SessionCounters counters() const noexcept {
+    return {monitor_.cycles(), monitor_.misses(),
+            monitor_.cycles() - monitor_.level_cycles(0)};
+  }
   const support::Histogram& latency_histogram() const noexcept {
     return latency_;
   }
   const core::Executor& hosted_executor() const noexcept { return *hosted_; }
   std::size_t node_count() const noexcept { return compiled_->node_count(); }
 
-  /// p99 of measured per-cycle compute cost (graph phase only), for
-  /// EngineHost::recalibrate(). Falls back to the estimate while fewer
-  /// than 32 cycles have run.
+  /// p99 of measured per-cycle compute cost (graph phase only) over the
+  /// monitor's window, for EngineHost::recalibrate(). Falls back to the
+  /// estimate while fewer than 32 cycles have run.
   double observed_cost_p99_us() const;
 
   /// The session's span ring (DESIGN.md §10), one lane per pool worker.
@@ -183,6 +191,8 @@ class Session {
   /// Outcome of the last run_cycle() (kClean before any cycle ran);
   /// the host's breaker failure predicate reads this.
   engine::CycleOutcome last_outcome() const noexcept { return last_outcome_; }
+  /// The monitor's verdict on the last run_cycle() (false before any).
+  bool last_missed() const noexcept { return last_missed_; }
 
   /// Capture the control state a breaker trip must preserve.
   SessionSnapshot snapshot() const noexcept {
@@ -215,8 +225,8 @@ class Session {
   engine::CycleSupervisor supervisor_;
   engine::DegradationLevel applied_level_ = engine::DegradationLevel::kFull;
   engine::CycleOutcome last_outcome_ = engine::CycleOutcome::kClean;
+  bool last_missed_ = false;
   support::Histogram latency_;
-  SessionCounters counters_;
   std::unique_ptr<engine::CycleProfiler> profiler_;
   std::vector<support::TraceSpan> prof_spans_;  // per-cycle scratch
   audio::AudioBuffer silent_{2, audio::kBlockSize};

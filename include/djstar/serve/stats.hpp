@@ -3,10 +3,12 @@
 //
 // Each session keeps its own DeadlineMonitor and latency Histogram; the
 // ServeStats registry folds them into fleet aggregates — p50/p99 service
-// latency, deadline-miss counters, per-QoS breakdowns — via
-// support::Histogram::merge(). Departed sessions (closed or shed) are
-// folded into a retained aggregate at teardown so fleet totals never
-// lose history when a session object goes away.
+// latency, deadline-miss counts, per-QoS breakdowns — via
+// support::Histogram::merge(). Departed sessions (closed, shed or
+// tripped) are folded into a retained aggregate at teardown so fleet
+// totals never lose history when a session object goes away. The
+// lifecycle counts come from the host's djstar_fleet_* counters
+// (EngineHost::stats()); ServeStats keeps only what no counter holds.
 #pragma once
 
 #include <array>
@@ -51,14 +53,14 @@ struct QoSAggregate {
 
 /// Whole-fleet snapshot.
 struct FleetStats {
-  // Lifecycle counters.
+  // Lifecycle counts: the host's djstar_fleet_* counters.
   std::uint64_t ticks = 0;
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
-  std::uint64_t queued_peak = 0;
+  std::uint64_t queued_peak = 0;  ///< peak queue depth (ServeStats)
   std::uint64_t rejected = 0;
   std::uint64_t shed = 0;
-  std::uint64_t closed = 0;
+  std::uint64_t closed = 0;  ///< active sessions closed by their owner
   std::uint64_t overload_events = 0;
   // Service counters (live + departed).
   std::uint64_t cycles = 0;
@@ -70,26 +72,24 @@ struct FleetStats {
   std::vector<SessionStatsView> sessions;  ///< live sessions only
 };
 
-/// The registry. Owned by EngineHost; all methods run on the host's
+/// The registry of what no fleet counter holds: per-QoS admitted and
+/// shed counts, the queue's peak depth, and departed sessions' cycles,
+/// misses and latency. Owned by EngineHost; all methods run on the host's
 /// data-plane thread.
 class ServeStats {
  public:
   ServeStats();
 
-  // Lifecycle accounting (called by the host as events happen).
-  void note_submitted() noexcept { ++submitted_; }
-  void note_admitted(QoS q) noexcept;
-  void note_rejected() noexcept { ++rejected_; }
+  void note_admitted(QoS q) noexcept { ++admitted_by_qos_[rank(q)]; }
   void note_queued_depth(std::size_t depth) noexcept;
-  void note_tick() noexcept { ++ticks_; }
-  void note_overload() noexcept { ++overload_events_; }
 
-  /// Fold a departing session (closed or shed) into the retained
+  /// Fold a departing session (closed, shed or tripped) into the retained
   /// aggregate; its histogram merges into the per-QoS retained one.
   void retire(const Session& s, bool was_shed);
 
-  /// Build the full snapshot over the currently live sessions plus the
-  /// retained aggregate of departed ones.
+  /// Build the snapshot over the currently live sessions plus the
+  /// retained aggregate of departed ones. The lifecycle counts other
+  /// than queued_peak stay zero; EngineHost::stats() fills them in.
   FleetStats aggregate(std::span<const Session* const> live) const;
 
  private:
@@ -99,14 +99,7 @@ class ServeStats {
     support::Histogram latency{0.0, 4.0 * audio::kDeadlineUs, kLatencyBins};
   };
 
-  std::uint64_t ticks_ = 0;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t admitted_ = 0;
   std::uint64_t queued_peak_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t closed_ = 0;
-  std::uint64_t overload_events_ = 0;
   std::array<std::uint64_t, kQoSCount> admitted_by_qos_{};
   std::array<std::uint64_t, kQoSCount> shed_by_qos_{};
   std::array<Retained, kQoSCount> retained_{};

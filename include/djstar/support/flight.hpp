@@ -112,7 +112,8 @@ class FlightRecorder {
                          std::uint32_t pid = 0) const;
 
  private:
-  struct Lane {
+  // One cache line per lane: each worker bumps only its own `next`.
+  struct alignas(64) Lane {
     std::vector<FlightSpan> ring;  // size() == capacity (power of two)
     std::uint64_t next = 0;        // monotonic write cursor
     std::uint64_t mask = 0;

@@ -7,8 +7,8 @@
 // scope (the engine, the fleet, one QoS class, or one session) against a
 // declarative SloSpec of three objectives:
 //
-//   - deadline-miss ratio (miss predicate byte-identical to
-//     DeadlineMonitor's: total_us > deadline_us),
+//   - deadline-miss ratio (the verdict of the owner's
+//     DeadlineMonitor::add: total_us > the cycle's budget),
 //   - p99 cycle latency (fraction of cycles slower than a target),
 //   - availability (fraction of cycles that completed cleanly —
 //     faults, cancellations, NaN flushes, and safe-mode fallbacks are
@@ -127,8 +127,8 @@ class SloTracker {
   SloTracker(const SloTracker&) = delete;
   SloTracker& operator=(const SloTracker&) = delete;
 
-  /// Hot path (writer thread): account one cycle. `missed` must come
-  /// from the caller's DeadlineMonitor-identical predicate; `good` is
+  /// Hot path (writer thread): account one cycle. `missed` is the
+  /// verdict of the caller's DeadlineMonitor::add; `good` is
   /// the availability bit (clean or merely-late cycles are up, faulted /
   /// cancelled / NaN / safe-mode cycles are down).
   void record_cycle(double latency_us, bool missed, bool good) noexcept;

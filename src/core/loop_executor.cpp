@@ -33,6 +33,8 @@ constexpr unsigned kSpinBurst = 256;
 // The work-stealing idle park: a safety net against the push-vs-park
 // race.
 constexpr auto kIdlePark = std::chrono::microseconds(100);
+// Failed full steal rounds before an idle work-stealing worker parks.
+constexpr std::uint32_t kStealRoundsBeforePark = 16;
 
 /// One worker's span sink for one cycle: its lane of the span ring.
 class Sink {
@@ -347,7 +349,7 @@ class Deques {
   };
 
   Deques(CompiledGraph& g, unsigned threads, const WorkStealingOptions& ws)
-      : g_(g), ws_(ws), per_worker_(threads), owner_(g.node_count(), -1) {
+      : g_(g), per_worker_(threads), owner_(g.node_count(), -1) {
     // Paper §V-C: "the main thread fills up the processing queues of all
     // executor threads. It distributes all nodes without dependencies
     // (source nodes) to the threads", grouped by section for data
@@ -396,7 +398,7 @@ class Deques {
   }
 
   void wait(unsigned, Cursor& c, ExecutorStats& st, bool) {
-    if (++c.failed_rounds < ws_.steal_rounds_before_park) {
+    if (++c.failed_rounds < kStealRoundsBeforePark) {
       cpu_pause();
       std::this_thread::yield();
     } else {
@@ -479,7 +481,6 @@ class Deques {
   };
 
   CompiledGraph& g_;
-  WorkStealingOptions ws_;
   std::vector<PerWorker> per_worker_;
   std::vector<std::int32_t> owner_;  // seed target of each source, else -1
   alignas(64) std::atomic<std::size_t> executed_{0};

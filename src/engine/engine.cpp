@@ -82,7 +82,7 @@ AudioEngine::AudioEngine(EngineConfig cfg)
     : cfg_(cfg),
       decks_(make_decks(cfg)),
       graph_nodes_(deck_ptrs(decks_)),
-      monitor_(cfg.deadline_us, cfg.keep_samples) {
+      monitor_(cfg.deadline_us) {
   // DJSTAR_THREADS overrides, 0 = auto; blank or garbage throws.
   cfg_.threads = core::resolve_thread_count(cfg_.threads);
   apply_env_overrides(cfg_.heal, cfg_.profiler, cfg_.slo);
@@ -149,8 +149,11 @@ void AudioEngine::configure_flight() {
     flight_.disable();
     return;
   }
+  // With telemetry on, the ring keeps this many spans per worker lane
+  // for incident dumps; always at least one whole cycle.
+  constexpr std::size_t kTelemetrySpansPerThread = 2048;
   const std::size_t spans =
-      telemetry_ != nullptr ? telemetry_->config().flight_spans_per_thread : 0;
+      telemetry_ != nullptr ? kTelemetrySpansPerThread : 0;
   flight_.configure(cfg_.threads,
                     std::max(spans, support::whole_cycle_spans(
                                         compiled_->node_count())));
@@ -309,11 +312,9 @@ void AudioEngine::set_strategy(core::Strategy s, unsigned threads) {
   cfg_.strategy = s;
   cfg_.threads = core::resolve_thread_count(threads);
   configure_flight();  // one lane per worker
+  // The compiled graph (including any degradation masks), the monitor
+  // and the supervisor's ladder are untouched by the swap.
   rebuild_executor();
-  // The compiled graph (including any degradation masks) and the
-  // monitor are untouched; tell the supervisor so it can keep its
-  // ladder state across the swap.
-  if (supervisor_) supervisor_->on_executor_rebuilt();
 }
 
 void AudioEngine::enable_supervision(const SupervisorConfig& scfg) {
@@ -400,25 +401,56 @@ void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
 }
 
 CycleBreakdown AudioEngine::run_cycle() {
+  // Supervised: actuate the level the ladder decided at the end of the
+  // previous cycle; all graph mutation happens here, between cycles.
+  if (supervisor_) apply_degradation(supervisor_->level());
+  const auto level = static_cast<unsigned>(applied_level_);
+  const bool safe_mode = applied_level_ == DegradationLevel::kSafeMode;
   flight_.begin_cycle();
+
   CycleBreakdown c;
-  // One dispatch runs the deck jobs (TP, GP) and the graph, and wakes
-  // the parked team.
-  const auto t0 = support::now();
-  executor_->run_cycle();
-  split_phases(t0, c);
-  poll_heal();
-  apply_pending_poison();
-  phase_vc(c);
+  if (safe_mode) {
+    // Keep decoding the control signals (so recovery resumes in sync)
+    // but skip GP/Graph/VC and the team; the supervisor feeds the sound
+    // card.
+    phase_tp(c);
+  } else {
+    core::Executor* exec =
+        applied_level_ >= DegradationLevel::kSequentialFallback
+            ? fallback_exec_.get()
+            : executor_.get();
+    // One dispatch runs the deck jobs (TP, GP) and the graph, and wakes
+    // the parked team.
+    const auto t0 = support::now();
+    if (supervisor_) supervisor_->watchdog_arm();
+    exec->run_cycle();
+    if (supervisor_) supervisor_->watchdog_disarm();
+    split_phases(t0, c);
+    poll_heal();
+    apply_pending_poison();
+    phase_vc(c);
+  }
+
   // DeadlineMonitor::add decides the miss; every consumer below takes
-  // its verdict, so blame reports, exported counters and burn rates
-  // always agree with monitor().misses().
-  const bool missed = monitor_.add(c);
-  finish_cycle_telemetry(c, 0, missed);
-  profile_cycle(missed);
-  // Unsupervised cycles have no structural-failure signal: every cycle
+  // its verdict, so the ladder, blame reports, exported counters and
+  // burn rates always agree with monitor().misses().
+  const bool missed = monitor_.add(c, level);
+  // Availability: a clean or merely late cycle emitted real audio; a
+  // faulted, cancelled, NaN or safe-mode cycle shipped a repaired packet.
+  // Unsupervised cycles have no structural-failure signal, so every one
   // counts as available; misses still burn the miss budget.
-  slo_cycle(c, missed, /*good=*/true);
+  bool good = true;
+  if (supervisor_) {
+    const CycleOutcome outcome =
+        safe_mode
+            ? supervisor_->supervise_safe_mode_cycle(c)
+            : supervisor_->supervise_cycle(c, missed, graph_nodes_.output());
+    good = outcome == CycleOutcome::kClean ||
+           outcome == CycleOutcome::kOverrun;
+  }
+  finish_cycle_telemetry(c, level, missed);
+  profile_cycle(missed);  // no graph spans in safe mode; keeps counts exact
+  slo_cycle(c, missed, good);
   return c;
 }
 
@@ -438,54 +470,6 @@ void AudioEngine::apply_degradation(DegradationLevel target) {
   const bool no_stretch = target >= DegradationLevel::kNoStretch;
   for (auto& d : decks_) d->set_stretch_degraded(no_stretch);
   applied_level_ = target;
-}
-
-CycleBreakdown AudioEngine::run_cycle_supervised() {
-  DJSTAR_ASSERT_MSG(supervisor_ != nullptr,
-                    "call enable_supervision() first");
-  // Actuate the level the ladder decided at the end of the previous
-  // cycle; all graph mutation happens here, between cycles.
-  apply_degradation(supervisor_->level());
-  const auto level = static_cast<unsigned>(applied_level_);
-  flight_.begin_cycle();
-
-  CycleBreakdown c;
-  if (applied_level_ == DegradationLevel::kSafeMode) {
-    // Keep decoding the control signals (so recovery resumes in sync)
-    // but skip GP/Graph/VC and the team; the supervisor feeds the sound
-    // card.
-    phase_tp(c);
-    supervisor_->supervise_safe_mode_cycle(c);
-    const bool missed = monitor_.add(c, level);
-    finish_cycle_telemetry(c, level, missed);
-    profile_cycle(missed);  // no graph spans in safe mode; keeps counts exact
-    slo_cycle(c, missed, /*good=*/false);  // fallback packet: graph is down
-    return c;
-  }
-
-  core::Executor* exec =
-      applied_level_ >= DegradationLevel::kSequentialFallback
-          ? fallback_exec_.get()
-          : executor_.get();
-  const auto t0 = support::now();
-  supervisor_->watchdog_arm();
-  exec->run_cycle();
-  supervisor_->watchdog_disarm();
-  split_phases(t0, c);
-  poll_heal();
-  apply_pending_poison();
-  phase_vc(c);
-  const CycleOutcome outcome =
-      supervisor_->supervise_cycle(c, graph_nodes_.output());
-  const bool missed = monitor_.add(c, level);
-  finish_cycle_telemetry(c, level, missed);
-  profile_cycle(missed);
-  // Availability: a clean or merely-late cycle emitted real audio; a
-  // faulted / cancelled / NaN cycle shipped a repaired packet — down.
-  slo_cycle(c, missed,
-            outcome == CycleOutcome::kClean ||
-                outcome == CycleOutcome::kOverrun);
-  return c;
 }
 
 void AudioEngine::run_cycles(std::size_t n) {

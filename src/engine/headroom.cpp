@@ -5,16 +5,13 @@
 #include "djstar/support/stats.hpp"
 
 namespace djstar::engine {
-namespace {
 
-// Shared body: `p99` is supplied by the caller so the monitor overload
-// can reuse DeadlineMonitor's cached value instead of re-deriving the
-// quantile from raw samples.
-HeadroomReport advise_impl(std::span<const double> apc_times_us, double p99,
-                           std::size_t measured_frames,
-                           const HeadroomConfig& cfg) {
+HeadroomReport advise_headroom(std::span<const double> apc_times_us,
+                               std::size_t measured_frames,
+                               const HeadroomConfig& cfg) {
   HeadroomReport report;
   if (apc_times_us.empty() || measured_frames == 0) return report;
+  const double p99 = support::quantile(apc_times_us, 0.99);
 
   for (std::size_t frames : cfg.candidates) {
     HeadroomEntry e;
@@ -29,6 +26,8 @@ HeadroomReport advise_impl(std::span<const double> apc_times_us, double p99,
                                static_cast<double>(measured_frames);
     const double scale =
         cfg.fixed_fraction + (1.0 - cfg.fixed_fraction) * frame_ratio;
+    // What-if sweep: would each observed cycle, rescaled, have missed
+    // this candidate's deadline?
     std::size_t misses = 0;
     for (double t : apc_times_us) {
       if (t * scale > e.deadline_us) ++misses;
@@ -52,20 +51,10 @@ HeadroomReport advise_impl(std::span<const double> apc_times_us, double p99,
   return report;
 }
 
-}  // namespace
-
-HeadroomReport advise_headroom(std::span<const double> apc_times_us,
-                               std::size_t measured_frames,
-                               const HeadroomConfig& cfg) {
-  const double p99 = support::quantile(apc_times_us, 0.99);
-  return advise_impl(apc_times_us, p99, measured_frames, cfg);
-}
-
 HeadroomReport advise_headroom(const DeadlineMonitor& monitor,
                                std::size_t measured_frames,
                                const HeadroomConfig& cfg) {
-  return advise_impl(monitor.total_samples(), monitor.p99(), measured_frames,
-                     cfg);
+  return advise_headroom(monitor.total_samples(), measured_frames, cfg);
 }
 
 }  // namespace djstar::engine

@@ -19,6 +19,10 @@ namespace {
 
 constexpr double kCpBounds[] = {50,   100,  200,  400,  800,
                                 1200, 1600, 2400, 3200, 6400};
+// Ranked entries per blame report (nodes and workers each).
+constexpr std::size_t kBlameTopK = 5;
+// EWMA weight for the per-node, per-worker and critical-path baselines.
+constexpr double kBaselineAlpha = 0.1;
 
 void append_f(std::string& out, const char* key, double v) {
   char buf[64];
@@ -173,7 +177,7 @@ CycleProfiler::CycleProfiler(const ProfilerConfig& cfg,
     : cfg_(cfg),
       deadline_us_(deadline_us),
       analyzer_(std::move(preds)),
-      tracker_(cfg.top_k, cfg.baseline_alpha),
+      tracker_(kBlameTopK, kBaselineAlpha),
       journal_(journal) {
   node_hw_.assign(analyzer_.node_count(), NodeHw{});
   if (registry != nullptr) {
@@ -215,8 +219,8 @@ const support::attrib::CycleAttribution& CycleProfiler::on_cycle(
   if (!at.empty()) {
     cp_ewma_us_ = cp_ewma_us_ <= 0.0
                       ? at.makespan_us
-                      : (1.0 - cfg_.baseline_alpha) * cp_ewma_us_ +
-                            cfg_.baseline_alpha * at.makespan_us;
+                      : (1.0 - kBaselineAlpha) * cp_ewma_us_ +
+                            kBaselineAlpha * at.makespan_us;
   }
 
   // Hardware attribution: distribute each worker's counter delta over

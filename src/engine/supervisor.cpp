@@ -136,6 +136,7 @@ void CycleSupervisor::watchdog_main() {
 }
 
 CycleOutcome CycleSupervisor::supervise_cycle(const CycleBreakdown& c,
+                                              bool missed,
                                               const audio::AudioBuffer& out) {
   ++stats_.cycles;
 
@@ -151,7 +152,7 @@ CycleOutcome CycleSupervisor::supervise_cycle(const CycleBreakdown& c,
   } else if (!all_finite(out)) {
     outcome = CycleOutcome::kNanOutput;
     ++stats_.nan_patches;
-  } else if (c.total_us() > cfg_.deadline_us) {
+  } else if (missed) {
     outcome = CycleOutcome::kOverrun;
     ++stats_.overruns;
   }
@@ -194,13 +195,15 @@ CycleOutcome CycleSupervisor::supervise_cycle(const CycleBreakdown& c,
   return outcome;
 }
 
-void CycleSupervisor::supervise_safe_mode_cycle(const CycleBreakdown& c) {
+CycleOutcome CycleSupervisor::supervise_safe_mode_cycle(
+    const CycleBreakdown& c) {
   ++stats_.cycles;
   emit_fallback();
   // Safe-mode cycles barely compute, so they always have margin; the
   // clean streak is what eventually lets the ladder try real cycles
   // again (one rung up, to the sequential fallback).
   note_clean(c.total_us());
+  return CycleOutcome::kSafeMode;
 }
 
 bool CycleSupervisor::force_degrade() {

@@ -14,6 +14,8 @@ constexpr std::array<double, 8> kApcBounds = {100,  200,  400,  800,
 // Graph phase is ~38% of the APC.
 constexpr std::array<double, 7> kGraphBounds = {50,  100, 200, 400,
                                                 800, 1600, 3200};
+// Event-journal ring capacity (events).
+constexpr std::size_t kJournalCapacity = 4096;
 
 }  // namespace
 
@@ -22,7 +24,7 @@ EngineTelemetry::EngineTelemetry(const TelemetryConfig& cfg,
                                  const support::FlightRecorder& flight)
     : cfg_(cfg),
       deadline_us_(deadline_us),
-      journal_(cfg.journal_capacity),
+      journal_(kJournalCapacity),
       flight_(flight),
       cycles_(registry_.counter("djstar_cycles_total",
                                 "Audio processing cycles executed")),

@@ -204,7 +204,6 @@ void EngineHost::drain_commands() {
       remove_session(c.id, SessionState::kClosed);
       continue;
     }
-    stats_.note_submitted();
     m_submitted_.inc();
     std::unique_ptr<Session> s = build_session(c.id, std::move(c.spec));
     s->set_submitted_at(c.submitted_at);
@@ -250,7 +249,6 @@ void EngineHost::decide_admission(std::unique_ptr<Session> s) {
     }
     case AdmissionVerdict::kRejected:
       set_state(s->id(), SessionState::kRejected);
-      stats_.note_rejected();
       m_rejected_.inc();
       journal_.push(support::EventKind::kReject, tick_,
                     static_cast<std::int64_t>(s->id()));
@@ -407,11 +405,12 @@ FleetTick EngineHost::run_fleet_cycle() {
     m_cycles_.inc();
     h_stage_queue_[rank(s->qos())].record(wait_us);
     h_stage_execute_[rank(s->qos())].record(completion - wait_us);
-    const bool missed = completion > allowed_us;
+    // The session's monitor judged the cycle against `allowed_us`; every
+    // fleet consumer takes that verdict, so the export equals the sum of
+    // the sessions' miss counts exactly.
+    const bool missed = s->last_missed();
     if (missed) {
       ++t.misses;
-      // Same predicate as Session::run_cycle's counter, so the fleet
-      // export equals the sum of session miss counts exactly.
       m_misses_.inc();
       journal_.push(support::EventKind::kDeadlineMiss, tick_,
                     static_cast<std::int64_t>(s->id()), 0, completion);
@@ -462,8 +461,8 @@ FleetTick EngineHost::run_fleet_cycle() {
   // so sessions must not be erased while it is still being walked.
   for (SessionId id : to_trip) trip_session(id);
 
-  t.overloaded = !due.empty() &&
-                 t.elapsed_us > cfg_.overload.overload_factor * budget;
+  // A tick is overloaded when its dispatch outlasts its window.
+  t.overloaded = !due.empty() && t.elapsed_us > budget;
   if (t.overloaded) {
     if (++overload_streak_ >= cfg_.overload.trip_ticks) {
       handle_overload(t);
@@ -475,7 +474,6 @@ FleetTick EngineHost::run_fleet_cycle() {
 
   fleet_now_us_ = tick_end;
   ++tick_;
-  stats_.note_tick();
   m_ticks_.inc();
   g_active_sessions_.set(static_cast<double>(active_.size()));
   g_queued_sessions_.set(static_cast<double>(queued_.size()));
@@ -779,7 +777,6 @@ void EngineHost::run_fleet_cycles(std::size_t n) {
 }
 
 void EngineHost::handle_overload(FleetTick& t) {
-  stats_.note_overload();
   m_overloads_.inc();
   journal_.push(support::EventKind::kOverload, tick_, 0, 0, t.elapsed_us);
   // Shed order: walk the lowest class's degradation ladders first; only
@@ -807,7 +804,8 @@ void EngineHost::handle_overload(FleetTick& t) {
     ++t.shed;
     // Hold queued admissions back for a few ticks so freed capacity is
     // not immediately refilled (shed/admit/shed thrash).
-    admit_holdoff_ = cfg_.overload.admit_holdoff_ticks;
+    constexpr unsigned kAdmitHoldoffTicks = 16;
+    admit_holdoff_ = kAdmitHoldoffTicks;
     return true;
   };
   if (degrade_class(QoS::kBestEffort)) return;
@@ -832,8 +830,10 @@ void EngineHost::trip_session(SessionId id) {
                 static_cast<std::int64_t>(id),
                 static_cast<std::int64_t>(br.trips()), br.last_backoff_us());
   active_density_ = std::max(0.0, active_density_ - s.density());
-  // Retired like a close (not a shed): the session's counters fold into
-  // the fleet aggregate now; the restored session restarts from zero.
+  // A trip is neither a close nor a shed: it counts only in
+  // djstar_fleet_sessions_tripped_total. The session's cycles, misses
+  // and latency fold into the departed aggregate now; the restored
+  // session restarts from zero.
   stats_.retire(s, /*was_shed=*/false);
   if (flight_spans_) retire_trace(s);
   set_state(id, SessionState::kTripped);
@@ -897,7 +897,17 @@ FleetStats EngineHost::stats() const {
   std::vector<const Session*> live;
   live.reserve(active_.size());
   for (const auto& s : active_) live.push_back(s.get());
-  return stats_.aggregate(live);
+  FleetStats f = stats_.aggregate(live);
+  // The lifecycle counts are the djstar_fleet_* counters themselves, so a
+  // scrape equals stats() by construction.
+  f.ticks = m_ticks_.value();
+  f.submitted = m_submitted_.value();
+  f.admitted = m_admitted_.value();
+  f.rejected = m_rejected_.value();
+  f.shed = m_shed_.value();
+  f.closed = m_closed_.value();
+  f.overload_events = m_overloads_.value();
+  return f;
 }
 
 const Session* EngineHost::session(SessionId id) const noexcept {

@@ -2,10 +2,10 @@
 
 #include "djstar/serve/admission.hpp"
 #include "djstar/support/assert.hpp"
+#include "djstar/support/stats.hpp"
 #include "djstar/support/time.hpp"
 
 #include <algorithm>
-#include <vector>
 
 namespace djstar::serve {
 namespace {
@@ -28,7 +28,7 @@ Session::Session(SessionId id, SessionSpec spec, core::Team& team,
     : id_(id),
       spec_(std::move(spec)),
       compiled_(std::make_unique<core::CompiledGraph>(spec_.graph)),
-      monitor_(spec_.deadline_us, /*keep_samples=*/true, /*reserve=*/4096),
+      monitor_(spec_.deadline_us),
       supervisor_(*compiled_,
                   session_supervisor_cfg(scfg, spec_.deadline_us)),
       latency_(0.0, 4.0 * spec_.deadline_us, kLatencyBins) {
@@ -65,41 +65,39 @@ double Session::run_cycle(double wait_us, double allowed_us) {
   const DegradationLevel level = supervisor_.level();
   apply_level(level);
   flight_.begin_cycle();
-  const auto level_idx = static_cast<unsigned>(level);
+  const bool safe_mode = level == DegradationLevel::kSafeMode;
 
   engine::CycleBreakdown c;
-  // EDF dispatch delay counts against the session's deadline: a packet
+  // EDF dispatch delay counts against the session's budget: a packet
   // served late is late no matter how fast its graph ran. The TP slot
   // is reused for it (the serve layer has no timecode phase).
   c.tp_us = wait_us;
-
-  if (level == DegradationLevel::kSafeMode) {
-    supervisor_.supervise_safe_mode_cycle(c);
-    last_outcome_ = engine::CycleOutcome::kSafeMode;
-  } else {
+  if (!safe_mode) {
     const auto t0 = support::now();
     core::Executor* exec = level >= DegradationLevel::kSequentialFallback
                                ? static_cast<core::Executor*>(fallback_.get())
                                : static_cast<core::Executor*>(hosted_.get());
     exec->run_cycle();
     c.graph_us = support::since_us(t0);
-    last_outcome_ = supervisor_.supervise_cycle(
-        c, spec_.output != nullptr ? *spec_.output : silent_);
   }
-  monitor_.add(c, level_idx);
 
+  // The monitor judges the cycle against its tick-relative budget; the
+  // supervisor, the profiler and the host take its verdict.
+  last_missed_ =
+      monitor_.add(c, static_cast<unsigned>(level), allowed_us);
+  last_outcome_ =
+      safe_mode ? supervisor_.supervise_safe_mode_cycle(c)
+                : supervisor_.supervise_cycle(
+                      c, last_missed_,
+                      spec_.output != nullptr ? *spec_.output : silent_);
   const double completion = c.total_us();
-  ++counters_.cycles;
-  const bool missed = completion > allowed_us;
-  if (missed) ++counters_.misses;
-  if (level != DegradationLevel::kFull) ++counters_.degraded_cycles;
   latency_.add(completion);
 
   if (profiler_ != nullptr) {
     // Safe mode records no spans; the empty attribution still counts the
     // cycle so exports stay exact.
     flight_.collect_cycle(flight_.cycle(), prof_spans_);
-    profiler_->on_cycle(prof_spans_, missed, counters_.cycles);
+    profiler_->on_cycle(prof_spans_, last_missed_, monitor_.cycles());
   }
   return completion;
 }
@@ -126,11 +124,7 @@ void Session::disarm_faults() noexcept { compiled_->disarm_faults(); }
 double Session::observed_cost_p99_us() const {
   const auto& xs = monitor_.graph_samples();
   if (xs.size() < 32) return cost_estimate_us_;
-  std::vector<double> sorted(xs);
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      0.99 * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
+  return support::quantile(xs, 0.99);
 }
 
 void Session::enable_flight(std::size_t spans_per_thread) {

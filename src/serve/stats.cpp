@@ -6,39 +6,23 @@ namespace djstar::serve {
 
 ServeStats::ServeStats() = default;
 
-void ServeStats::note_admitted(QoS q) noexcept {
-  ++admitted_;
-  ++admitted_by_qos_[rank(q)];
-}
-
 void ServeStats::note_queued_depth(std::size_t depth) noexcept {
   queued_peak_ = std::max(queued_peak_, static_cast<std::uint64_t>(depth));
 }
 
 void ServeStats::retire(const Session& s, bool was_shed) {
   const unsigned q = rank(s.qos());
-  if (was_shed) {
-    ++shed_;
-    ++shed_by_qos_[q];
-  } else {
-    ++closed_;
-  }
+  if (was_shed) ++shed_by_qos_[q];
   Retained& r = retained_[q];
-  r.cycles += s.counters().cycles;
-  r.misses += s.counters().misses;
+  const SessionCounters c = s.counters();
+  r.cycles += c.cycles;
+  r.misses += c.misses;
   r.latency.merge(s.latency_histogram());
 }
 
 FleetStats ServeStats::aggregate(std::span<const Session* const> live) const {
   FleetStats f;
-  f.ticks = ticks_;
-  f.submitted = submitted_;
-  f.admitted = admitted_;
   f.queued_peak = queued_peak_;
-  f.rejected = rejected_;
-  f.shed = shed_;
-  f.closed = closed_;
-  f.overload_events = overload_events_;
 
   // Per-QoS: retained departed sessions + live ones, merged into one
   // histogram per class, then one fleet-wide histogram.
@@ -56,16 +40,17 @@ FleetStats ServeStats::aggregate(std::span<const Session* const> live) const {
   }
   for (const Session* s : live) {
     const unsigned q = rank(s->qos());
-    f.by_qos[q].cycles += s->counters().cycles;
-    f.by_qos[q].misses += s->counters().misses;
+    const SessionCounters c = s->counters();
+    f.by_qos[q].cycles += c.cycles;
+    f.by_qos[q].misses += c.misses;
     qos_hist[q].merge(s->latency_histogram());
 
     SessionStatsView v;
     v.id = s->id();
     v.name = s->name();
     v.qos = s->qos();
-    v.cycles = s->counters().cycles;
-    v.misses = s->counters().misses;
+    v.cycles = c.cycles;
+    v.misses = c.misses;
     v.miss_rate = v.cycles ? static_cast<double>(v.misses) /
                                  static_cast<double>(v.cycles)
                            : 0.0;

@@ -136,9 +136,9 @@ TEST(StrategyStats, BusyCountsSpinsOnAChain) {
 }
 
 TEST(StrategyStats, WorkStealingCountsWakeupsOfParkedWorkers) {
-  // A chain leaves one of two workers idle; parking after one failed
-  // steal round makes it park, and the release of each next link (or the
-  // completion notify) wakes it.
+  // A chain leaves one of two workers idle; after 16 failed steal rounds
+  // (a few microseconds against a 200 us link) it parks, and the release
+  // of each next link (or the completion notify) wakes it.
   dc::TaskGraph g;
   dc::NodeId prev = g.add_node("n0", [] { su::spin_for_us(200); });
   for (int i = 1; i < 6; ++i) {
@@ -149,9 +149,7 @@ TEST(StrategyStats, WorkStealingCountsWakeupsOfParkedWorkers) {
   dc::CompiledGraph cg(g);
   dc::ExecOptions opts;
   opts.threads = 2;
-  dc::WorkStealingOptions wso;
-  wso.steal_rounds_before_park = 1;
-  dc::WorkStealingExecutor ws(cg, opts, wso);
+  dc::WorkStealingExecutor ws(cg, opts);
   for (int i = 0; i < 5; ++i) ws.run_cycle();
   const auto sleeps = ws.stats().sleeps.load();
   const auto wakeups = ws.stats().wakeups.load();

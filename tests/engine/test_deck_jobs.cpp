@@ -173,7 +173,7 @@ TEST(DeckJobs, WatchdogCancelledCycleStillAdvancesEveryDeck) {
     before.push_back(e.deck(d).track().position());
   }
   clean.run_cycle();
-  e.run_cycle_supervised();
+  e.run_cycle();
   ASSERT_EQ(e.supervisor().stats().watchdog_cancels, 1u);
   ASSERT_EQ(e.supervisor().stats().cancels, 1u);
   expect_same_decks(e, clean, "cancelled cycle");

@@ -1,6 +1,7 @@
 // Unit tests for the AudioEngine facade and the deadline monitor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "djstar/engine/engine.hpp"
@@ -36,12 +37,43 @@ TEST(DeadlineMonitor, PhaseStatsAccumulate) {
   EXPECT_DOUBLE_EQ(m.total().mean(), 14.0);
 }
 
-TEST(DeadlineMonitor, SampleRetentionToggle) {
-  de::DeadlineMonitor keep(100.0, true), drop(100.0, false);
-  keep.add({1, 1, 1, 1});
-  drop.add({1, 1, 1, 1});
-  EXPECT_EQ(keep.graph_samples().size(), 1u);
-  EXPECT_TRUE(drop.graph_samples().empty());
+TEST(DeadlineMonitor, JudgesEachCycleAgainstItsBudget) {
+  de::DeadlineMonitor m(100.0);
+  EXPECT_FALSE(m.add({10, 10, 10, 10}));       // 40 against the deadline
+  EXPECT_TRUE(m.add({10, 10, 10, 10}, 0, 30.0));  // 40 against 30
+  EXPECT_FALSE(m.add({50, 30, 30, 10}, 1, 200.0));  // 120 against 200
+  EXPECT_EQ(m.misses(), 1u);
+  EXPECT_EQ(m.level_cycles(1), 1u);
+  EXPECT_EQ(m.level_misses(0), 1u);
+}
+
+TEST(DeadlineMonitor, KeepsTheLastWindowInFixedStorage) {
+  constexpr std::size_t kWindow = de::DeadlineMonitor::kWindow;
+  de::DeadlineMonitor m(1e9);
+  const double* graph = m.graph_samples().data();
+  const double* total = m.total_samples().data();
+  const std::size_t capacity = m.total_samples().capacity();
+  ASSERT_GE(capacity, kWindow);
+  // Three windows of cycles: the first two slower than every cycle of the
+  // third, so the p99 shows which window it read.
+  for (std::size_t i = 0; i < 3 * kWindow; ++i) {
+    de::CycleBreakdown c;
+    c.graph_us = i < 2 * kWindow ? 1000.0 : static_cast<double>(i % 100);
+    m.add(c);
+    ASSERT_EQ(m.total_samples().data(), total) << "cycle " << i;
+    ASSERT_EQ(m.graph_samples().data(), graph) << "cycle " << i;
+    ASSERT_EQ(m.total_samples().capacity(), capacity) << "cycle " << i;
+    ASSERT_EQ(m.total_samples().size(), std::min(i + 1, kWindow));
+  }
+  EXPECT_EQ(m.cycles(), 3 * kWindow);
+  EXPECT_EQ(m.graph_samples().size(), kWindow);
+  EXPECT_DOUBLE_EQ(m.max_us(), 1000.0);
+  EXPECT_LT(m.p99(), 100.0);
+  m.reset();
+  EXPECT_TRUE(m.total_samples().empty());
+  EXPECT_EQ(m.total_samples().data(), total);
+  EXPECT_EQ(m.total_samples().capacity(), capacity);
+  EXPECT_DOUBLE_EQ(m.p99(), 0.0);
 }
 
 TEST(DeadlineMonitor, ResetClears) {

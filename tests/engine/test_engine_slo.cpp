@@ -88,10 +88,10 @@ TEST(EngineSlo, MissBurstWalksWarnPageAndRecoversWithHysteresis) {
   // 100% miss burst: window 1 seals at cycle 10 (-> warn), window 2 at
   // cycle 20 (-> page). Stepwise escalation guarantees the order.
   engine.arm_faults(stall_every_cycle(2.0 * cfg.deadline_us));
-  for (int i = 0; i < 10; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 10; ++i) engine.run_cycle();
   EXPECT_EQ(engine.slo().status().state, ds::SloAlertState::kWarn);
   const auto level_before = engine.supervisor().level();
-  for (int i = 0; i < 10; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 10; ++i) engine.run_cycle();
   EXPECT_EQ(engine.slo().status().state, ds::SloAlertState::kPage);
   EXPECT_DOUBLE_EQ(engine.slo().status().budget_remaining, 0.0);
   // The page forced one early degradation rung.
@@ -100,7 +100,7 @@ TEST(EngineSlo, MissBurstWalksWarnPageAndRecoversWithHysteresis) {
   // Faults stop: the fast pair clears immediately, the slow pair drains,
   // then hysteresis steps page -> warn -> ok over clean evaluations.
   engine.disarm_faults();
-  for (int i = 0; i < 70; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 70; ++i) engine.run_cycle();
   EXPECT_EQ(engine.slo().status().state, ds::SloAlertState::kOk);
   EXPECT_DOUBLE_EQ(engine.slo().status().budget_remaining, 1.0);
 

@@ -54,7 +54,7 @@ TEST(Supervisor, LadderStepsDownOneRungAtATimeOnFaults) {
   engine.arm_faults(throw_every_node());
 
   for (int i = 0; i < 6; ++i) {
-    engine.run_cycle_supervised();
+    engine.run_cycle();
     EXPECT_TRUE(all_finite(engine.safe_output())) << "cycle " << i;
   }
 
@@ -78,7 +78,7 @@ TEST(Supervisor, ConsecutiveOverrunsTripOneRung) {
   sc.overrun_trip = 3;
   engine.enable_supervision(sc);
 
-  for (int i = 0; i < 7; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 7; ++i) engine.run_cycle();
 
   const auto& tr = engine.supervisor().transitions();
   ASSERT_EQ(tr.size(), 2u);  // cycles 3 and 6
@@ -96,12 +96,12 @@ TEST(Supervisor, RecoveryHysteresisClimbsBackOneRungAtATime) {
   engine.enable_supervision(sc);
 
   engine.arm_faults(throw_every_node());
-  engine.run_cycle_supervised();
-  engine.run_cycle_supervised();
+  engine.run_cycle();
+  engine.run_cycle();
   ASSERT_EQ(engine.supervisor().level(), de::DegradationLevel::kNoStretch);
   engine.disarm_faults();
 
-  for (int i = 0; i < 20; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 20; ++i) engine.run_cycle();
 
   EXPECT_EQ(engine.supervisor().level(), de::DegradationLevel::kFull);
   EXPECT_EQ(engine.supervisor().stats().recoveries, 2u);
@@ -126,7 +126,7 @@ TEST(Supervisor, NanOutputIsPatchedToFiniteAudio) {
 
   int raw_nan_cycles = 0;
   for (int i = 0; i < 60; ++i) {
-    engine.run_cycle_supervised();
+    engine.run_cycle();
     if (!all_finite(engine.output())) ++raw_nan_cycles;
     ASSERT_TRUE(all_finite(engine.safe_output())) << "cycle " << i;
   }
@@ -143,7 +143,7 @@ TEST(Supervisor, FallbackSpliceHasNoClick) {
   engine.enable_supervision(sc);
 
   // Warm up with clean cycles so last_good_ holds real audio.
-  for (int i = 0; i < 20; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 20; ++i) engine.run_cycle();
 
   const auto& out = engine.safe_output();
   float prev_last[2] = {0.0f, 0.0f};
@@ -154,7 +154,7 @@ TEST(Supervisor, FallbackSpliceHasNoClick) {
   bool prev_fallback = false;
   auto check_boundary = [&](int cycle) {
     const auto before = engine.supervisor().stats().fallback_emissions;
-    engine.run_cycle_supervised();
+    engine.run_cycle();
     const bool this_fallback =
         engine.supervisor().stats().fallback_emissions != before;
     ASSERT_TRUE(all_finite(out)) << "cycle " << cycle;
@@ -199,7 +199,7 @@ TEST(Supervisor, TransitionsExactlyReproducibleFromFaultSeed) {
     plan.throw_permille = 25;
     plan.nan_permille = 10;
     engine.arm_faults(plan);
-    for (int i = 0; i < 300; ++i) engine.run_cycle_supervised();
+    for (int i = 0; i < 300; ++i) engine.run_cycle();
     return engine.supervisor().transitions();
   };
 
@@ -219,8 +219,8 @@ TEST(Supervisor, SetStrategyPreservesSupervisionAndMonitorState) {
   de::AudioEngine engine(small_engine_config(1e9));
   engine.enable_supervision(fast_trip_config());
   engine.arm_faults(throw_every_node());
-  engine.run_cycle_supervised();
-  engine.run_cycle_supervised();
+  engine.run_cycle();
+  engine.run_cycle();
   engine.disarm_faults();
 
   ASSERT_EQ(engine.supervisor().level(), de::DegradationLevel::kNoStretch);
@@ -246,7 +246,7 @@ TEST(Supervisor, SetStrategyPreservesSupervisionAndMonitorState) {
   EXPECT_TRUE(engine.compiled().node_masked(fx_node));
 
   // And the rebuilt executor runs supervised cycles as before.
-  engine.run_cycle_supervised();
+  engine.run_cycle();
   EXPECT_TRUE(all_finite(engine.safe_output()));
   EXPECT_EQ(engine.monitor().cycles(), cycles_before + 1);
 }
@@ -267,9 +267,9 @@ TEST(Supervisor, MonitorTracksPerLevelStatsAndQuantiles) {
   auto sc = fast_trip_config();
   engine.enable_supervision(sc);
 
-  for (int i = 0; i < 10; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 10; ++i) engine.run_cycle();
   engine.arm_faults(throw_every_node());
-  for (int i = 0; i < 4; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 4; ++i) engine.run_cycle();
   engine.disarm_faults();
 
   const auto& m = engine.monitor();
@@ -284,26 +284,21 @@ TEST(Supervisor, MonitorTracksPerLevelStatsAndQuantiles) {
   EXPECT_GE(m.p99(), m.total().min());
 }
 
-TEST(Supervisor, MonitorWithoutSamplesFallsBackToMax) {
-  de::DeadlineMonitor m(1000.0, /*keep_samples=*/false);
-  de::CycleBreakdown c;
-  c.graph_us = 100.0;
-  m.add(c);
-  c.graph_us = 300.0;
-  m.add(c);
-  EXPECT_DOUBLE_EQ(m.p99(), 300.0);
-  EXPECT_DOUBLE_EQ(m.max_us(), 300.0);
-}
-
 TEST(Supervisor, MonitorReserveSurvivesReset) {
-  de::DeadlineMonitor m(1000.0, true, /*reserve=*/256);
-  EXPECT_GE(m.total_samples().capacity(), 256u);
+  // The window's storage is allocated at construction; neither cycles
+  // nor reset() move it, so add() never allocates.
+  de::DeadlineMonitor m(1000.0);
+  const double* total = m.total_samples().data();
+  const double* graph = m.graph_samples().data();
+  EXPECT_GE(m.total_samples().capacity(), de::DeadlineMonitor::kWindow);
   de::CycleBreakdown c;
   c.graph_us = 10.0;
   for (int i = 0; i < 100; ++i) m.add(c);
   m.reset();
   EXPECT_EQ(m.cycles(), 0u);
-  EXPECT_GE(m.total_samples().capacity(), 256u);
-  EXPECT_GE(m.graph_samples().capacity(), 256u);
+  EXPECT_EQ(m.total_samples().data(), total);
+  EXPECT_EQ(m.graph_samples().data(), graph);
+  EXPECT_GE(m.total_samples().capacity(), de::DeadlineMonitor::kWindow);
+  EXPECT_GE(m.graph_samples().capacity(), de::DeadlineMonitor::kWindow);
   EXPECT_DOUBLE_EQ(m.p99(), 0.0);
 }

@@ -162,7 +162,7 @@ TEST(EngineTelemetry, SupervisedDegradationIsCountedAndJournaled) {
   scfg.use_watchdog = false; // deterministic on a loaded CI box
   engine.enable_supervision(scfg);
   engine.arm_faults(stall_every_cycle(2.0 * djstar::audio::kDeadlineUs));
-  for (int i = 0; i < 4; ++i) engine.run_cycle_supervised();
+  for (int i = 0; i < 4; ++i) engine.run_cycle();
 
   const ds::MetricsSnapshot snap = engine.telemetry().registry().snapshot();
   const ds::MetricValue* degrades =

@@ -40,14 +40,9 @@ dc::chaos::FaultPlan abort_plan() {
 }
 
 // Drive cycles until the team has quarantined at least once (bounded).
-void run_until_quarantine(de::AudioEngine& engine, int max_cycles,
-                          bool supervised) {
+void run_until_quarantine(de::AudioEngine& engine, int max_cycles) {
   for (int c = 0; c < max_cycles; ++c) {
-    if (supervised) {
-      engine.run_cycle_supervised();
-    } else {
-      engine.run_cycle();
-    }
+    engine.run_cycle();
     const dc::Team* team = engine.executor().team();
     if (team != nullptr && team->heal_stats().quarantines > 0) return;
   }
@@ -61,7 +56,7 @@ TEST(HealEngine, PollHealFeedsSupervisorStats) {
   engine.enable_supervision();
   engine.arm_faults(abort_plan());
 
-  run_until_quarantine(engine, dt::scaled(300), /*supervised=*/true);
+  run_until_quarantine(engine, dt::scaled(300));
 
   const de::SupervisorStats& st = engine.supervisor().stats();
   EXPECT_GE(st.worker_quarantines, 1u)
@@ -81,7 +76,7 @@ TEST(HealEngine, TelemetryExportsHealCountersAndDumpsFlight) {
   engine.enable_telemetry(tcfg);
   engine.arm_faults(abort_plan());
 
-  run_until_quarantine(engine, dt::scaled(300), /*supervised=*/false);
+  run_until_quarantine(engine, dt::scaled(300));
 
   const dc::HealStats hs = engine.executor().team()->heal_stats();
   ASSERT_GE(hs.quarantines, 1u) << "fault plan never caused a quarantine";

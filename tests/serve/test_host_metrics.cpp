@@ -70,15 +70,27 @@ std::uint64_t metric_value(const sup::MetricsRegistry& reg,
 TEST(HostMetrics, FleetCountersAgreeWithStatsExactly) {
   ds::HostConfig cfg = small_host();
   cfg.admission.queue_when_full = false;  // over-bound => rejected
+  // Two failed cycles trip a breaker; the backoff outlasts the test, so
+  // the tripped session stays parked.
+  cfg.breaker.trip_failures = 2;
+  cfg.breaker.backoff_ms = 1e6;
   ds::EngineHost host(cfg);
 
   const ds::SessionId a = host.submit(light_session(ds::QoS::kStandard, 0.1));
   const ds::SessionId b = host.submit(light_session(ds::QoS::kBestEffort, 0.1));
+  const ds::SessionId t = host.submit(light_session(ds::QoS::kStandard, 0.1));
   host.submit(light_session(ds::QoS::kStandard, 5.0));  // rejected
   host.run_fleet_cycles(20);
   host.close(b);
+  // Every cycle of `t` now throws at its source: a failed cycle each.
+  djstar::core::chaos::FaultPlan plan;
+  plan.throw_permille = 1000;
+  plan.targets = {0};
+  ASSERT_NE(host.session(t), nullptr);
+  host.session(t)->arm_faults(plan);
   host.run_fleet_cycles(10);
   ASSERT_EQ(host.session_state(a), ds::SessionState::kActive);
+  ASSERT_EQ(host.session_state(t), ds::SessionState::kTripped);
 
   const ds::FleetStats fs = host.stats();
   const sup::MetricsRegistry& reg = host.metrics();
@@ -97,12 +109,17 @@ TEST(HostMetrics, FleetCountersAgreeWithStatsExactly) {
   EXPECT_EQ(metric_value(reg, "djstar_fleet_cycles_total"), fs.cycles);
   EXPECT_EQ(metric_value(reg, "djstar_fleet_deadline_misses_total"),
             fs.misses);
-  // Sanity on magnitudes: 30 ticks, one active session throughout.
+  // Sanity on magnitudes: 30 ticks; `a` active throughout, `b` closed by
+  // its owner, `t` tripped. A trip is neither a close nor a shed: it
+  // counts only as a trip, while its cycles stay in the fleet totals.
   EXPECT_EQ(fs.ticks, 30u);
-  EXPECT_EQ(fs.submitted, 3u);
-  EXPECT_EQ(fs.admitted, 2u);
+  EXPECT_EQ(fs.submitted, 4u);
+  EXPECT_EQ(fs.admitted, 3u);
   EXPECT_EQ(fs.rejected, 1u);
   EXPECT_EQ(fs.closed, 1u);
+  EXPECT_EQ(fs.shed, 0u);
+  EXPECT_EQ(metric_value(reg, "djstar_fleet_sessions_tripped_total"), 1u);
+  EXPECT_EQ(fs.cycles, 30u + 20u + 22u);
 }
 
 TEST(HostMetrics, GaugesTrackFleetShape) {

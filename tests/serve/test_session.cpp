@@ -58,6 +58,25 @@ TEST_F(SessionTest, DispatchWaitCountsAgainstTheDeadline) {
   EXPECT_EQ(s->counters().misses, 1u);
 }
 
+TEST_F(SessionTest, MultiRateSessionIsJudgedAgainstItsTickBudget) {
+  // A session whose deadline spans two ticks is dispatched in the tick
+  // that ends at its deadline, so its budget is one tick. Served half a
+  // tick past that budget, the packet is late: the counters, the monitor
+  // and the supervisor must all say so, and the ladder must step down.
+  constexpr double kTickUs = 2000.0;
+  ds::SyntheticSpec spec;
+  spec.deadline_us = 2.0 * kTickUs;
+  auto s = make(spec);
+  s->run_cycle(1.5 * kTickUs, kTickUs);
+  EXPECT_EQ(s->counters().misses, 1u);
+  EXPECT_EQ(s->monitor().misses(), 1u);
+  EXPECT_EQ(s->supervisor().stats().overruns, 1u);
+  const unsigned trip = s->supervisor().config().overrun_trip;
+  for (unsigned i = 1; i < trip; ++i) s->run_cycle(1.5 * kTickUs, kTickUs);
+  EXPECT_EQ(s->counters().misses, trip);
+  EXPECT_NE(s->supervisor().level(), de::DegradationLevel::kFull);
+}
+
 TEST_F(SessionTest, ForceDegradeWalksToTheFloorThenRefuses) {
   auto s = make({});
   int rungs = 0;

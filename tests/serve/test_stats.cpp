@@ -54,20 +54,17 @@ class ServeStatsTest : public testing::Test {
 
 TEST_F(ServeStatsTest, AggregatesLiveSessionsPerQoS) {
   ds::ServeStats reg;
-  reg.note_submitted();
-  reg.note_submitted();
   reg.note_admitted(ds::QoS::kRealtime);
   reg.note_admitted(ds::QoS::kBestEffort);
-  reg.note_tick();
 
   auto a = run_session(1, ds::QoS::kRealtime, 5);
   auto b = run_session(2, ds::QoS::kBestEffort, 7);
   const std::vector<const ds::Session*> live{a.get(), b.get()};
   const ds::FleetStats f = reg.aggregate(live);
 
-  EXPECT_EQ(f.ticks, 1u);
-  EXPECT_EQ(f.submitted, 2u);
-  EXPECT_EQ(f.admitted, 2u);
+  EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kRealtime)].sessions, 1u);
+  EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kStandard)].sessions, 0u);
+  EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kBestEffort)].sessions, 1u);
   EXPECT_EQ(f.cycles, 12u);
   EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kRealtime)].cycles, 5u);
   EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kBestEffort)].cycles, 7u);
@@ -85,8 +82,7 @@ TEST_F(ServeStatsTest, RetireKeepsHistoryAfterSessionIsGone) {
   }  // session destroyed; its cycles must survive in the registry
 
   const ds::FleetStats f = reg.aggregate({});
-  EXPECT_EQ(f.closed, 1u);
-  EXPECT_EQ(f.shed, 0u);
+  EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kStandard)].shed, 0u);
   EXPECT_EQ(f.cycles, 9u);
   EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kStandard)].cycles, 9u);
   EXPECT_GT(f.p99_latency_us, 0.0);
@@ -98,13 +94,11 @@ TEST_F(ServeStatsTest, ShedRetirementCountsPerQoS) {
   reg.note_admitted(ds::QoS::kBestEffort);
   auto s = run_session(3, ds::QoS::kBestEffort, 2);
   reg.retire(*s, /*was_shed=*/true);
-  reg.note_overload();
 
   const ds::FleetStats f = reg.aggregate({});
-  EXPECT_EQ(f.shed, 1u);
-  EXPECT_EQ(f.closed, 0u);
-  EXPECT_EQ(f.overload_events, 1u);
   EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kBestEffort)].shed, 1u);
+  EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kBestEffort)].cycles, 2u);
+  EXPECT_EQ(f.by_qos[ds::rank(ds::QoS::kStandard)].shed, 0u);
 }
 
 TEST_F(ServeStatsTest, QueuedPeakTracksHighWaterMark) {

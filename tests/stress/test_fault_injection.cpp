@@ -193,7 +193,7 @@ TEST_P(FaultSweep, WatchdogCancelsStuckCycleAndLadderDegrades) {
                         std::string("watchdog cancel ") +
                             std::string(dc::to_string(cfg.strategy)));
   for (int i = 0; i < 3; ++i) {
-    engine.run_cycle_supervised();
+    engine.run_cycle();
     ASSERT_TRUE(all_finite(engine.safe_output())) << "cycle " << i;
   }
 
@@ -206,7 +206,7 @@ TEST_P(FaultSweep, WatchdogCancelsStuckCycleAndLadderDegrades) {
 
   // Clear the stall: the engine keeps producing valid audio.
   engine.disarm_faults();
-  engine.run_cycle_supervised();
+  engine.run_cycle();
   EXPECT_TRUE(all_finite(engine.safe_output()));
 }
 
@@ -240,7 +240,7 @@ TEST_P(FaultSweep, SupervisedEngineSurvivesThousandFaultyCycles) {
                             std::string(dc::to_string(cfg.strategy)));
 
   for (int i = 0; i < kCycles; ++i) {
-    engine.run_cycle_supervised();
+    engine.run_cycle();
     // The headline acceptance check: a valid packet EVERY cycle, no
     // matter what was injected into this one.
     ASSERT_TRUE(all_finite(engine.safe_output())) << "cycle " << i;
@@ -292,7 +292,7 @@ TEST(FaultDeterminism, TransitionLogReproducibleUnderWorkStealing) {
     engine.arm_faults(plan);
 
     const int kCycles = dt::scaled(400);
-    for (int i = 0; i < kCycles; ++i) engine.run_cycle_supervised();
+    for (int i = 0; i < kCycles; ++i) engine.run_cycle();
     return engine.supervisor().transitions();
   };
 
